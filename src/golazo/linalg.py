@@ -38,6 +38,8 @@ def check_square_symmetric(a, atol=1e-9):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries (NaN or Inf)")
     if not np.allclose(a, a.T, atol=atol, rtol=0.0):
         raise ValueError("matrix is not symmetric")
     return sym(a)
@@ -56,30 +58,17 @@ def cholesky_logdet(a):
     """
     a = np.asarray(a, dtype=float)
     tol = _pivot_tolerance(a)
-    try:
-        factor = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(pivot_index=_first_bad_pivot(a, tol)) from None
-    piv = np.diag(factor)
-    bad = np.nonzero(piv * piv <= tol)[0]
+    factor, info = scipy.linalg.lapack.dpotrf(a, lower=True)
+    # On failure LAPACK reports the first nonpositive pivot as info (1-based)
+    # and leaves the pivots before it computed.
+    piv = np.diag(factor)[:info - 1 if info > 0 else None]
+    bad = np.nonzero(~(piv * piv > tol))[0]  # NaN pivots count as bad
     if bad.size:
         raise NotPositiveDefiniteError(pivot_index=int(bad[0]))
+    if info > 0:
+        raise NotPositiveDefiniteError(pivot_index=info - 1)
     logdet = 2.0 * float(np.sum(np.log(piv)))
     return factor, logdet
-
-
-def _first_bad_pivot(a, tol):
-    # Unblocked Cholesky just to locate the first nonpositive pivot.
-    a = a.copy()
-    d = a.shape[0]
-    for j in range(d):
-        pivot = a[j, j] - np.dot(a[j, :j], a[j, :j])
-        if pivot <= tol:
-            return j
-        a[j, j] = np.sqrt(pivot)
-        if j + 1 < d:
-            a[j + 1:, j] = (a[j + 1:, j] - a[j + 1:, :j] @ a[j, :j]) / a[j, j]
-    return None
 
 
 def logdet_pd(a):
@@ -117,7 +106,7 @@ def invert_pd(a):
 def solve_pd(a, b):
     """Solve a @ x = b for positive definite a."""
     factor, _ = cholesky_logdet(a)
-    return scipy.linalg.cho_solve((factor, True), b)
+    return scipy.linalg.lapack.dpotrs(factor, b, lower=True)[0]
 
 
 def principal_submatrix_drop(a, j):

@@ -134,15 +134,11 @@ def starting_point_interior(s, bounds):
     off = ~np.eye(d, dtype=bool)
     if np.any(bounds.lower[off] == 0.0) or np.any(bounds.upper[off] == 0.0):
         raise BoundsNotStrictError("diagonal-blend start needs L < 0 < U off-diagonal")
-    t = 1.0
-    for i in range(d):
-        for j in range(d):
-            if i == j or s[i, j] == 0.0:
-                continue
-            if s[i, j] > 0:
-                t = min(t, -bounds.lower[i, j] / s[i, j])
-            else:
-                t = min(t, bounds.upper[i, j] / (-s[i, j]))
+    pos = off & (s > 0.0)
+    neg = off & (s < 0.0)
+    t = min(1.0,
+            float(np.min(-bounds.lower[pos] / s[pos], initial=1.0)),
+            float(np.min(bounds.upper[neg] / -s[neg], initial=1.0)))
     sigma0 = (1.0 - t) * s + t * np.diag(np.diag(s))
     if not linalg.is_positive_definite(sigma0):
         raise NoFeasibleStartError("diagonal-blend starting point is not positive definite")
@@ -155,14 +151,16 @@ def starting_point_single_linkage(s, bounds):
     d = s.shape[0]
     diag = np.diag(s)
     root = np.sqrt(np.outer(diag, diag))
-    for i in range(d):
-        for j in range(i + 1, d):
-            if s[i, j] >= root[i, j]:
-                raise DegenerateCorrelationError(i, j)
-            if bounds.upper[i, j] == 0.0:
-                raise InfeasibleBoundsError(
-                    f"single-linkage start needs U > 0 off-diagonal; U[{i},{j}] = 0"
-                )
+    degenerate = s >= root
+    # The first offending pair in row-major order decides which error is raised.
+    bad = np.argwhere(np.triu(degenerate | (bounds.upper == 0.0), 1))
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        if degenerate[i, j]:
+            raise DegenerateCorrelationError(i, j)
+        raise InfeasibleBoundsError(
+            f"single-linkage start needs U > 0 off-diagonal; U[{i},{j}] = 0"
+        )
     if linalg.is_positive_definite(s):
         return s.copy()
     z = single_linkage_matrix_cov(s)
@@ -195,29 +193,17 @@ def _default_start(s, bounds):
 def _isolated_rows(s, clipped):
     """Rows j with S + L <= 0 <= S + U on every off-diagonal entry: the
     optimum has Sigma_{j,-j} = K_{j,-j} = 0 and the row can be skipped."""
-    d = s.shape[0]
-    lo = s + clipped.lower
-    hi = s + clipped.upper
-    rows = []
-    for j in range(d):
-        mask = np.arange(d) != j
-        if np.all(lo[j, mask] <= 0.0) and np.all(hi[j, mask] >= 0.0):
-            rows.append(j)
-    return rows
+    inside = (s + clipped.lower <= 0.0) & (s + clipped.upper >= 0.0)
+    np.fill_diagonal(inside, True)
+    return np.nonzero(np.all(inside, axis=1))[0].tolist()
 
 
 def _forced_zero_pairs(s, bounds):
     """Pairs where both one-sided conditions hold, forcing K_ij = 0."""
-    d = s.shape[0]
     diag = np.diag(s)
     root = np.sqrt(np.outer(diag, diag))
-    pairs = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            if (bounds.lower[i, j] <= -s[i, j] - root[i, j]
-                    and bounds.upper[i, j] >= -s[i, j] + root[i, j]):
-                pairs.append((i, j))
-    return pairs
+    forced = (bounds.lower <= -s - root) & (bounds.upper >= -s + root)
+    return [(int(i), int(j)) for i, j in np.argwhere(np.triu(forced, 1))]
 
 
 def _check_feasible(sigma, s, clipped, slack=1e-9):
@@ -252,6 +238,8 @@ def fit(s, bounds, config=None, sigma0=None, screen=True, qp_tol=1e-10):
         sigma = linalg.check_square_symmetric(sigma0)
         if not _check_feasible(sigma, s, clipped):
             raise NoFeasibleStartError("supplied sigma0 is not dually feasible")
+        if not linalg.is_positive_definite(sigma):
+            raise NoFeasibleStartError("supplied sigma0 is not positive definite")
     sigma = sigma.copy()
     for j in isolated:
         sigma[j, :] = 0.0
@@ -273,13 +261,13 @@ def fit(s, bounds, config=None, sigma0=None, screen=True, qp_tol=1e-10):
     while gap > config.dual_gap_tol and sweeps < config.max_sweeps:
         for j in active:
             keep = np.r_[0:j, j + 1:d]
-            w = linalg.invert_pd(sigma[np.ix_(keep, keep)])
             l_j = lo[j, keep].copy()
             u_j = hi[j, keep].copy()
             pin = pinned[keep]
             l_j[pin] = 0.0
             u_j[pin] = 0.0
-            y = solve_boxqp(BoxQP(w, l_j, u_j), tol=qp_tol, y0=sigma[j, keep])
+            y = solve_boxqp(BoxQP(sigma[np.ix_(keep, keep)], l_j, u_j),
+                            tol=qp_tol, y0=sigma[j, keep])
             sigma[j, keep] = y
             sigma[keep, j] = y
         sweeps += 1

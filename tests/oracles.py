@@ -159,3 +159,58 @@ def random_correlation(rng, d, extra=0.05):
 def random_graph(rng, d, p=0.5):
     edges = [(i, j) for i in range(d) for j in range(i + 1, d) if rng.random() < p]
     return edges
+
+
+def loop_isolated_rows(s, clipped):
+    """Rows whose every off-diagonal dual box contains 0, scanned row by row."""
+    d = s.shape[0]
+    lo = s + clipped.lower
+    hi = s + clipped.upper
+    rows = []
+    for j in range(d):
+        mask = np.arange(d) != j
+        if np.all(lo[j, mask] <= 0.0) and np.all(hi[j, mask] >= 0.0):
+            rows.append(j)
+    return rows
+
+
+def loop_forced_zero_pairs(s, bounds):
+    """Pairs i < j whose box reaches past +-sqrt(S_ii S_jj), scanned in order."""
+    d = s.shape[0]
+    root = np.sqrt(np.outer(np.diag(s), np.diag(s)))
+    pairs = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            if (bounds.lower[i, j] <= -s[i, j] - root[i, j]
+                    and bounds.upper[i, j] >= -s[i, j] + root[i, j]):
+                pairs.append((i, j))
+    return pairs
+
+
+def loop_interior_blend_weight(s, bounds):
+    """Largest t <= 1 keeping (1 - t) S + t diag(S) inside the dual box."""
+    d = s.shape[0]
+    t = 1.0
+    for i in range(d):
+        for j in range(d):
+            if i == j or s[i, j] == 0.0:
+                continue
+            if s[i, j] > 0:
+                t = min(t, -bounds.lower[i, j] / s[i, j])
+            else:
+                t = min(t, bounds.upper[i, j] / (-s[i, j]))
+    return t
+
+
+def loop_single_linkage_blocker(s, bounds):
+    """First pair i < j, in row-major order, that blocks the single-linkage
+    start: ("degenerate", (i, j)), ("zero_upper", (i, j)) or None."""
+    d = s.shape[0]
+    root = np.sqrt(np.outer(np.diag(s), np.diag(s)))
+    for i in range(d):
+        for j in range(i + 1, d):
+            if s[i, j] >= root[i, j]:
+                return "degenerate", (i, j)
+            if bounds.upper[i, j] == 0.0:
+                return "zero_upper", (i, j)
+    return None

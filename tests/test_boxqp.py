@@ -6,37 +6,59 @@ from golazo.boxqp import BoxQP, solve_boxqp
 from oracles import projected_gradient_boxqp, random_pd
 
 
+def qp(w, lower, upper):
+    """The box QP  min y'Wy  on [lower, upper]; BoxQP takes A = W^{-1}."""
+    return BoxQP(np.linalg.inv(w), lower, upper)
+
+
 def test_unconstrained_minimum_is_zero():
     w = np.array([[2.0, 0.5], [0.5, 1.0]])
-    y = solve_boxqp(BoxQP(w, [-np.inf, -np.inf], [np.inf, np.inf]))
+    y = solve_boxqp(qp(w, [-np.inf, -np.inf], [np.inf, np.inf]))
     assert np.allclose(y, 0.0, atol=1e-12)
 
 
 def test_zero_inside_box():
     w = np.eye(3)
-    y = solve_boxqp(BoxQP(w, [-1.0] * 3, [1.0] * 3))
+    y = solve_boxqp(qp(w, [-1.0] * 3, [1.0] * 3))
     assert np.allclose(y, 0.0, atol=1e-12)
 
 
 def test_active_lower_bound():
     # Separable: each coordinate is pushed to the bound nearest zero.
     w = np.eye(2)
-    y = solve_boxqp(BoxQP(w, [0.5, -1.0], [2.0, 1.0]))
+    y = solve_boxqp(qp(w, [0.5, -1.0], [2.0, 1.0]))
     assert np.allclose(y, [0.5, 0.0], atol=1e-12)
 
 
 def test_equality_pinned_coordinates():
     w = np.array([[1.0, 0.4], [0.4, 1.0]])
-    y = solve_boxqp(BoxQP(w, [0.3, -1.0], [0.3, 1.0]))
+    y = solve_boxqp(qp(w, [0.3, -1.0], [0.3, 1.0]))
     # y0 pinned at 0.3; y1 minimizes (0.3, y1)' W (0.3, y1) => y1 = -0.4*0.3.
     assert y[0] == 0.3
     assert y[1] == pytest.approx(-0.12, abs=1e-12)
 
 
+def test_active_coordinates_are_exact():
+    # Coordinates held at a bound come back bit-for-bit equal to it, also
+    # when several are coupled through A.
+    rng = np.random.default_rng(3)
+    active = 0
+    for _ in range(50):
+        w = random_pd(rng, 6, 0.1)
+        values = rng.random(3) + 0.5
+        lower = np.r_[values, [-np.inf] * 3]
+        upper = np.r_[values + 1.0, [np.inf] * 3]
+        y = solve_boxqp(qp(w, lower, upper))
+        near = np.abs(y - lower) < 1e-9
+        assert np.array_equal(y[near], lower[near])
+        active += int(np.count_nonzero(near))
+    assert active >= 50
+
+
 def test_coupled_2x2_hand_solution():
     w = np.array([[1.0, -0.9], [-0.9, 1.0]])
     # Minimizing y'Wy with y0 >= 1 pulls y1 up to 0.9.
-    y = solve_boxqp(BoxQP(w, [1.0, -np.inf], [np.inf, np.inf]))
+    y = solve_boxqp(qp(w, [1.0, -np.inf], [np.inf, np.inf]))
     assert y[0] == pytest.approx(1.0, abs=1e-12)
     assert y[1] == pytest.approx(0.9, abs=1e-10)
 
@@ -53,7 +75,7 @@ def test_kkt_certificate_random():
             shift = rng.standard_normal(n) * 0.5
             lower = lower + shift
             upper = upper + shift
-        y = solve_boxqp(BoxQP(w, lower, upper), tol=1e-10)
+        y = solve_boxqp(qp(w, lower, upper), tol=1e-10)
         assert np.all(y >= lower - 1e-12) and np.all(y <= upper + 1e-12)
         g = 2.0 * (w @ y)
         for i in range(n):
@@ -73,7 +95,7 @@ def test_matches_projected_gradient_oracle():
         center = rng.standard_normal(n) * 0.4
         lower = center - rng.random(n)
         upper = center + rng.random(n)
-        y = solve_boxqp(BoxQP(w, lower, upper), tol=1e-12)
+        y = solve_boxqp(qp(w, lower, upper), tol=1e-12)
         ref = projected_gradient_boxqp(w, lower, upper, iters=30_000)
         assert float(y @ w @ y) <= float(ref @ w @ ref) + 1e-9
         assert np.max(np.abs(y - ref)) < 1e-5
@@ -84,8 +106,8 @@ def test_warm_start_gives_same_answer():
     w = random_pd(rng, 5, 0.1)
     lower = -rng.random(5)
     upper = rng.random(5)
-    cold = solve_boxqp(BoxQP(w, lower, upper))
-    warm = solve_boxqp(BoxQP(w, lower, upper), y0=upper)
+    cold = solve_boxqp(qp(w, lower, upper))
+    warm = solve_boxqp(qp(w, lower, upper), y0=upper)
     assert np.max(np.abs(cold - warm)) < 1e-9
 
 

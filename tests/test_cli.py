@@ -134,6 +134,17 @@ class TestExitCodes:
                     "--rho", "0.1"])
         assert code == cli.EXIT_NO_FEASIBLE_START
 
+    def test_non_finite_input_is_usage(self, tmp_path, capsys):
+        s = np.full((3, 3), 0.2)
+        np.fill_diagonal(s, 1.0)
+        s[0, 2] = s[2, 0] = np.inf
+        path = tmp_path / "S.csv"
+        dio.write_csv_matrix(path, s)
+        code = run(["fit", "--input", path, "--input-kind", "covariance",
+                    "--out", tmp_path / "o", "--preset", "glasso", "--rho", "0.1"])
+        assert code == cli.EXIT_USAGE
+        assert "non-finite" in capsys.readouterr().err
+
     def test_missing_file_is_usage(self, tmp_path):
         code = run(["fit", "--input", tmp_path / "absent.csv",
                     "--input-kind", "covariance", "--out", tmp_path / "o",

@@ -37,6 +37,24 @@ def test_cholesky_rejects_indefinite():
     assert exc.value.pivot_index == 1
 
 
+def test_cholesky_pivot_index_at_relative_tolerance():
+    # The second pivot is positive but below PIVOT_RTOL * max diagonal.
+    a = np.diag([1.0, 1e-13, 1.0])
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        linalg.cholesky_logdet(a)
+    assert exc.value.pivot_index == 1
+
+
+def test_check_square_symmetric_rejects_non_finite():
+    a = np.eye(3)
+    a[1, 2] = np.nan  # also asymmetric: non-finite must be reported first
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.check_square_symmetric(a)
+    a[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.check_square_symmetric(a)
+
+
 def test_logdet_matches_cofactor_expansion():
     rng = np.random.default_rng(11)
     for _ in range(20):

@@ -2,13 +2,25 @@ import numpy as np
 import pytest
 
 import golazo as gz
+from golazo import linalg, solver
 from golazo.errors import (
+    DegenerateCorrelationError,
+    InfeasibleBoundsError,
     MaxSweepsExceededError,
     NoFeasibleStartError,
     NotUnitDiagonalError,
 )
 
-from oracles import random_correlation, random_pd
+from oracles import (
+    glasso_kkt_residual,
+    loop_forced_zero_pairs,
+    loop_interior_blend_weight,
+    loop_isolated_rows,
+    loop_single_linkage_blocker,
+    prox_gradient_glasso,
+    random_correlation,
+    random_pd,
+)
 
 
 def two_by_two(r):
@@ -222,6 +234,128 @@ class TestScreeningAndLimits:
         s = two_by_two(0.3)
         with pytest.raises(NoFeasibleStartError):
             gz.fit(s, gz.glasso_bounds(0.01, 2), sigma0=np.eye(2))
+
+    def test_sigma0_must_be_positive_definite(self):
+        # Every |Sigma_ij - S_ij| = 0.9 is inside the box, but the sign
+        # pattern makes sigma0 indefinite.
+        s = np.eye(3)
+        sigma0 = np.array([[1.0, 0.9, 0.9],
+                           [0.9, 1.0, -0.9],
+                           [0.9, -0.9, 1.0]])
+        assert np.min(np.linalg.eigvalsh(sigma0)) < 0
+        with pytest.raises(NoFeasibleStartError, match="positive definite"):
+            gz.fit(s, gz.glasso_bounds(1.0, 3), sigma0=sigma0)
+
+    def test_non_finite_input_rejected(self):
+        s = two_by_two(0.3)
+        s[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            gz.fit(s, gz.glasso_bounds(0.1, 2))
+
+
+class TestScansMatchLoops:
+    """The vectorised O(d^2) scans give exactly the row-by-row results."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(14)
+        for trial in range(300):
+            d = int(rng.integers(2, 9))
+            x = rng.standard_normal((int(rng.integers(1, 12)), d))
+            s = x.T @ x / x.shape[0]
+            if trial % 3 == 0:  # ties and exact zeros
+                s = np.round(s, 1)
+            s = (s + s.T) / 2.0 + 0.1 * np.eye(d)
+            if trial % 5 == 0:  # one perfectly correlated pair
+                i, j = rng.choice(d, 2, replace=False)
+                s[i, j] = s[j, i] = np.sqrt(s[i, i] * s[j, j])
+            rho = float(rng.choice([0.05, 0.3, 1.0, 3.0]))
+            upper = np.where(rng.random((d, d)) < 0.15, 0.0, rho)
+            upper = np.minimum(upper, upper.T)
+            np.fill_diagonal(upper, 0.0)
+            yield s, [gz.glasso_bounds(rho, d), gz.positive_glasso_bounds(rho, d),
+                      gz.mtp2_bounds(d), gz.asymmetric_bounds(rho, rho / 3, d),
+                      gz.PenaltyBounds(-upper, upper)][trial % 5]
+
+    def test_isolated_rows_and_forced_pairs(self):
+        for s, bounds in self.cases():
+            clipped = gz.clip_to_finite(bounds, s)
+            rows = solver._isolated_rows(s, clipped)
+            assert rows == loop_isolated_rows(s, clipped)
+            pairs = solver._forced_zero_pairs(s, bounds)
+            assert pairs == loop_forced_zero_pairs(s, bounds)
+            assert all(type(v) is int for v in rows + [u for p in pairs for u in p])
+
+    def test_interior_blend(self):
+        for s, bounds in self.cases():
+            off = ~np.eye(s.shape[0], dtype=bool)
+            if linalg.is_positive_definite(s) or np.any(bounds.lower[off] == 0.0):
+                continue
+            t = loop_interior_blend_weight(s, bounds)
+            expected = (1.0 - t) * s + t * np.diag(np.diag(s))
+            try:
+                got = gz.starting_point_interior(s, bounds)
+            except NoFeasibleStartError:
+                assert not linalg.is_positive_definite(expected)
+            else:
+                assert np.array_equal(got, expected)
+
+    def test_single_linkage_blocker(self):
+        for s, bounds in self.cases():
+            blocker = loop_single_linkage_blocker(s, bounds)
+            try:
+                gz.starting_point_single_linkage(s, bounds)
+            except DegenerateCorrelationError as exc:
+                assert blocker == ("degenerate", exc.pair)
+            except InfeasibleBoundsError as exc:
+                assert blocker[0] == "zero_upper"
+                assert f"U[{blocker[1][0]},{blocker[1][1]}]" in str(exc)
+            except NoFeasibleStartError:
+                assert blocker is None
+            else:
+                assert blocker is None
+
+
+class TestAtScale:
+    """Certificates and oracles at d = 60, the benchmark's order of size."""
+
+    D = 60
+
+    def test_one_inverse_per_sweep(self, monkeypatch):
+        # The row QPs work on Sigma itself; only the per-sweep certificate
+        # (and the one at the start) inverts, always the full d x d iterate.
+        sizes = []
+        original = linalg.invert_pd
+
+        def counting(a):
+            sizes.append(a.shape[0])
+            return original(a)
+
+        monkeypatch.setattr(linalg, "invert_pd", counting)
+        s = random_correlation(np.random.default_rng(60), self.D)
+        res = gz.fit(s, gz.glasso_bounds(0.1, self.D))
+        assert res.sweeps > 1
+        assert sizes == [self.D] * (res.sweeps + 1)
+
+    def test_glasso_matches_prox_gradient_oracle(self):
+        rho = 0.1
+        s = random_correlation(np.random.default_rng(60), self.D)
+        res = gz.fit(s, gz.glasso_bounds(rho, self.D))
+        ref = prox_gradient_glasso(s, rho)
+        assert glasso_kkt_residual(s, res.khat, rho, zero_tol=gz.EDGE_THRESHOLD) <= 1e-6
+        off = ~np.eye(self.D, dtype=bool)
+        assert res.edge_count > 0
+        assert np.array_equal(res.sign_pattern != 0, (np.abs(ref) > gz.EDGE_THRESHOLD) & off)
+
+    @pytest.mark.parametrize("kind", ["asymmetric", "mtp2"])
+    def test_certificates(self, kind):
+        s = random_correlation(np.random.default_rng(63), self.D)
+        bounds = (gz.asymmetric_bounds(0.15, 0.05, self.D) if kind == "asymmetric"
+                  else gz.mtp2_bounds(self.D))
+        res = gz.fit(s, bounds)
+        assert res.edge_count > 0
+        assert gz.duality_gap(s, res.khat, res.clipped_bounds) <= 1e-8
+        assert np.max(gz.kkt_residuals(s, res)) <= 1e-6
 
 
 class TestFitResultApi:
