@@ -51,12 +51,7 @@ class PenaltyBounds:
         """Bounds (rho * L, rho * U); valid for any rho > 0."""
         if rho <= 0:
             raise NegativePenaltyError("scale factor must be positive")
-        return PenaltyBounds(_scale_inf(self.lower, rho), _scale_inf(self.upper, rho))
-
-
-def _scale_inf(a, rho):
-    # rho * (+-inf) stays +-inf; plain multiplication already does that.
-    return rho * a
+        return PenaltyBounds(rho * self.lower, rho * self.upper)  # rho * +-inf stays +-inf
 
 
 def golazo_norm(k, bounds):
@@ -169,28 +164,16 @@ def zero_equality_bounds(graph):
     return PenaltyBounds(lower, upper)
 
 
-_PRESETS = {
-    "glasso": glasso_bounds,
-    "asymmetric": asymmetric_bounds,
-    "positive": positive_glasso_bounds,
-    "mtp2": mtp2_bounds,
-    "ggm": ggm_bounds,
-    "dual_positivity": dual_positivity_bounds,
-}
-
-
 def preset_bounds(kind, d=None, *, rho=None, rho_neg=None, rho_pos=None, graph=None):
     """Build one of the named penalty presets."""
-    if kind == "glasso":
-        return glasso_bounds(rho, d)
-    if kind == "asymmetric":
-        return asymmetric_bounds(rho_neg, rho_pos, d)
-    if kind == "positive":
-        return positive_glasso_bounds(rho, d)
-    if kind == "mtp2":
-        return mtp2_bounds(d)
-    if kind == "ggm":
-        return ggm_bounds(graph)
-    if kind == "dual_positivity":
-        return dual_positivity_bounds(graph)
-    raise ValueError(f"unknown preset {kind!r}; expected one of {sorted(_PRESETS)}")
+    presets = {
+        "glasso": lambda: glasso_bounds(rho, d),
+        "asymmetric": lambda: asymmetric_bounds(rho_neg, rho_pos, d),
+        "positive": lambda: positive_glasso_bounds(rho, d),
+        "mtp2": lambda: mtp2_bounds(d),
+        "ggm": lambda: ggm_bounds(graph),
+        "dual_positivity": lambda: dual_positivity_bounds(graph),
+    }
+    if kind not in presets:
+        raise ValueError(f"unknown preset {kind!r}; expected one of {sorted(presets)}")
+    return presets[kind]()

@@ -214,3 +214,23 @@ def loop_single_linkage_blocker(s, bounds):
             if bounds.upper[i, j] == 0.0:
                 return "zero_upper", (i, j)
     return None
+
+
+def loop_kendall_tau(x, variant="a"):
+    """Kendall correlation by direct pair enumeration: one dense n x n sign
+    matrix per column, and a sum of their products for every column pair."""
+    x = np.asarray(x, dtype=float)
+    n, d = x.shape
+    signs = [np.sign(x[:, None, j] - x[None, :, j]) for j in range(d)]
+    tau = np.eye(d)
+    for i in range(d):
+        for j in range(i + 1, d):
+            agree = float(np.sum(signs[i] * signs[j]))  # 2 * (concordant - discordant)
+            if variant == "a":
+                denom = n * (n - 1)
+            else:
+                ti = float(np.sum(np.abs(signs[i])))
+                tj = float(np.sum(np.abs(signs[j])))
+                denom = np.sqrt(ti * tj) if ti > 0 and tj > 0 else np.inf
+            tau[i, j] = tau[j, i] = agree / denom
+    return tau

@@ -7,7 +7,7 @@ import golazo as gz
 from golazo import cli
 from golazo import data as dio
 
-from oracles import random_correlation
+from oracles import loop_kendall_tau, random_correlation
 
 
 @pytest.fixture
@@ -199,6 +199,23 @@ class TestMdeAndSkeptic:
         assert code == 0
         r = dio.read_csv_matrix(out / "R.csv")
         assert np.array_equal(r, gz.skeptic_correlation(x))
+
+    def test_skeptic_two_tied_rows(self, tmp_path):
+        x = np.array([[1.0, 2.0, 3.0], [1.0, 5.0, 0.0]])
+        path = tmp_path / "X.csv"
+        np.savetxt(path, x, delimiter=",", fmt="%.17g")
+        out = tmp_path / "out"
+        assert run(["skeptic", "--input", path, "--out", out]) == 0
+        expected = np.sin(0.5 * np.pi * loop_kendall_tau(x))
+        np.fill_diagonal(expected, 1.0)
+        assert np.array_equal(dio.read_csv_matrix(out / "R.csv"), expected)
+
+    def test_skeptic_one_row_is_usage(self, tmp_path, capsys):
+        path = tmp_path / "X.csv"
+        path.write_text("1,2,3\n")
+        code = run(["skeptic", "--input", path, "--out", tmp_path / "out"])
+        assert code == cli.EXIT_USAGE
+        assert "skeptic needs at least two observations" in capsys.readouterr().err
 
 
 class TestDeterminism:

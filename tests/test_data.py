@@ -1,9 +1,22 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import golazo as gz
 from golazo import data as dio
-from golazo.errors import ConstantColumnWarning, NonpositiveDiagonalError
+from golazo.errors import (
+    ConstantColumnWarning,
+    GenerationFailedError,
+    NonpositiveDiagonalError,
+    NotPositiveDefiniteError,
+)
+
+from oracles import loop_kendall_tau
 
 
 class TestDataMatrix:
@@ -69,6 +82,12 @@ class TestKendallAndSkeptic:
         tb = gz.kendall_tau_matrix(x, variant="b")[0, 1]
         assert tb > ta  # variant b corrects the denominator for ties
 
+    def test_unknown_variant_rejected_before_any_work(self):
+        with pytest.raises(ValueError, match="variant"):
+            gz.kendall_tau_matrix(np.arange(5.0)[:, None], variant="zzz")
+        with pytest.raises(ValueError, match="variant"):
+            gz.kendall_tau_matrix(np.ones((1, 3)), variant="zzz")
+
     def test_skeptic_monotone_invariance(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(60)
@@ -94,6 +113,64 @@ class TestKendallAndSkeptic:
         fixed = gz.nearest_correlation(r)
         assert np.min(np.linalg.eigvalsh(fixed)) > 0
         assert np.allclose(np.diag(fixed), 1.0)
+
+
+def _kendall_cases():
+    rng = np.random.default_rng(20)
+    ties = rng.integers(0, 4, size=(40, 5)).astype(float)
+    constant = rng.standard_normal((30, 4))
+    constant[:, 1] = 2.5
+    two = np.array([[1.0, 2.0, 3.0, 0.0], [1.0, 5.0, 0.0, 0.0]])
+    # 8 columns put 32768 pair rows in a block, so the 45150 pairs of
+    # n = 301 fill one block and part of a second, splitting a lag.
+    ragged = rng.standard_normal((301, 8))
+    ragged[:, 3] = np.round(ragged[:, 3])
+    one_column = rng.integers(0, 3, size=(25, 1)).astype(float)
+    signed_zeros = np.array([[0.0, -0.0], [-0.0, 1.0], [0.0, -1.0]])
+    return {"ties": ties, "constant_column": constant, "n2": two,
+            "ragged_blocks": ragged, "d1": one_column, "signed_zeros": signed_zeros}
+
+
+class TestKendallMatchesLoop:
+    """The blocked sign-Gram product against pair enumeration, bit for bit."""
+
+    @pytest.mark.parametrize("variant", ["a", "b"])
+    @pytest.mark.parametrize("case", sorted(_kendall_cases()))
+    def test_seeded_cases(self, case, variant):
+        x = _kendall_cases()[case]
+        assert np.array_equal(gz.kendall_tau_matrix(x, variant=variant),
+                              loop_kendall_tau(x, variant=variant))
+
+    @pytest.mark.parametrize("variant", ["a", "b"])
+    def test_many_small_blocks(self, variant, monkeypatch):
+        # 60 rows per block: the long lags of n = 37 take a block each, the
+        # short ones share one.
+        monkeypatch.setattr(dio, "_SIGN_BLOCK_ENTRIES", 3 * 60)
+        x = np.random.default_rng(21).integers(0, 5, size=(37, 3)).astype(float)
+        assert np.array_equal(gz.kendall_tau_matrix(x, variant=variant),
+                              loop_kendall_tau(x, variant=variant))
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.integers(2, 60).flatmap(lambda n: st.integers(1, 8).flatmap(
+               lambda d: hnp.arrays(np.float64, (n, d),
+                                    elements=st.integers(-3, 3).map(float)))),
+           variant=st.sampled_from(["a", "b"]),
+           block=st.sampled_from([dio._SIGN_BLOCK_ENTRIES, 24]))
+    def test_property_integer_data(self, x, variant, block):
+        with mock.patch.object(dio, "_SIGN_BLOCK_ENTRIES", block):
+            tau = gz.kendall_tau_matrix(x, variant=variant)
+        assert np.array_equal(tau, loop_kendall_tau(x, variant=variant))
+
+    def test_memory_stays_bounded(self):
+        # Pair enumeration held d dense n x n sign matrices here: 128 MB.
+        x = np.random.default_rng(22).standard_normal((2000, 4))
+        tracemalloc.start()
+        try:
+            gz.kendall_tau_matrix(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestGenerators:
@@ -143,6 +220,22 @@ class TestGenerators:
         sigma = gz.sample_locally_associated(graph, seed=11)
         assert gz.is_locally_associated(sigma, graph, tol=1e-9)
         assert gz.is_markov(np.linalg.inv(sigma), graph, tol=1e-7)
+
+    def test_sample_locally_associated_propagates_programming_errors(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a rejected draw")
+
+        monkeypatch.setattr(dio, "ggm_mle", broken)
+        with pytest.raises(TypeError, match="not a rejected draw"):
+            gz.sample_locally_associated(gz.GraphSpec.cycle(4), seed=11)
+
+    def test_sample_locally_associated_skips_failed_fits(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NotPositiveDefiniteError()
+
+        monkeypatch.setattr(dio, "ggm_mle", failing)
+        with pytest.raises(GenerationFailedError):
+            gz.sample_locally_associated(gz.GraphSpec.cycle(4), seed=11, max_tries=3)
 
     def test_sample_locally_associated_deterministic(self):
         g = gz.GraphSpec.chain(4)
