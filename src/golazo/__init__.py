@@ -3,15 +3,7 @@
 graph-constrained MLE, the two-step estimator for locally associated
 graphical models, and EBIC penalty selection.
 """
-from .linalg import (
-    Definiteness,
-    cholesky_logdet,
-    definiteness,
-    invert_pd,
-    is_m_matrix,
-    logdet_pd,
-    principal_submatrix_drop,
-)
+from .linalg import cholesky_logdet, invert_pd, is_m_matrix, logdet_pd
 from .penalty import (
     PenaltyBounds,
     asymmetric_bounds,

@@ -16,6 +16,7 @@ from . import data as dio
 from .errors import (
     AllFitsFailedError,
     GolazoError,
+    MaxIterationsExceededError,
     MaxSweepsExceededError,
     MdeStep1FailedError,
     NoFeasibleStartError,
@@ -32,6 +33,7 @@ EXIT_MAX_SWEEPS = 3
 EXIT_USAGE = 4
 EXIT_ALL_FITS_FAILED = 5
 EXIT_MDE_STEP1 = 6
+EXIT_QP_ITERATIONS = 7
 
 
 def _build_parser():
@@ -86,7 +88,8 @@ def _build_parser():
     p_path.add_argument("--gamma", type=float, default=0.5)
     p_path.add_argument("--grid", default="log:0.01:1.0:20",
                         help="comma list of scale factors, or 'log:lo:hi:k'")
-    p_path.add_argument("--threads", type=int, default=1)
+    p_path.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored; grid points run in one loop")
 
     p_mde = sub.add_parser("mde", help="two-step locally associated estimate")
     add_io(p_mde)
@@ -147,10 +150,14 @@ def _usage(msg):
 
 
 def _parse_grid(text):
-    if text.startswith("log:"):
-        _, lo, hi, k = text.split(":")
-        return list(np.geomspace(float(lo), float(hi), int(k)))
-    return [float(t) for t in text.split(",")]
+    try:
+        if text.startswith("log:"):
+            _, lo, hi, k = text.split(":")
+            return list(np.geomspace(float(lo), float(hi), int(k)))
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise _usage(f"--grid {text!r} is neither a comma list of scale factors "
+                     "(e.g. 0.1,0.5,1) nor log:lo:hi:k (e.g. log:0.01:1:20)") from None
 
 
 def _json_default(o):
@@ -206,7 +213,7 @@ def cmd_path(args):
     bounds = _load_bounds(args, s.shape[0])
     config = EbicConfig(n=n, gamma=args.gamma, grid=_parse_grid(args.grid))
     solver_config = SolverConfig(dual_gap_tol=args.tol, max_sweeps=args.max_sweeps)
-    path_result = fit_path(s, bounds, config, solver_config, threads=args.threads)
+    path_result = fit_path(s, bounds, config, solver_config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     per_point = []
@@ -276,6 +283,9 @@ def main(argv=None):
     except MaxSweepsExceededError as exc:
         print(f"MaxSweepsExceeded: {exc}", file=sys.stderr)
         return EXIT_MAX_SWEEPS
+    except MaxIterationsExceededError as exc:
+        print(f"MaxIterationsExceeded: {exc}", file=sys.stderr)
+        return EXIT_QP_ITERATIONS
     except MdeStep1FailedError as exc:
         print(f"MdeStep1Failed: {exc}", file=sys.stderr)
         return EXIT_MDE_STEP1

@@ -342,11 +342,19 @@ def read_edge_list(path, d=None):
     edges = []
     max_v = 0
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            i, j = (int(t) for t in line.split())
+            try:
+                i, j = (int(t) for t in line.split())
+                ok = min(i, j) >= 1 and (d is None or max(i, j) <= d)
+            except ValueError:
+                ok = False
+            if not ok:
+                bound = "" if d is None else f" in 1..{d}"
+                raise ValueError(f"{path}, line {lineno}: expected two 1-based vertex "
+                                 f"indices{bound}, got {line!r}")
             edges.append((i - 1, j - 1))
             max_v = max(max_v, i, j)
     if d is None:

@@ -17,10 +17,6 @@ class NotPositiveDefiniteError(GolazoError):
         self.pivot_index = pivot_index
 
 
-class DimensionTooSmallError(GolazoError):
-    pass
-
-
 class InvalidBoundsError(GolazoError):
     pass
 

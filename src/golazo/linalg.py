@@ -1,31 +1,16 @@
-"""Dense symmetric-matrix primitives: Cholesky/log-det, inversion, submatrices.
+"""Dense symmetric-matrix primitives: Cholesky/log-det, inversion, solves.
 
 All functions take and return plain ``numpy`` arrays.  Matrices are assumed
 symmetric; ``sym`` can be used to enforce exact symmetry after operations
 that may break it in the last bits.
 """
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionTooSmallError, NotPositiveDefiniteError
+from .errors import NotPositiveDefiniteError
 
 # Relative pivot tolerance for declaring a Cholesky pivot positive.
 PIVOT_RTOL = 1e-12
-
-
-class Definiteness(Enum):
-    POSITIVE_DEFINITE = "positive_definite"
-    POSITIVE_SEMIDEFINITE = "positive_semidefinite"
-    INDEFINITE = "indefinite"
-
-
-@dataclass(frozen=True)
-class DefinitenessReport:
-    status: Definiteness
-    smallest_eigenvalue_estimate: float
 
 
 def sym(a):
@@ -83,19 +68,6 @@ def is_positive_definite(a):
         return False
 
 
-def definiteness(a, semidefinite_tol=1e-10):
-    """Classify a symmetric matrix by its smallest eigenvalue."""
-    a = np.asarray(a, dtype=float)
-    eigmin = float(np.min(scipy.linalg.eigvalsh(a)))
-    if is_positive_definite(a):
-        status = Definiteness.POSITIVE_DEFINITE
-    elif eigmin >= -semidefinite_tol * max(1.0, float(np.max(np.abs(a)))):
-        status = Definiteness.POSITIVE_SEMIDEFINITE
-    else:
-        status = Definiteness.INDEFINITE
-    return DefinitenessReport(status, eigmin)
-
-
 def invert_pd(a):
     """Inverse of a positive definite matrix via Cholesky; exactly symmetric."""
     factor, _ = cholesky_logdet(a)
@@ -107,18 +79,6 @@ def solve_pd(a, b):
     """Solve a @ x = b for positive definite a."""
     factor, _ = cholesky_logdet(a)
     return scipy.linalg.lapack.dpotrs(factor, b, lower=True)[0]
-
-
-def principal_submatrix_drop(a, j):
-    """Remove row and column ``j`` (0-based), preserving the other indices."""
-    a = np.asarray(a, dtype=float)
-    d = a.shape[0]
-    if d < 2:
-        raise DimensionTooSmallError("cannot drop a row/column from a 1x1 matrix")
-    if not 0 <= j < d:
-        raise IndexError(f"index {j} out of range for dimension {d}")
-    keep = np.r_[0:j, j + 1:d]
-    return a[np.ix_(keep, keep)]
 
 
 def is_m_matrix(k, tol=0.0):

@@ -1,6 +1,5 @@
 """Extended-BIC scoring and penalty-path selection over a grid of scale
 factors applied to a base (L, U)."""
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,34 +58,18 @@ def ebic(s, fit_result, n, gamma):
     return float(n * gaussian_neg_loglik(s, k) + edges * (np.log(n) + 4.0 * gamma * np.log(d)))
 
 
-def fit_path(s, base_bounds, config, solver_config=None, threads=1):
+def fit_path(s, base_bounds, config, solver_config=None):
     """Fit one problem per grid point (rho * L, rho * U) and pick the EBIC
-    minimizer.  Grid points are independent and may run concurrently;
-    results are joined by grid index, so the selection does not depend on
-    the thread count.  Per-point failures are recorded and skipped."""
+    minimizer.  Per-point failures are recorded and skipped."""
     solver_config = solver_config or SolverConfig()
     s = np.asarray(s, dtype=float)
-
-    def run(rho):
-        return fit(s, base_bounds.scaled(rho), config=solver_config)
-
-    grid = config.grid
-    fits = [None] * len(grid)
+    fits = [None] * len(config.grid)
     failures = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {i: pool.submit(run, rho) for i, rho in enumerate(grid)}
-        for i, fut in futures.items():
-            try:
-                fits[i] = fut.result()
-            except GolazoError as exc:
-                failures[i] = f"{type(exc).__name__}: {exc}"
-    else:
-        for i, rho in enumerate(grid):
-            try:
-                fits[i] = run(rho)
-            except GolazoError as exc:
-                failures[i] = f"{type(exc).__name__}: {exc}"
+    for i, rho in enumerate(config.grid):
+        try:
+            fits[i] = fit(s, base_bounds.scaled(rho), config=solver_config)
+        except GolazoError as exc:
+            failures[i] = f"{type(exc).__name__}: {exc}"
 
     scores = [None if f is None else ebic(s, f, config.n, config.gamma) for f in fits]
     counts = [None if f is None else edge_count(f.khat) for f in fits]

@@ -12,7 +12,7 @@ The solver keeps a dually feasible Sigma, sweeps its rows cyclically, and
 for each row solves a box-constrained QP in the off-diagonal entries.  The
 duality gap tr(S K) - d + |K|_LU (with K = Sigma^{-1}) certifies optimality.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +31,14 @@ from .penalty import PenaltyBounds, clip_to_finite, golazo_norm
 # An entry of K counts as a nonzero edge when its magnitude exceeds this.
 EDGE_THRESHOLD = 1e-6
 
+# KKT tolerance of each row's box QP.
+QP_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     dual_gap_tol: float = 1e-8
     max_sweeps: int = 1000
-    verbose: bool = False
 
     def __post_init__(self):
         if self.dual_gap_tol <= 0:
@@ -190,12 +192,27 @@ def _default_start(s, bounds):
     )
 
 
-def _isolated_rows(s, clipped):
-    """Rows j with S + L <= 0 <= S + U on every off-diagonal entry: the
-    optimum has Sigma_{j,-j} = K_{j,-j} = 0 and the row can be skipped."""
-    inside = (s + clipped.lower <= 0.0) & (s + clipped.upper >= 0.0)
-    np.fill_diagonal(inside, True)
-    return np.nonzero(np.all(inside, axis=1))[0].tolist()
+def _components(s, clipped):
+    """Connected components of the graph that links i and j when
+    0 is outside [S_ij + L_ij, S_ij + U_ij], as one label per row.
+
+    Across components Sigma_ij = 0 is feasible and K_ij = 0 meets the KKT
+    conditions, so the problem splits exactly into one problem per
+    component.  Labels count up in order of each component's smallest row.
+    """
+    link = (s + clipped.lower > 0.0) | (s + clipped.upper < 0.0)
+    np.fill_diagonal(link, False)
+    d = s.shape[0]
+    label = np.full(d, -1)
+    for j in range(d):
+        if label[j] >= 0:
+            continue
+        comp = front = np.arange(d) == j
+        while front.any():
+            front = link[front].any(axis=0) & ~comp
+            comp = comp | front
+        label[comp] = label.max() + 1
+    return label
 
 
 def _forced_zero_pairs(s, bounds):
@@ -212,24 +229,22 @@ def _check_feasible(sigma, s, clipped, slack=1e-9):
             and np.all(sigma - s <= clipped.upper + slack * scale))
 
 
-def fit(s, bounds, config=None, sigma0=None, screen=True, qp_tol=1e-10):
+def fit(s, bounds, config=None, sigma0=None, screen=True):
     """Run the block-coordinate dual ascent to the requested duality gap.
 
     ``sigma0`` optionally supplies a dually feasible starting point; when
     omitted one is constructed (S itself if positive definite, else the
     diagonal blend for strict bounds, else the single-linkage blend).
-    ``screen=False`` disables the isolated-row shortcut (used in tests).
+    Rows are solved only against the other members of their connected
+    component (see ``_components``); rows alone in theirs are never
+    touched and are reported as ``isolated_rows``.  ``screen=False`` treats
+    all rows as one component (used in tests as the reference).
     """
     config = config or SolverConfig()
     s = linalg.check_square_symmetric(s)
     d = s.shape[0]
     clipped = clip_to_finite(bounds, s)
-
-    if d == 1:
-        k = np.array([[1.0 / s[0, 0]]])
-        return FitResult(k, s.copy(), 0.0, 0, [0.0], np.zeros((1, 1)), clipped)
-
-    isolated = _isolated_rows(s, clipped) if screen else []
+    label = _components(s, clipped) if screen else np.zeros(d, dtype=int)
     forced = _forced_zero_pairs(s, bounds)
 
     if sigma0 is None:
@@ -240,15 +255,13 @@ def fit(s, bounds, config=None, sigma0=None, screen=True, qp_tol=1e-10):
             raise NoFeasibleStartError("supplied sigma0 is not dually feasible")
         if not linalg.is_positive_definite(sigma):
             raise NoFeasibleStartError("supplied sigma0 is not positive definite")
-    sigma = sigma.copy()
-    for j in isolated:
-        sigma[j, :] = 0.0
-        sigma[:, j] = 0.0
-        sigma[j, j] = s[j, j]
+    # A block diagonal of principal submatrices of a feasible PD start is
+    # still feasible and PD.
+    sigma = np.where(label[:, None] == label, sigma, 0.0)
+    comps = [np.flatnonzero(label == c) for c in range(label.max() + 1)]
 
-    pinned = np.zeros(d, dtype=bool)
-    pinned[isolated] = True
-    active = [j for j in range(d) if not pinned[j]]
+    rows = [(j, members[members != j]) for members in comps if members.size > 1
+            for j in members]
     lo = s + clipped.lower
     hi = s + clipped.upper
 
@@ -259,23 +272,15 @@ def fit(s, bounds, config=None, sigma0=None, screen=True, qp_tol=1e-10):
     gap_trace.append(gap)
 
     while gap > config.dual_gap_tol and sweeps < config.max_sweeps:
-        for j in active:
-            keep = np.r_[0:j, j + 1:d]
-            l_j = lo[j, keep].copy()
-            u_j = hi[j, keep].copy()
-            pin = pinned[keep]
-            l_j[pin] = 0.0
-            u_j[pin] = 0.0
-            y = solve_boxqp(BoxQP(sigma[np.ix_(keep, keep)], l_j, u_j),
-                            tol=qp_tol, y0=sigma[j, keep])
+        for j, keep in rows:
+            y = solve_boxqp(BoxQP(sigma[np.ix_(keep, keep)], lo[j, keep], hi[j, keep]),
+                            tol=QP_TOL, y0=sigma[j, keep])
             sigma[j, keep] = y
             sigma[keep, j] = y
         sweeps += 1
         k = linalg.invert_pd(sigma)
         gap = duality_gap(s, k, clipped)
         gap_trace.append(gap)
-        if config.verbose:
-            print(f"sweep {sweeps}: duality gap {gap:.3e}")
 
     sign = np.sign(k) * (np.abs(k) > EDGE_THRESHOLD)
     np.fill_diagonal(sign, 0)
@@ -287,7 +292,7 @@ def fit(s, bounds, config=None, sigma0=None, screen=True, qp_tol=1e-10):
         gap_trace=gap_trace,
         sign_pattern=sign.astype(int),
         clipped_bounds=clipped,
-        isolated_rows=tuple(isolated),
+        isolated_rows=tuple(int(m[0]) for m in comps if m.size == 1),
         forced_zero_pairs=tuple(forced),
     )
     if gap > config.dual_gap_tol:

@@ -174,6 +174,33 @@ def loop_isolated_rows(s, clipped):
     return rows
 
 
+def loop_components(s, clipped):
+    """Component label per row of the graph linking i != j when the dual box
+    [S_ij + L_ij, S_ij + U_ij] excludes 0, by depth-first search over pairs;
+    labels count up in order of each component's smallest row."""
+    d = s.shape[0]
+
+    def linked(i, j):
+        return i != j and not (s[i, j] + clipped.lower[i, j] <= 0.0
+                               <= s[i, j] + clipped.upper[i, j])
+
+    label = [-1] * d
+    count = 0
+    for root in range(d):
+        if label[root] >= 0:
+            continue
+        stack = [root]
+        label[root] = count
+        while stack:
+            i = stack.pop()
+            for j in range(d):
+                if label[j] < 0 and linked(i, j):
+                    label[j] = count
+                    stack.append(j)
+        count += 1
+    return label
+
+
 def loop_forced_zero_pairs(s, bounds):
     """Pairs i < j whose box reaches past +-sqrt(S_ii S_jj), scanned in order."""
     d = s.shape[0]

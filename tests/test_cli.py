@@ -6,6 +6,7 @@ import pytest
 import golazo as gz
 from golazo import cli
 from golazo import data as dio
+from golazo.errors import MaxIterationsExceededError
 
 from oracles import loop_kendall_tau, random_correlation
 
@@ -145,6 +146,30 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert "non-finite" in capsys.readouterr().err
 
+    def test_qp_iteration_limit_exit(self, cov_csv, tmp_path, monkeypatch, capsys):
+        def stuck(*args, **kwargs):
+            raise MaxIterationsExceededError(np.zeros(3))
+
+        monkeypatch.setattr(cli, "fit", stuck)
+        path, _ = cov_csv
+        code = run(["fit", "--input", path, "--input-kind", "covariance",
+                    "--out", tmp_path / "o", "--preset", "glasso", "--rho", "0.1"])
+        assert code == cli.EXIT_QP_ITERATIONS == 7
+        assert "MaxIterationsExceeded: box-QP active-set iteration limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, lineno", [("1 2\n3\n", 2), ("# 0-based\n0 1\n", 2),
+                                              ("1 2\n2 x\n", 2), ("1 2 3\n", 1),
+                                              ("1 5\n", 1)])
+    def test_malformed_edge_list_is_usage(self, cov_csv, tmp_path, capsys, text, lineno):
+        path, _ = cov_csv
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text(text)
+        code = run(["fit", "--input", path, "--input-kind", "covariance",
+                    "--out", tmp_path / "o", "--preset", "ggm", "--graph", graph_file])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{graph_file}, line {lineno}: expected two 1-based vertex indices in 1..4" in err
+
     def test_missing_file_is_usage(self, tmp_path):
         code = run(["fit", "--input", tmp_path / "absent.csv",
                     "--input-kind", "covariance", "--out", tmp_path / "o",
@@ -170,6 +195,18 @@ class TestPath:
         code = run(["path", "--input", path, "--input-kind", "covariance",
                     "--out", tmp_path / "o", "--preset", "glasso", "--rho", "1.0"])
         assert code == cli.EXIT_USAGE
+
+
+    @pytest.mark.parametrize("grid", ["log:0.1:1", "0.5,,1", "log:0.1:1:x", "log:0:1:5"])
+    def test_malformed_grid_is_usage(self, data_csv, tmp_path, capsys, grid):
+        path, _ = data_csv
+        code = run(["path", "--input", path, "--input-kind", "data",
+                    "--out", tmp_path / "o", "--preset", "glasso", "--rho", "1.0",
+                    "--grid", grid])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"usage error: --grid '{grid}' is neither a comma list" in err
+        assert "log:lo:hi:k" in err
 
 
 class TestMdeAndSkeptic:

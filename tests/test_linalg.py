@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from golazo import linalg
-from golazo.errors import DimensionTooSmallError, NotPositiveDefiniteError
+from golazo.errors import NotPositiveDefiniteError
 
 from oracles import bruteforce_det, random_pd
 
@@ -84,21 +84,6 @@ def test_invert_is_involution():
         assert np.max(np.abs(linalg.invert_pd(linalg.invert_pd(a)) - a)) < 1e-8
 
 
-def test_submatrix_drop():
-    m = np.array([[1.0, 0.2, 0.3], [0.2, 1.0, 0.4], [0.3, 0.4, 1.0]])
-    assert np.array_equal(linalg.principal_submatrix_drop(m, 2),
-                          np.array([[1.0, 0.2], [0.2, 1.0]]))
-    got = linalg.principal_submatrix_drop(m, 1)
-    assert np.array_equal(got, m[np.ix_([0, 2], [0, 2])])
-    assert np.array_equal(linalg.principal_submatrix_drop(np.eye(2), 0),
-                          np.array([[1.0]]))
-
-
-def test_submatrix_drop_1x1_rejected():
-    with pytest.raises(DimensionTooSmallError):
-        linalg.principal_submatrix_drop(np.array([[1.0]]), 0)
-
-
 def test_schur_logdet_identity():
     rng = np.random.default_rng(9)
     for _ in range(10):
@@ -106,8 +91,8 @@ def test_schur_logdet_identity():
         a = random_pd(rng, d, 0.1)
         _, full = linalg.cholesky_logdet(a)
         for j in range(d):
-            sub = linalg.principal_submatrix_drop(a, j)
             keep = np.r_[0:j, j + 1:d]
+            sub = a[np.ix_(keep, keep)]
             schur = a[j, j] - a[j, keep] @ linalg.invert_pd(sub) @ a[keep, j]
             _, part = linalg.cholesky_logdet(sub)
             assert full == pytest.approx(part + np.log(schur), abs=1e-9)
@@ -119,13 +104,3 @@ def test_is_m_matrix():
     assert linalg.is_m_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     # Nonpositive off-diagonal but indefinite.
     assert not linalg.is_m_matrix(np.array([[1.0, -2.0], [-2.0, 1.0]]))
-
-
-def test_definiteness_classification():
-    assert (linalg.definiteness(np.eye(2)).status
-            is linalg.Definiteness.POSITIVE_DEFINITE)
-    assert (linalg.definiteness(np.array([[1.0, 1.0], [1.0, 1.0]])).status
-            is linalg.Definiteness.POSITIVE_SEMIDEFINITE)
-    rep = linalg.definiteness(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert rep.status is linalg.Definiteness.INDEFINITE
-    assert rep.smallest_eigenvalue_estimate == pytest.approx(-1.0, abs=1e-12)

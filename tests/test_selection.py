@@ -86,17 +86,6 @@ class TestFitPath:
         counts = res.edge_counts
         assert all(b <= a for a, b in zip(counts, counts[1:]))
 
-    def test_thread_invariance(self):
-        rng = np.random.default_rng(2)
-        s = random_correlation(rng, 5)
-        cfg = gz.EbicConfig(n=100, grid=list(np.geomspace(0.02, 0.8, 8)))
-        seq = fit_path(s, gz.glasso_bounds(1.0, 5), cfg, threads=1)
-        par = fit_path(s, gz.glasso_bounds(1.0, 5), cfg, threads=4)
-        assert seq.selected_index == par.selected_index
-        assert seq.ebic_scores == par.ebic_scores
-        for a, b in zip(seq.fits, par.fits):
-            assert np.array_equal(a.khat, b.khat)
-
     def test_per_point_failure_recorded(self):
         # Singular S: the pure-equality scaled bounds never admit a start,
         # whatever the scale, so every grid point fails.

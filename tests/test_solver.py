@@ -13,6 +13,7 @@ from golazo.errors import (
 
 from oracles import (
     glasso_kkt_residual,
+    loop_components,
     loop_forced_zero_pairs,
     loop_interior_blend_weight,
     loop_isolated_rows,
@@ -277,14 +278,24 @@ class TestScansMatchLoops:
                       gz.mtp2_bounds(d), gz.asymmetric_bounds(rho, rho / 3, d),
                       gz.PenaltyBounds(-upper, upper)][trial % 5]
 
-    def test_isolated_rows_and_forced_pairs(self):
+    def test_components(self):
         for s, bounds in self.cases():
             clipped = gz.clip_to_finite(bounds, s)
-            rows = solver._isolated_rows(s, clipped)
-            assert rows == loop_isolated_rows(s, clipped)
+            assert solver._components(s, clipped).tolist() == loop_components(s, clipped)
+
+    def test_isolated_rows_and_forced_pairs(self):
+        fitted = 0
+        for s, bounds in self.cases():
             pairs = solver._forced_zero_pairs(s, bounds)
             assert pairs == loop_forced_zero_pairs(s, bounds)
+            try:
+                rows = list(gz.fit(s, bounds).isolated_rows)
+            except NoFeasibleStartError:
+                continue
+            fitted += 1
+            assert rows == loop_isolated_rows(s, gz.clip_to_finite(bounds, s))
             assert all(type(v) is int for v in rows + [u for p in pairs for u in p])
+        assert fitted >= 250
 
     def test_interior_blend(self):
         for s, bounds in self.cases():
@@ -356,6 +367,43 @@ class TestAtScale:
         assert res.edge_count > 0
         assert gz.duality_gap(s, res.khat, res.clipped_bounds) <= 1e-8
         assert np.max(gz.kkt_residuals(s, res)) <= 1e-6
+
+
+class TestComponentSplit:
+    """d = 60 with four interleaved blocks: cross-block entries of S are
+    small and negative, so every preset below splits the problem (MTP2
+    links only pairs with S_ij > 0)."""
+
+    D = 60
+
+    @classmethod
+    def block_input(cls):
+        rng = np.random.default_rng(64)
+        block = np.repeat(np.arange(4), cls.D // 4)
+        rng.shuffle(block)
+        s = np.full((cls.D, cls.D), -0.002)
+        for b in range(4):
+            idx = np.flatnonzero(block == b)
+            s[np.ix_(idx, idx)] = random_correlation(rng, idx.size, extra=0.5)
+        return s
+
+    @pytest.mark.parametrize("kind", ["glasso", "asymmetric", "mtp2"])
+    def test_exact_split(self, kind):
+        s = self.block_input()
+        bounds = {"glasso": gz.glasso_bounds(0.1, self.D),
+                  "asymmetric": gz.asymmetric_bounds(0.15, 0.05, self.D),
+                  "mtp2": gz.mtp2_bounds(self.D)}[kind]
+        res = gz.fit(s, bounds)
+        label = solver._components(s, res.clipped_bounds)
+        assert label.max() >= 3
+        cross = label[:, None] != label
+        assert np.all(res.khat[cross] == 0.0)
+        assert np.all(res.sigma_hat[cross] == 0.0)
+        assert res.edge_count > 0
+        assert gz.duality_gap(s, res.khat, res.clipped_bounds) <= 1e-8
+        assert np.max(gz.kkt_residuals(s, res)) <= 1e-6
+        ref = gz.fit(s, bounds, screen=False)
+        assert np.array_equal(res.sign_pattern, ref.sign_pattern)
 
 
 class TestFitResultApi:
