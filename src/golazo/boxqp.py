@@ -1,7 +1,8 @@
 """Box-constrained quadratic program  min y' A^{-1} y  s.t.  l <= y <= u.
 
 A is positive definite and is given itself, never its inverse: in the dual
-sweep it is the principal submatrix Sigma_{-j,-j} of the current iterate.
+sweep it is the principal submatrix Sigma_{-j,-j} of the current iterate,
+passed as Sigma together with the index set -j so that it is never copied.
 Box ends may be infinite (absent constraints).  Solved with a primal
 active-set method: at each step the problem is solved exactly on the current
 face, then either a blocking bound is added or the bound with the most
@@ -9,7 +10,8 @@ negative multiplier is released.
 
 On the face where the coordinates C sit at their bounds and the others F are
 free, the optimum is y_F = A_FC z with z = A_CC^{-1} y_C, and the gradient
-2 A^{-1} y is 0 on F and 2 z on C.  Each face solve is therefore |C| x |C|.
+2 A^{-1} y is 0 on F and 2 z on C.  Each face solve is therefore |C| x |C|
+and reads only the |C| columns of A.
 """
 from dataclasses import dataclass
 
@@ -25,17 +27,32 @@ AT_UPPER = 1
 
 @dataclass(frozen=True)
 class BoxQP:
+    """The QP on A = a, or, when ``index`` is given, on the principal
+    submatrix A = a[index][:, index] of a larger symmetric matrix ``a``,
+    which is read in place.  ``index`` holds distinct row numbers of ``a``,
+    one per box coordinate."""
+
     a: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    index: np.ndarray = None
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         lower = np.asarray(self.lower, dtype=float).ravel()
         upper = np.asarray(self.upper, dtype=float).ravel()
-        if a.shape != (lower.size, upper.size):
+        if self.index is None:
+            fits = a.shape == (lower.size, upper.size)
+        else:
+            index = np.asarray(self.index, dtype=np.intp).ravel()
+            fits = (a.ndim == 2 and a.shape[0] == a.shape[1]
+                    and index.size == lower.size == upper.size
+                    and (index.size == 0
+                         or (index.min() >= 0 and index.max() < a.shape[0])))
+            object.__setattr__(self, "index", index)
+        if not fits:
             raise ValueError("dimension mismatch between A and the box")
-        if np.any(lower > upper):
+        if (lower > upper).any():
             raise ValueError("empty box: some l_i > u_i")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "lower", lower)
@@ -46,31 +63,37 @@ def _feasible_seed(problem, y0):
     lower, upper = problem.lower, problem.upper
     if y0 is None:
         y0 = np.zeros(lower.size)
-    y = np.clip(np.asarray(y0, dtype=float).ravel(), lower, upper)
-    # Infinite ends clip to +-inf-free values; replace any residue.
-    y = np.where(np.isfinite(y), y, np.where(np.isfinite(lower), lower, 0.0))
-    return np.clip(y, lower, upper)
+    y = np.asarray(y0, dtype=float).ravel().clip(lower, upper)
+    if not np.isfinite(y).all():
+        # An infinite y0 entry survives the clip where its box end is
+        # infinite too; replace it by the lower end, or 0 if that is infinite.
+        y = np.where(np.isfinite(y), y, np.where(np.isfinite(lower), lower, 0.0))
+        y = y.clip(lower, upper)
+    return y
 
 
-def _solve_face(a, state, lower, upper, ridge_scale):
-    """Minimizer of y'A^{-1}y with the active coordinates pinned at their
-    bounds, and the gradient 2 A^{-1} y there."""
+def _solve_face(problem, state, fixed):
+    """Minimizer y of y'A^{-1}y with the coordinates ``fixed`` pinned at the
+    bounds their ``state`` names, and z with gradient 2 A^{-1} y = 2 z on
+    them (0 elsewhere)."""
     n = state.size
-    fixed = np.nonzero(state != FREE)[0]
-    y = np.zeros(n)
-    grad = np.zeros(n)
-    if fixed.size:
-        y_c = np.where(state[fixed] == AT_LOWER, lower[fixed], upper[fixed])
-        acc = a[np.ix_(fixed, fixed)]
-        try:
-            z = linalg.solve_pd(acc, y_c)
-        except NotPositiveDefiniteError:
-            # Ridge fail-over for (near-)singular principal blocks.
-            z = linalg.solve_pd(acc + ridge_scale * np.eye(fixed.size), y_c)
-        y = a[:, fixed] @ z
-        y[fixed] = y_c
-        grad[fixed] = 2.0 * z
-    return y, grad
+    if not fixed.size:
+        return np.zeros(n), np.zeros(0)
+    a, index = problem.a, problem.index
+    y_c = np.where(state[fixed] == AT_LOWER, problem.lower[fixed], problem.upper[fixed])
+    a_fc = a[:, fixed] if index is None else a[:, index[fixed]][index]
+    acc = a_fc[fixed]
+    try:
+        z = linalg.solve_pd(acc, y_c)
+    except NotPositiveDefiniteError:
+        # Ridge fail-over for (near-)singular principal blocks, at 1e-10
+        # times the mean diagonal entry of A.
+        diag = a.diagonal() if index is None else a.diagonal()[index]
+        ridge = 1e-10 * float(diag.sum()) / diag.size
+        z = linalg.solve_pd(acc + ridge * np.eye(fixed.size), y_c)
+    y = a_fc @ z
+    y[fixed] = y_c
+    return y, z
 
 
 def solve_boxqp(problem, tol=1e-10, y0=None, max_iter=None):
@@ -80,48 +103,49 @@ def solve_boxqp(problem, tol=1e-10, y0=None, max_iter=None):
     g = 2 A^{-1} y:  g_i >= -tol at an active lower bound, g_i <= tol at an
     active upper bound, |g_i| <= tol on free coordinates.
     """
-    a, lower, upper = problem.a, problem.lower, problem.upper
+    lower, upper = problem.lower, problem.upper
     n = lower.size
     if n == 0:
         return np.zeros(0)
-    ridge_scale = 1e-10 * float(np.trace(a)) / n
     if max_iter is None:
         max_iter = 50 * (n + 5)
 
     y = _feasible_seed(problem, y0)
-    state = np.full(n, FREE, dtype=int)
-    state[y <= lower] = AT_LOWER
-    state[y >= upper] = AT_UPPER
     pinned = lower == upper
-    state[pinned] = AT_LOWER
+    state = np.where(pinned | (y <= lower), AT_LOWER, np.where(y >= upper, AT_UPPER, FREE))
     finite_lower = np.isfinite(lower)
     finite_upper = np.isfinite(upper)
 
     for _ in range(max_iter):
-        target, grad = _solve_face(a, state, lower, upper, ridge_scale)
-        step = target - y
-        # Largest feasible fraction of the step before a bound blocks it; the
-        # lowest index wins ties.
         free = state == FREE
+        fixed = (~free).nonzero()[0]
+        target, z = _solve_face(problem, state, fixed)
+        step = target - y
+        # Largest feasible fraction of the step before a bound blocks it,
+        # over the free coordinates that move toward a finite bound; the
+        # lowest index wins ties.
         up = free & (step > 0) & finite_upper
-        down = free & (step < 0) & finite_lower
-        ratio = np.full(n, np.inf)
-        ratio[up] = (upper[up] - y[up]) / step[up]
-        ratio[down] = (lower[down] - y[down]) / step[down]
-        blocker = int(np.argmin(ratio))
-        if ratio[blocker] < 1.0 - 1e-15:
-            y = np.clip(y + max(ratio[blocker], 0.0) * step, lower, upper)
-            state[blocker] = AT_UPPER if up[blocker] else AT_LOWER
-            continue
-        y = np.clip(target, lower, upper)
+        moving = (up | (free & (step < 0) & finite_lower)).nonzero()[0]
+        if moving.size:
+            ratio = (np.where(up[moving], upper[moving], lower[moving])
+                     - y[moving]) / step[moving]
+            k = ratio.argmin()
+            if ratio[k] < 1.0 - 1e-15:
+                blocker = moving[k]
+                y = (y + max(ratio[k], 0.0) * step).clip(lower, upper)
+                state[blocker] = AT_UPPER if up[blocker] else AT_LOWER
+                continue
+        y = target.clip(lower, upper)
 
         # On the face optimum: release the active bound with the worst
         # multiplier; equality-pinned coordinates are never released.
-        viol = np.where(state == AT_LOWER, -grad, grad)
-        viol[free | pinned] = -np.inf
-        release = int(np.argmax(viol))
-        if not viol[release] > tol:
+        if not fixed.size:
             return y
-        state[release] = FREE
+        viol = np.where(state[fixed] == AT_LOWER, -2.0 * z, 2.0 * z)
+        viol[pinned[fixed]] = -np.inf
+        k = viol.argmax()
+        if not viol[k] > tol:
+            return y
+        state[fixed[k]] = FREE
 
     raise MaxIterationsExceededError(y)

@@ -351,10 +351,14 @@ def read_edge_list(path, d=None):
                 ok = min(i, j) >= 1 and (d is None or max(i, j) <= d)
             except ValueError:
                 ok = False
+            bound = "" if d is None else f" in 1..{d}"
             if not ok:
-                bound = "" if d is None else f" in 1..{d}"
                 raise ValueError(f"{path}, line {lineno}: expected two 1-based vertex "
                                  f"indices{bound}, got {line!r}")
+            if i == j:
+                raise ValueError(f"{path}, line {lineno}: expected two distinct 1-based "
+                                 f"vertex indices{bound}, got {line!r} (self-loop at "
+                                 f"vertex {i})")
             edges.append((i - 1, j - 1))
             max_v = max(max_v, i, j)
     if d is None:

@@ -65,15 +65,13 @@ class GraphSpec:
     def from_support(cls, k, threshold=1e-6):
         """Graph of off-diagonal entries of k with magnitude above threshold."""
         k = np.asarray(k)
-        d = k.shape[0]
-        edges = [(i, j) for i in range(d) for j in range(i + 1, d)
-                 if abs(k[i, j]) > threshold]
-        return cls(d, edges)
+        return cls(k.shape[0], linalg.upper_pairs(np.abs(k) > threshold))
 
     def complement(self):
-        missing = [(i, j) for i in range(self.d) for j in range(i + 1, self.d)
-                   if (i, j) not in self.edges]
-        return GraphSpec(self.d, missing)
+        missing = np.ones((self.d, self.d), dtype=bool)
+        if self.edges:
+            missing[tuple(np.array(list(self.edges)).T)] = False
+        return GraphSpec(self.d, linalg.upper_pairs(missing))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,12 @@ def sym(a):
     return (a + a.T) / 2.0
 
 
+def upper_pairs(mask):
+    """Pairs (i, j) with i < j where the square boolean ``mask`` is true,
+    in row-major order, as tuples of Python ints."""
+    return list(map(tuple, np.argwhere(np.triu(mask, 1)).tolist()))
+
+
 def check_square_symmetric(a, atol=1e-9):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -31,7 +37,7 @@ def check_square_symmetric(a, atol=1e-9):
 
 
 def _pivot_tolerance(a):
-    diag_max = float(np.max(np.abs(np.diag(a)))) if a.shape[0] else 0.0
+    diag_max = float(np.abs(a.diagonal()).max()) if a.shape[0] else 0.0
     return PIVOT_RTOL * max(diag_max, 1.0e-300)
 
 
@@ -46,13 +52,13 @@ def cholesky_logdet(a):
     factor, info = scipy.linalg.lapack.dpotrf(a, lower=True)
     # On failure LAPACK reports the first nonpositive pivot as info (1-based)
     # and leaves the pivots before it computed.
-    piv = np.diag(factor)[:info - 1 if info > 0 else None]
-    bad = np.nonzero(~(piv * piv > tol))[0]  # NaN pivots count as bad
+    piv = factor.diagonal()[:info - 1 if info > 0 else None]
+    bad = (~(piv * piv > tol)).nonzero()[0]  # NaN pivots count as bad
     if bad.size:
         raise NotPositiveDefiniteError(pivot_index=int(bad[0]))
     if info > 0:
         raise NotPositiveDefiniteError(pivot_index=info - 1)
-    logdet = 2.0 * float(np.sum(np.log(piv)))
+    logdet = 2.0 * float(np.log(piv).sum())
     return factor, logdet
 
 

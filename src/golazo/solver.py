@@ -34,6 +34,9 @@ EDGE_THRESHOLD = 1e-6
 # KKT tolerance of each row's box QP.
 QP_TOL = 1e-10
 
+# Largest per-pair KKT residual (see ``kkt_residuals``) a fit may end with.
+KKT_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -64,9 +67,7 @@ class FitResult:
         return int(np.count_nonzero(np.triu(self.sign_pattern, 1)))
 
     def edges(self):
-        d = self.khat.shape[0]
-        return [(i, j) for i in range(d) for j in range(i + 1, d)
-                if self.sign_pattern[i, j] != 0]
+        return linalg.upper_pairs(self.sign_pattern != 0)
 
 
 def duality_gap(s, k, bounds):
@@ -84,14 +85,22 @@ def kkt_residuals(s, result, edge_threshold=EDGE_THRESHOLD):
     branched by sign at ``edge_threshold``.  Uses the clipped bounds stored
     on the result.  Returns a symmetric matrix of residuals, zero diagonal.
     """
-    s = np.asarray(s, dtype=float)
-    k = result.khat
-    diff = result.sigma_hat - s
-    lo = result.clipped_bounds.lower
-    hi = result.clipped_bounds.upper
-    res = np.where(k < -edge_threshold, np.abs(diff - lo),
-                   np.where(k > edge_threshold, np.abs(diff - hi),
-                            np.maximum(lo - diff, 0.0) + np.maximum(diff - hi, 0.0)))
+    return _pair_residuals(np.asarray(s, dtype=float), result.khat, result.sigma_hat,
+                           result.clipped_bounds, edge_threshold)
+
+
+def _pair_residuals(s, k, sigma, clipped, edge_threshold=EDGE_THRESHOLD):
+    # Built in place: ``fit`` runs this on every converged iterate, and a
+    # nested np.where would hold about six d x d temporaries at once.
+    diff = sigma - s
+    lo, hi = clipped.lower, clipped.upper
+    res = np.maximum(lo - diff, 0.0)
+    above = np.subtract(diff, hi)
+    res += np.maximum(above, 0.0, out=above)
+    neg = k < -edge_threshold
+    res[neg] = np.abs(diff[neg] - lo[neg])
+    pos = k > edge_threshold
+    res[pos] = np.abs(diff[pos] - hi[pos])
     np.fill_diagonal(res, 0.0)
     return res
 
@@ -219,8 +228,16 @@ def _forced_zero_pairs(s, bounds):
     """Pairs where both one-sided conditions hold, forcing K_ij = 0."""
     diag = np.diag(s)
     root = np.sqrt(np.outer(diag, diag))
-    forced = (bounds.lower <= -s - root) & (bounds.upper >= -s + root)
-    return [(int(i), int(j)) for i, j in np.argwhere(np.triu(forced, 1))]
+    return linalg.upper_pairs((bounds.lower <= -s - root) & (bounds.upper >= -s + root))
+
+
+def _certified(s, k, sigma, clipped, gap, gap_tol):
+    """The duality gap is within ``gap_tol`` and, checked only then, every
+    pair's KKT residual is within KKT_TOL.  The gap alone does not imply
+    the second: near the gap tolerance an entry of K that is 0 at the
+    optimum can still sit just past EDGE_THRESHOLD, which would report a
+    spurious edge."""
+    return gap <= gap_tol and float(np.max(_pair_residuals(s, k, sigma, clipped))) <= KKT_TOL
 
 
 def _check_feasible(sigma, s, clipped, slack=1e-9):
@@ -230,7 +247,8 @@ def _check_feasible(sigma, s, clipped, slack=1e-9):
 
 
 def fit(s, bounds, config=None, sigma0=None, screen=True):
-    """Run the block-coordinate dual ascent to the requested duality gap.
+    """Run the block-coordinate dual ascent until the duality gap is within
+    ``config.dual_gap_tol`` and every pair's KKT residual within KKT_TOL.
 
     ``sigma0`` optionally supplies a dually feasible starting point; when
     omitted one is constructed (S itself if positive definite, else the
@@ -260,27 +278,35 @@ def fit(s, bounds, config=None, sigma0=None, screen=True):
     sigma = np.where(label[:, None] == label, sigma, 0.0)
     comps = [np.flatnonzero(label == c) for c in range(label.max() + 1)]
 
-    rows = [(j, members[members != j]) for members in comps if members.size > 1
-            for j in members]
+    # One box QP per row, built once: its matrix is Sigma itself, read in
+    # place, so every solve sees the current iterate and nothing is copied.
     lo = s + clipped.lower
     hi = s + clipped.upper
+    rows = []
+    for members in comps:
+        if members.size == 1:
+            continue
+        for j in members:
+            keep = members[members != j]
+            rows.append((j, keep, BoxQP(sigma, lo[j, keep], hi[j, keep], index=keep)))
 
     gap_trace = []
     sweeps = 0
     k = linalg.invert_pd(sigma)
     gap = duality_gap(s, k, clipped)
     gap_trace.append(gap)
+    certified = _certified(s, k, sigma, clipped, gap, config.dual_gap_tol)
 
-    while gap > config.dual_gap_tol and sweeps < config.max_sweeps:
-        for j, keep in rows:
-            y = solve_boxqp(BoxQP(sigma[np.ix_(keep, keep)], lo[j, keep], hi[j, keep]),
-                            tol=QP_TOL, y0=sigma[j, keep])
+    while not certified and sweeps < config.max_sweeps:
+        for j, keep, problem in rows:
+            y = solve_boxqp(problem, tol=QP_TOL, y0=sigma[j, keep])
             sigma[j, keep] = y
             sigma[keep, j] = y
         sweeps += 1
         k = linalg.invert_pd(sigma)
         gap = duality_gap(s, k, clipped)
         gap_trace.append(gap)
+        certified = _certified(s, k, sigma, clipped, gap, config.dual_gap_tol)
 
     sign = np.sign(k) * (np.abs(k) > EDGE_THRESHOLD)
     np.fill_diagonal(sign, 0)
@@ -295,6 +321,6 @@ def fit(s, bounds, config=None, sigma0=None, screen=True):
         isolated_rows=tuple(int(m[0]) for m in comps if m.size == 1),
         forced_zero_pairs=tuple(forced),
     )
-    if gap > config.dual_gap_tol:
+    if not certified:
         raise MaxSweepsExceededError(result)
     return result

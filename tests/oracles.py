@@ -261,3 +261,33 @@ def loop_kendall_tau(x, variant="a"):
                 denom = np.sqrt(ti * tj) if ti > 0 and tj > 0 else np.inf
             tau[i, j] = tau[j, i] = agree / denom
     return tau
+
+
+def loop_support_pairs(k, threshold):
+    """Pairs i < j with |k_ij| > threshold, scanned in row-major order."""
+    d = k.shape[0]
+    return [(i, j) for i in range(d) for j in range(i + 1, d) if abs(k[i, j]) > threshold]
+
+
+def loop_complement_pairs(d, edges):
+    """Pairs i < j not in the set of normalized edges, in row-major order."""
+    return [(i, j) for i in range(d) for j in range(i + 1, d) if (i, j) not in edges]
+
+
+def loop_kkt_residuals(s, k, sigma, lower, upper, edge_threshold):
+    """Per-pair KKT residual, pair by pair: |Sigma - S - L| where K < -t,
+    |Sigma - S - U| where K > t, the distance outside [L, U] otherwise."""
+    d = s.shape[0]
+    res = np.zeros((d, d))
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                continue
+            diff = sigma[i, j] - s[i, j]
+            if k[i, j] < -edge_threshold:
+                res[i, j] = abs(diff - lower[i, j])
+            elif k[i, j] > edge_threshold:
+                res[i, j] = abs(diff - upper[i, j])
+            else:
+                res[i, j] = max(lower[i, j] - diff, 0.0) + max(diff - upper[i, j], 0.0)
+    return res

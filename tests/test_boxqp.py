@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from golazo import linalg
 from golazo.boxqp import BoxQP, solve_boxqp
+from golazo.errors import NotPositiveDefiniteError
 
 from oracles import projected_gradient_boxqp, random_pd
 
@@ -119,3 +121,86 @@ def test_empty_box_rejected():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         BoxQP(np.eye(3), [0.0, 0.0], [1.0, 1.0])
+
+
+def test_dimension_mismatch_rejected_with_index():
+    big = np.eye(4)
+    with pytest.raises(ValueError):
+        BoxQP(big, [0.0, 0.0], [1.0, 1.0], index=[0, 1, 2])
+    with pytest.raises(ValueError):
+        BoxQP(big, [0.0, 0.0], [1.0, 1.0], index=[0, 4])
+    with pytest.raises(ValueError):
+        BoxQP(big, [0.0, 0.0], [1.0, 1.0], index=[-1, 2])
+    with pytest.raises(ValueError):
+        BoxQP(np.ones((4, 3)), [0.0, 0.0], [1.0, 1.0], index=[0, 1])
+
+
+def kkt_holds(w, y, lower, upper, tol=1e-8):
+    """KKT of min y'Wy on the box, with g = 2 W y."""
+    g = 2.0 * (w @ y)
+    held = lower == upper
+    at_lower = ~held & (np.abs(y - lower) < 1e-9)
+    at_upper = ~held & ~at_lower & (np.abs(y - upper) < 1e-9)
+    free = ~held & ~at_lower & ~at_upper
+    return (np.all(y >= lower - 1e-12) and np.all(y <= upper + 1e-12)
+            and np.all(g[at_lower] >= -tol) and np.all(g[at_upper] <= tol)
+            and np.all(np.abs(g[free]) <= tol))
+
+
+def test_index_form_matches_copied_block():
+    # The QP on big[idx][:, idx] given as (big, index) or as the copied
+    # block: infinite ends, pinned coordinates, cold and warm starts.
+    rng = np.random.default_rng(31)
+    for trial in range(320):
+        m = int(rng.integers(2, 14))
+        n = int(rng.integers(1, m + 1))
+        big = random_pd(rng, m, 0.05)
+        idx = rng.choice(m, n, replace=False)
+        if trial % 2:
+            idx = np.sort(idx)
+        lower = np.where(rng.random(n) < 0.25, -np.inf, -rng.random(n))
+        upper = np.where(rng.random(n) < 0.25, np.inf, rng.random(n))
+        shift = rng.standard_normal(n) * 0.5 * (rng.random() < 0.5)
+        lower, upper = lower + shift, upper + shift
+        pin = rng.random(n) < 0.15
+        lower[pin] = upper[pin] = np.where(np.isfinite(lower[pin]), lower[pin], 0.3)
+        y0 = [None, np.where(np.isfinite(lower), lower, 0.0),
+              np.where(np.isfinite(upper), upper, 0.0)][trial % 3]
+        copied = solve_boxqp(BoxQP(big[np.ix_(idx, idx)], lower, upper), y0=y0)
+        indexed = solve_boxqp(BoxQP(big, lower, upper, index=idx), y0=y0)
+        assert np.max(np.abs(copied - indexed), initial=0.0) <= 1e-12
+        assert np.array_equal(indexed[pin], lower[pin])
+        assert kkt_holds(np.linalg.inv(big[np.ix_(idx, idx)]), indexed, lower, upper)
+
+
+def test_ridge_fallback_on_singular_active_block(monkeypatch):
+    # Coordinates 0 and 1 are the same variable, so A_CC is singular once
+    # both are held at their lower bounds: the face solve must fall back to
+    # the ridge and still return a feasible point.
+    base = np.array([[1.0, 1.0, 0.3], [1.0, 1.0, 0.3], [0.3, 0.3, 1.0]])
+    lower = np.array([0.5, 0.5, -np.inf])
+    upper = np.array([1.0, 1.0, np.inf])
+    big = np.eye(5)
+    idx = np.array([3, 1, 4])
+    big[np.ix_(idx, idx)] = base
+    failures = []
+    original = linalg.cholesky_logdet
+
+    def counting(a):
+        try:
+            return original(a)
+        except NotPositiveDefiniteError:
+            failures.append(a.shape[0])
+            raise
+
+    monkeypatch.setattr(linalg, "cholesky_logdet", counting)
+    results = []
+    for problem in (BoxQP(base, lower, upper), BoxQP(big, lower, upper, index=idx)):
+        failures.clear()
+        y = solve_boxqp(problem, y0=lower)
+        assert failures == [2]
+        assert np.all(y >= lower) and np.all(y <= upper)
+        assert np.array_equal(y[:2], lower[:2])
+        assert y[2] == pytest.approx(0.15, abs=1e-9)
+        results.append(y)
+    assert np.max(np.abs(results[0] - results[1])) <= 1e-12

@@ -170,6 +170,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{graph_file}, line {lineno}: expected two 1-based vertex indices in 1..4" in err
 
+    def test_self_loop_in_edge_list_is_usage(self, cov_csv, tmp_path, capsys):
+        path, _ = cov_csv
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text("1 2\n3 3\n")
+        code = run(["fit", "--input", path, "--input-kind", "covariance",
+                    "--out", tmp_path / "o", "--preset", "ggm", "--graph", graph_file])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert (f"{graph_file}, line 2: expected two distinct 1-based vertex indices in 1..4, "
+                "got '3 3' (self-loop at vertex 3)") in err
+
     def test_missing_file_is_usage(self, tmp_path):
         code = run(["fit", "--input", tmp_path / "absent.csv",
                     "--input-kind", "covariance", "--out", tmp_path / "o",
@@ -222,6 +233,17 @@ class TestMdeAndSkeptic:
         conditions = json.loads((out / "conditions.json").read_text())
         assert max(conditions.values()) < 1e-7
         assert np.min(np.linalg.eigvalsh(sigma_check)) > 0
+
+    def test_mde_self_loop_is_usage(self, cov_csv, tmp_path, capsys):
+        path, _ = cov_csv
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text("# chain\n1 2\n2 3\n4 4\n")
+        code = run(["mde", "--input", path, "--input-kind", "covariance",
+                    "--out", tmp_path / "o", "--graph", graph_file])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert (f"{graph_file}, line 4: expected two distinct 1-based vertex indices in 1..4, "
+                "got '4 4' (self-loop at vertex 4)") in err
 
     def test_mde_requires_graph(self, cov_csv, tmp_path):
         path, _ = cov_csv

@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 import golazo as gz
+from golazo import linalg
 from golazo.estimators import mde_via_zero_pattern
 from golazo.errors import MdeStep1FailedError
 
-from oracles import ips_ggm, random_correlation, random_graph
+from oracles import (
+    ips_ggm,
+    loop_complement_pairs,
+    loop_support_pairs,
+    random_correlation,
+    random_graph,
+)
 
 
 class TestGraphSpec:
@@ -39,6 +46,21 @@ class TestGraphSpec:
         k[0, 1] = k[1, 0] = 1e-9
         g = gz.GraphSpec.from_support(k)
         assert g.sorted_edges() == [(0, 2)]
+
+    def test_scans_match_loops(self):
+        # Ties at the threshold, exact zeros, asymmetric input and d = 1.
+        rng = np.random.default_rng(16)
+        for trial in range(300):
+            d = int(rng.integers(1, 13))
+            k = np.round(rng.standard_normal((d, d)), 1)
+            if trial % 2:
+                k = (k + k.T) / 2.0
+            threshold = float(rng.choice([1e-6, 0.1, 0.5]))
+            pairs = loop_support_pairs(k, threshold)
+            assert linalg.upper_pairs(np.abs(k) > threshold) == pairs
+            g = gz.GraphSpec.from_support(k, threshold)
+            assert g.edges == frozenset(pairs)
+            assert g.complement().edges == frozenset(loop_complement_pairs(d, g.edges))
 
 
 class TestLikelihoodHelpers:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golazo as gz
 from golazo import linalg, solver
@@ -17,7 +19,9 @@ from oracles import (
     loop_forced_zero_pairs,
     loop_interior_blend_weight,
     loop_isolated_rows,
+    loop_kkt_residuals,
     loop_single_linkage_blocker,
+    loop_support_pairs,
     prox_gradient_glasso,
     random_correlation,
     random_pd,
@@ -278,6 +282,18 @@ class TestScansMatchLoops:
                       gz.mtp2_bounds(d), gz.asymmetric_bounds(rho, rho / 3, d),
                       gz.PenaltyBounds(-upper, upper)][trial % 5]
 
+    def test_kkt_residuals(self):
+        # Entries of K on both sides of and at the edge threshold.
+        rng = np.random.default_rng(18)
+        for s, bounds in self.cases():
+            d = s.shape[0]
+            clipped = gz.clip_to_finite(bounds, s)
+            sigma = s + rng.uniform(-0.5, 0.5, (d, d))
+            k = rng.choice([-1.0, -1e-6, -1e-7, 0.0, 1e-7, 1e-6, 1.0], (d, d))
+            assert np.array_equal(
+                solver._pair_residuals(s, k, sigma, clipped),
+                loop_kkt_residuals(s, k, sigma, clipped.lower, clipped.upper, gz.EDGE_THRESHOLD))
+
     def test_components(self):
         for s, bounds in self.cases():
             clipped = gz.clip_to_finite(bounds, s)
@@ -348,6 +364,25 @@ class TestAtScale:
         assert res.sweeps > 1
         assert sizes == [self.D] * (res.sweeps + 1)
 
+    def test_row_qps_read_the_iterate_in_place(self, monkeypatch):
+        # Every row's box QP gets the d x d iterate itself plus an index,
+        # never a copied (d - 1) x (d - 1) block.
+        seen = []
+        original = solver.solve_boxqp
+
+        def recording(problem, **kwargs):
+            seen.append((problem.a, problem.index))
+            return original(problem, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_boxqp", recording)
+        s = random_correlation(np.random.default_rng(60), self.D)
+        res = gz.fit(s, gz.glasso_bounds(0.1, self.D))
+        assert len(seen) == res.sweeps * self.D
+        for a, index in seen:
+            assert a.shape == (self.D, self.D)
+            assert np.shares_memory(a, res.sigma_hat)
+            assert index.size == self.D - 1
+
     def test_glasso_matches_prox_gradient_oracle(self):
         rho = 0.1
         s = random_correlation(np.random.default_rng(60), self.D)
@@ -367,6 +402,38 @@ class TestAtScale:
         assert res.edge_count > 0
         assert gz.duality_gap(s, res.khat, res.clipped_bounds) <= 1e-8
         assert np.max(gz.kkt_residuals(s, res)) <= 1e-6
+
+
+class TestCertificateProperties:
+    """Recomputed certificates of random fits at d up to the benchmark's
+    order of size, for the four penalty presets."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["glasso", "asymmetric", "positive", "mtp2"]),
+           rho=st.sampled_from([0.02, 0.1, 0.3]), extra=st.sampled_from([0.0, 0.05, 0.5]))
+    def test_gap_and_kkt(self, d, seed, kind, rho, extra):
+        s = random_correlation(np.random.default_rng(seed), d, extra=extra)
+        bounds = {"glasso": gz.glasso_bounds(rho, d),
+                  "asymmetric": gz.asymmetric_bounds(rho, rho / 3, d),
+                  "positive": gz.positive_glasso_bounds(rho, d),
+                  "mtp2": gz.mtp2_bounds(d)}[kind]
+        res = gz.fit(s, bounds)
+        assert gz.duality_gap(s, res.khat, res.clipped_bounds) <= 1e-8
+        assert np.max(gz.kkt_residuals(s, res)) <= 1e-6
+
+    def test_no_spurious_edge_at_the_gap_tolerance(self):
+        # Once the gap was 1.7e-9, K[1, 3] of this input was still -1.02e-6,
+        # just past EDGE_THRESHOLD, while it is 0 at the optimum: the fit
+        # must go on until the KKT certificate holds as well.
+        d = 7
+        s = random_correlation(np.random.default_rng(445), d, extra=0.05)
+        bounds = gz.positive_glasso_bounds(0.3, d)
+        res = gz.fit(s, bounds)
+        assert res.dual_gap <= 1e-8
+        assert np.max(gz.kkt_residuals(s, res)) <= 1e-6
+        ref = gz.fit(s, bounds, config=gz.SolverConfig(dual_gap_tol=1e-14))
+        assert np.array_equal(res.sign_pattern, ref.sign_pattern)
 
 
 class TestComponentSplit:
@@ -407,6 +474,14 @@ class TestComponentSplit:
 
 
 class TestFitResultApi:
+    def test_edges_match_loop(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            d = int(rng.integers(2, 15))
+            s = random_correlation(rng, d)
+            res = gz.fit(s, gz.glasso_bounds(float(rng.choice([0.02, 0.1, 0.3])), d))
+            assert res.edges() == loop_support_pairs(res.sign_pattern, 0)
+
     def test_edges_and_count(self):
         rng = np.random.default_rng(15)
         s = random_correlation(rng, 5)
