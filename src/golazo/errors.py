@@ -44,7 +44,9 @@ class BoundsNotStrictError(NoFeasibleStartError):
 
 
 class DegenerateCorrelationError(NoFeasibleStartError):
-    """Some |S_ij| equals sqrt(S_ii S_jj): no strictly feasible start exists."""
+    """Some S_ij is so close to sqrt(S_ii S_jj) that its 2 x 2 block fails
+    the Cholesky pivot test: no strictly feasible single-linkage start
+    exists."""
 
     def __init__(self, i, j):
         super().__init__(f"degenerate correlation at pair ({i}, {j})")
@@ -67,10 +69,13 @@ class MaxSweepsExceededError(GolazoError):
 
 
 class MaxIterationsExceededError(GolazoError):
-    """Inner QP failed to terminate; usually signals severe ill-conditioning."""
+    """Inner QP spent its face-solve budget, block-pivoting rounds and
+    active-set steps together, without meeting KKT; usually signals severe
+    ill-conditioning.  ``iterate`` is the last feasible point."""
 
     def __init__(self, iterate):
-        super().__init__("box-QP active-set iteration limit reached")
+        super().__init__("box-QP active-set iteration limit reached "
+                         "(block-pivoting rounds included)")
         self.iterate = iterate
 
 

@@ -161,8 +161,10 @@ def starting_point_single_linkage(s, bounds):
     s = np.asarray(s, dtype=float)
     d = s.shape[0]
     diag = np.diag(s)
-    root = np.sqrt(np.outer(diag, diag))
-    degenerate = s >= root
+    # A pair is degenerate when its 2 x 2 block fails the Cholesky pivot
+    # test: S_ij^2 >= (1 - PIVOT_RTOL) S_ii S_jj, that is, a correlation
+    # within about PIVOT_RTOL / 2 of 1.
+    degenerate = s >= np.sqrt((1.0 - linalg.PIVOT_RTOL) * np.outer(diag, diag))
     # The first offending pair in row-major order decides which error is raised.
     bad = np.argwhere(np.triu(degenerate | (bounds.upper == 0.0), 1))
     if bad.size:

@@ -7,6 +7,8 @@ import itertools
 
 import numpy as np
 
+from golazo.linalg import PIVOT_RTOL
+
 
 def bruteforce_det(a):
     """Determinant by cofactor expansion along the first row."""
@@ -156,6 +158,36 @@ def random_correlation(rng, d, extra=0.05):
     return (r + r.T) / 2.0
 
 
+def chain_er_correlation(rng, d, n, p=0.05):
+    """Sample correlation of n draws from N(0, K^{-1}), where K is a chain
+    plus Erdos-Renyi(p) edges with weights -U(0.1, 0.3), made diagonally
+    dominant."""
+    k = np.zeros((d, d))
+    k[np.arange(d - 1), np.arange(1, d)] = -rng.uniform(0.1, 0.3, d - 1)
+    iu, ju = np.triu_indices(d, 2)
+    pick = rng.random(iu.size) < p
+    k[iu[pick], ju[pick]] = -rng.uniform(0.1, 0.3, int(pick.sum()))
+    k = k + k.T
+    np.fill_diagonal(k, np.abs(k).sum(axis=1) + 0.1)
+    x = rng.standard_normal((n, d)) @ np.linalg.cholesky(np.linalg.inv(k)).T
+    r = np.corrcoef(x, rowvar=False)
+    r = (r + r.T) / 2.0
+    np.fill_diagonal(r, 1.0)
+    return r
+
+
+def near_collinear_correlation(gap, seed=5, n=50):
+    """Sample correlation of n draws of four columns whose first two are
+    equal, with the correlation of that pair set to 1 - gap."""
+    x = np.random.default_rng(seed).standard_normal((n, 4))
+    x[:, 1] = x[:, 0]
+    r = np.corrcoef(x, rowvar=False)
+    r = (r + r.T) / 2.0
+    np.fill_diagonal(r, 1.0)
+    r[0, 1] = r[1, 0] = 1.0 - gap
+    return r
+
+
 def random_graph(rng, d, p=0.5):
     edges = [(i, j) for i in range(d) for j in range(i + 1, d) if rng.random() < p]
     return edges
@@ -233,10 +265,9 @@ def loop_single_linkage_blocker(s, bounds):
     """First pair i < j, in row-major order, that blocks the single-linkage
     start: ("degenerate", (i, j)), ("zero_upper", (i, j)) or None."""
     d = s.shape[0]
-    root = np.sqrt(np.outer(np.diag(s), np.diag(s)))
     for i in range(d):
         for j in range(i + 1, d):
-            if s[i, j] >= root[i, j]:
+            if s[i, j] >= np.sqrt((1.0 - PIVOT_RTOL) * (s[i, i] * s[j, j])):
                 return "degenerate", (i, j)
             if bounds.upper[i, j] == 0.0:
                 return "zero_upper", (i, j)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from golazo import linalg
-from golazo.boxqp import BoxQP, solve_boxqp
-from golazo.errors import NotPositiveDefiniteError
+from golazo import boxqp, linalg
+from golazo.boxqp import AT_LOWER, FREE, BoxQP, solve_boxqp
+from golazo.errors import MaxIterationsExceededError, NotPositiveDefiniteError
 
 from oracles import projected_gradient_boxqp, random_pd
 
@@ -38,6 +40,25 @@ def test_equality_pinned_coordinates():
     # y0 pinned at 0.3; y1 minimizes (0.3, y1)' W (0.3, y1) => y1 = -0.4*0.3.
     assert y[0] == 0.3
     assert y[1] == pytest.approx(-0.12, abs=1e-12)
+
+
+def test_pinned_coordinate_is_never_released(monkeypatch):
+    # y0 pinned at -0.3 has a multiplier of the sign that would release a
+    # coordinate at its lower bound; pinned, it stays, so one face solve
+    # reaches the optimum y1 = 0.12.
+    calls = []
+    original = boxqp._solve_face
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(boxqp, "_solve_face", counting)
+    w = np.array([[1.0, 0.4], [0.4, 1.0]])
+    y = solve_boxqp(qp(w, [-0.3, -1.0], [-0.3, 1.0]))
+    assert y[0] == -0.3
+    assert y[1] == pytest.approx(0.12, abs=1e-12)
+    assert len(calls) == 1
 
 
 def test_active_coordinates_are_exact():
@@ -204,3 +225,81 @@ def test_ridge_fallback_on_singular_active_block(monkeypatch):
         assert y[2] == pytest.approx(0.15, abs=1e-9)
         results.append(y)
     assert np.max(np.abs(results[0] - results[1])) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_every_pivot_round_cap_hands_over_exactly(seed):
+    # Pivoting stopped after 0, 1 or 2 rounds hands its point to the
+    # active-set method; the answer must not depend on where it stopped.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 30))
+    n = int(rng.integers(1, m + 1))
+    big = random_pd(rng, m, 0.05)
+    idx = rng.choice(m, n, replace=False)
+    lower = np.where(rng.random(n) < 0.25, -np.inf, -rng.random(n))
+    upper = np.where(rng.random(n) < 0.25, np.inf, rng.random(n))
+    shift = rng.standard_normal(n) * rng.random()
+    lower, upper = lower + shift, upper + shift
+    pin = rng.random(n) < 0.15
+    lower[pin] = upper[pin] = np.where(np.isfinite(lower[pin]), lower[pin], 0.3)
+    y0 = [None, np.where(np.isfinite(lower), lower, 0.0),
+          np.where(np.isfinite(upper), upper, 0.0)][int(rng.integers(3))]
+    problem = BoxQP(big, lower, upper, index=idx)
+    results = []
+    for cap in (0, 1, 2, boxqp._PIVOT_ROUNDS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(boxqp, "_PIVOT_ROUNDS", cap)
+            results.append(solve_boxqp(problem, y0=y0))
+    w = np.linalg.inv(big[np.ix_(idx, idx)])
+    for y in results:
+        assert np.max(np.abs(y - results[0])) <= 1e-12
+        assert np.array_equal(y[pin], lower[pin])
+        for end in (lower, upper):
+            near = np.abs(y - end) < 1e-9
+            assert np.array_equal(y[near], end[near])
+        assert kkt_holds(w, y, lower, upper)
+
+
+def test_murty_single_exchange_when_the_count_stalls(monkeypatch):
+    # The first row QP of a glasso fit, from Sigma = S, on which full
+    # exchanges stop reducing the infeasible count: pivoting then exchanges
+    # only the largest infeasible index.
+    rng = np.random.default_rng(86)
+    mix = np.eye(8) + rng.standard_normal((8, 8)) * rng.uniform(0.1, 0.5)
+    s = np.corrcoef(rng.standard_normal((16, 8)) @ mix, rowvar=False)
+    rho = rng.choice([0.05, 0.1, 0.3])
+    lower, upper = s[0, 1:] - rho, s[0, 1:] + rho
+    problem = BoxQP(s, lower, upper, index=np.arange(1, 8))
+    faces = []
+    original = boxqp._solve_face
+
+    def recording(problem, state, fixed):
+        y, z = original(problem, state, fixed)
+        faces.append((state.copy(), y, fixed, z))
+        return y, z
+
+    monkeypatch.setattr(boxqp, "_solve_face", recording)
+    y = solve_boxqp(problem, y0=s[0, 1:])
+    assert len(faces) <= boxqp._PIVOT_ROUNDS  # solved by pivoting alone
+    single = 0
+    for (state, target, fixed, z), (after, *_) in zip(faces, faces[1:]):
+        infeasible = (state == FREE) & ((target < lower) | (target > upper))
+        infeasible[fixed] = np.where(state[fixed] == AT_LOWER, -2.0 * z, 2.0 * z) > 1e-10
+        changed = (after != state).nonzero()[0]
+        if np.count_nonzero(infeasible) > 1 and changed.size == 1:
+            assert changed[0] == infeasible.nonzero()[0][-1]
+            single += 1
+    assert single >= 1
+    assert kkt_holds(np.linalg.inv(s[1:, 1:]), y, lower, upper)
+    monkeypatch.setattr(boxqp, "_PIVOT_ROUNDS", 0)
+    assert np.max(np.abs(solve_boxqp(problem, y0=s[0, 1:]) - y)) <= 1e-12
+
+
+def test_pivot_rounds_count_against_max_iter():
+    # From the lower ends, the optimum needs a second face solve.
+    problem = qp(np.array([[1.0, -0.9], [-0.9, 1.0]]), [1.0, -2.0], [np.inf, 2.0])
+    with pytest.raises(MaxIterationsExceededError):
+        solve_boxqp(problem, y0=[1.0, -2.0], max_iter=1)
+    y = solve_boxqp(problem, y0=[1.0, -2.0], max_iter=2)
+    assert y == pytest.approx([1.0, 0.9], abs=1e-12)

@@ -8,7 +8,7 @@ from golazo import cli
 from golazo import data as dio
 from golazo.errors import MaxIterationsExceededError
 
-from oracles import loop_kendall_tau, random_correlation
+from oracles import loop_kendall_tau, near_collinear_correlation, random_correlation
 
 
 @pytest.fixture
@@ -134,6 +134,14 @@ class TestExitCodes:
                     "--out", tmp_path / "o", "--preset", "positive",
                     "--rho", "0.1"])
         assert code == cli.EXIT_NO_FEASIBLE_START
+
+    def test_near_collinear_mtp2_exit(self, tmp_path, capsys):
+        path = tmp_path / "R.csv"
+        dio.write_csv_matrix(path, near_collinear_correlation(6e-15))
+        code = run(["fit", "--input", path, "--input-kind", "correlation",
+                    "--out", tmp_path / "o", "--preset", "mtp2"])
+        assert code == cli.EXIT_NO_FEASIBLE_START == 2
+        assert "degenerate correlation at pair (0, 1)" in capsys.readouterr().err
 
     def test_non_finite_input_is_usage(self, tmp_path, capsys):
         s = np.full((3, 3), 0.2)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golazo as gz
-from golazo import linalg, solver
+from golazo import boxqp, linalg, solver
 from golazo.errors import (
     DegenerateCorrelationError,
     InfeasibleBoundsError,
@@ -14,6 +14,7 @@ from golazo.errors import (
 )
 
 from oracles import (
+    chain_er_correlation,
     glasso_kkt_residual,
     loop_components,
     loop_forced_zero_pairs,
@@ -22,6 +23,7 @@ from oracles import (
     loop_kkt_residuals,
     loop_single_linkage_blocker,
     loop_support_pairs,
+    near_collinear_correlation,
     prox_gradient_glasso,
     random_correlation,
     random_pd,
@@ -190,6 +192,16 @@ class TestStartingPoints:
         g = gz.GraphSpec.complete(2)
         with pytest.raises(NoFeasibleStartError):
             gz.fit(s, gz.ggm_bounds(g))
+
+    def test_near_collinear_mtp2_names_the_pair(self):
+        # A correlation 6e-15 below 1 fails the Cholesky pivot test like an
+        # exact 1, so the error names the pair instead of a failed blend.
+        with pytest.raises(DegenerateCorrelationError) as info:
+            gz.fit(near_collinear_correlation(6e-15), gz.mtp2_bounds(4))
+        assert info.value.pair == (0, 1)
+        res = gz.fit(near_collinear_correlation(1e-11), gz.mtp2_bounds(4))
+        assert 0.0 <= res.dual_gap <= 1e-8
+        assert linalg.is_m_matrix(res.khat)
 
     def test_degenerate_correlation_is_no_feasible_start(self):
         # Perfectly correlated pair with L = 0 bounds: existence fails.
@@ -392,6 +404,30 @@ class TestAtScale:
         off = ~np.eye(self.D, dtype=bool)
         assert res.edge_count > 0
         assert np.array_equal(res.sign_pattern != 0, (np.abs(ref) > gz.EDGE_THRESHOLD) & off)
+
+    def test_block_pivoting_at_benchmark_size(self, monkeypatch):
+        # A d = 150 glasso fit from Sigma = S: block pivoting must reach the
+        # optimum of the active-set method alone (cap 0) in fewer face solves.
+        s = chain_er_correlation(np.random.default_rng(150), 150, 300)
+        bounds = gz.glasso_bounds(0.1, 150)
+        original = boxqp._solve_face
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(boxqp, "_solve_face", counting)
+        fits = []
+        for cap in (boxqp._PIVOT_ROUNDS, 0):
+            monkeypatch.setattr(boxqp, "_PIVOT_ROUNDS", cap)
+            calls.clear()
+            fits.append((gz.fit(s, bounds), len(calls)))
+        (pivoted, pivoted_calls), (active_set, active_set_calls) = fits
+        assert pivoted.sweeps == active_set.sweeps
+        assert pivoted.edges() == active_set.edges()
+        assert np.max(np.abs(pivoted.khat - active_set.khat)) <= 1e-9
+        assert pivoted_calls <= 0.7 * active_set_calls
 
     @pytest.mark.parametrize("kind", ["asymmetric", "mtp2"])
     def test_certificates(self, kind):
