@@ -29,10 +29,10 @@ print(np.round(mle.khat, 3))
 
 # Moment conditions of the MLE: Sigma agrees with S on the diagonal and on
 # every edge of the graph.
-edge_err = max(abs(mle.sigma_hat[i, j] - s[i, j]) for i, j in graph.edges)
-print("max |Sigma_ij - S_ij| on edges:", edge_err)
+print("max |Sigma_ij - S_ij| on edges:",
+      np.max(np.abs(mle.sigma_hat - s)[graph.adjacency]))
 print("max off-graph |K_ij|:",
-      max(abs(mle.khat[i, j]) for i, j in graph.complement().edges))
+      np.max(np.abs(mle.khat)[graph.complement().adjacency]))
 
 # The same machinery handles rank-deficient inputs through a single-linkage
 # starting point, as long as no pair is perfectly correlated.

@@ -22,6 +22,7 @@ from .errors import (
     NoFeasibleStartError,
 )
 from .estimators import GraphSpec, gaussian_neg_loglik, mde
+from .linalg import is_m_matrix
 from .penalty import preset_bounds, PenaltyBounds
 from .selection import EbicConfig, ebic, fit_path
 from .solver import SolverConfig, fit
@@ -172,7 +173,7 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_fit_artifacts(outdir, s, result, n, gamma):
+def _write_fit_artifacts(outdir, s, result, n, gamma, **extra):
     dio.write_csv_matrix(outdir / "Khat.csv", result.khat)
     dio.write_csv_matrix(outdir / "Sigma.csv", result.sigma_hat)
     graph = GraphSpec.from_support(result.khat)
@@ -184,9 +185,9 @@ def _write_fit_artifacts(outdir, s, result, n, gamma):
         "edgeCount": result.edge_count,
         "negLogLik": negll,
         "ebic": ebic(s, result, n, gamma) if n else None,
+        **extra,
     }
     _write_json(outdir / "summary.json", summary)
-    return summary
 
 
 def cmd_fit(args):
@@ -196,11 +197,10 @@ def cmd_fit(args):
     result = fit(s, bounds, config=config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    summary = _write_fit_artifacts(outdir, s, result, n, args.gamma)
+    extra = {}
     if args.preset == "mtp2":
-        from .linalg import is_m_matrix
-        summary["mMatrix"] = bool(is_m_matrix(result.khat, tol=1e-8))
-        _write_json(outdir / "summary.json", summary)
+        extra["mMatrix"] = bool(is_m_matrix(result.khat, tol=1e-8))
+    _write_fit_artifacts(outdir, s, result, n, args.gamma, **extra)
     if args.graphml:
         dio.write_graphml(outdir / "graph.graphml", result.khat)
     return EXIT_OK

@@ -218,23 +218,24 @@ def _perfect_elimination_dag(graph, rng):
 
     g = nx.Graph()
     g.add_nodes_from(range(graph.d))
-    g.add_edges_from(graph.edges)
+    g.add_edges_from(graph.sorted_edges())
     if not nx.is_chordal(g):
         return None
     # A perfect elimination ordering, reversed, gives a vertex order in which
     # each vertex's earlier neighbors form a clique, so orienting every edge
     # forward yields a DAG whose moral graph is the graph itself.
     peo = _perfect_elimination_ordering(g)
-    pos = {v: idx for idx, v in enumerate(reversed(peo))}
-    loadings = {}
-    for i, j in graph.edges:
-        a, b = sorted((pos[i], pos[j]))
-        loadings[(a, b)] = rng.uniform(0.1, 0.6)
+    pos = np.empty(graph.d, dtype=int)
+    pos[peo[::-1]] = np.arange(graph.d)
+    # One loading per edge, drawn in row-major edge order.
+    i, j = np.nonzero(np.triu(graph.adjacency))
+    parent, child = np.minimum(pos[i], pos[j]), np.maximum(pos[i], pos[j])
+    loadings = dict(zip(zip(parent.tolist(), child.tolist()),
+                        rng.uniform(0.1, 0.6, size=i.size).tolist()))
     noise = rng.uniform(0.5, 1.5, size=graph.d)
     cov_pos = dag_covariance(DagSpec(graph.d, loadings, noise))
     # Map position-space rows/columns back to the original vertex ids.
-    posvec = np.array([pos[v] for v in range(graph.d)])
-    return cov_pos[np.ix_(posvec, posvec)]
+    return cov_pos[np.ix_(pos, pos)]
 
 
 def _perfect_elimination_ordering(g):
@@ -377,12 +378,10 @@ def write_graphml(path, khat, threshold=1e-6):
     import networkx as nx
 
     k = np.asarray(khat, dtype=float)
-    d = k.shape[0]
+    i, j = np.nonzero(np.triu(np.abs(k) > threshold, 1))
+    pcor = -k[i, j] / np.sqrt(k[i, i] * k[j, j])
     g = nx.Graph()
-    g.add_nodes_from(range(1, d + 1))
-    for i in range(d):
-        for j in range(i + 1, d):
-            if abs(k[i, j]) > threshold:
-                pcor = -k[i, j] / np.sqrt(k[i, i] * k[j, j])
-                g.add_edge(i + 1, j + 1, partialCorrelation=float(pcor))
+    g.add_nodes_from(range(1, k.shape[0] + 1))
+    g.add_edges_from((a, b, {"partialCorrelation": p})
+                     for a, b, p in zip((i + 1).tolist(), (j + 1).tolist(), pcor.tolist()))
     nx.write_graphml(g, path)

@@ -8,43 +8,69 @@ import numpy as np
 
 from . import linalg
 from .errors import MdeStep1FailedError, GolazoError
-from .penalty import (
-    dual_positivity_bounds,
-    ggm_bounds,
-    zero_equality_bounds,
-)
+from .penalty import dual_positivity_bounds, ggm_bounds
 from .solver import SolverConfig, fit
 
 
-@dataclass(frozen=True)
-class GraphSpec:
-    """Undirected graph on vertices 0..d-1, stored as sorted edge pairs."""
+def _symmetric(mask):
+    """Read-only mask | mask.T."""
+    adjacency = mask | mask.T
+    adjacency.flags.writeable = False
+    return adjacency
 
-    d: int
-    edges: frozenset
+
+@dataclass(frozen=True, eq=False)
+class GraphSpec:
+    """Undirected graph on vertices 0..d-1, held as one read-only, symmetric
+    boolean ``adjacency`` matrix with a false diagonal.  ``edges`` and
+    ``sorted_edges`` are views of its upper triangle as pairs i < j."""
+
+    adjacency: np.ndarray
 
     def __init__(self, d, edges=()):
         if d < 1:
             raise ValueError("vertex count must be at least 1")
-        norm = set()
-        for i, j in edges:
+        pairs = np.array(list(edges) or np.empty((0, 2)), dtype=np.intp)
+        i, j = pairs.T
+        bad = (i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= d)
+        if bad.any():
+            i, j = pairs[bad.argmax()].tolist()
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < d and 0 <= j < d):
-                raise ValueError(f"edge ({i}, {j}) out of range for d = {d}")
-            norm.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "edges", frozenset(norm))
+            raise ValueError(f"edge ({i}, {j}) out of range for d = {d}")
+        mask = np.zeros((d, d), dtype=bool)
+        mask[i, j] = True
+        object.__setattr__(self, "adjacency", _symmetric(mask))
 
-    def has_edge(self, i, j):
-        return (min(i, j), max(i, j)) in self.edges
+    @classmethod
+    def _from_upper(cls, mask):
+        """Graph on the pairs i < j where the square boolean mask is true."""
+        graph = cls(len(mask))
+        object.__setattr__(graph, "adjacency", _symmetric(np.triu(mask, 1)))
+        return graph
+
+    @property
+    def d(self):
+        return self.adjacency.shape[0]
+
+    @property
+    def edges(self):
+        return frozenset(self.sorted_edges())
 
     def sorted_edges(self):
-        return sorted(self.edges)
+        return linalg.upper_pairs(self.adjacency)
+
+    def __eq__(self, other):
+        if not isinstance(other, GraphSpec):
+            return NotImplemented
+        return np.array_equal(self.adjacency, other.adjacency)
+
+    def __hash__(self):
+        return hash(self.adjacency.tobytes())
 
     @classmethod
     def complete(cls, d):
-        return cls(d, [(i, j) for i in range(d) for j in range(i + 1, d)])
+        return cls._from_upper(np.ones((d, d), dtype=bool))
 
     @classmethod
     def empty(cls, d):
@@ -63,15 +89,11 @@ class GraphSpec:
 
     @classmethod
     def from_support(cls, k, threshold=1e-6):
-        """Graph of off-diagonal entries of k with magnitude above threshold."""
-        k = np.asarray(k)
-        return cls(k.shape[0], linalg.upper_pairs(np.abs(k) > threshold))
+        """Graph of the entries k_ij, i < j, with magnitude above threshold."""
+        return cls._from_upper(np.abs(np.asarray(k)) > threshold)
 
     def complement(self):
-        missing = np.ones((self.d, self.d), dtype=bool)
-        if self.edges:
-            missing[tuple(np.array(list(self.edges)).T)] = False
-        return GraphSpec(self.d, linalg.upper_pairs(missing))
+        return GraphSpec._from_upper(~self.adjacency)
 
 
 @dataclass(frozen=True)
@@ -108,19 +130,15 @@ def kl_gaussian(sigma1, k2):
 def is_locally_associated(sigma, graph, tol=0.0):
     """PD with nonnegative covariance on every edge of the graph."""
     sigma = np.asarray(sigma, dtype=float)
-    for i, j in graph.edges:
-        if sigma[i, j] < -tol:
-            return False
+    if np.any(sigma[np.triu(graph.adjacency)] < -tol):
+        return False
     return linalg.is_positive_definite(sigma)
 
 
 def is_markov(k, graph, tol=0.0):
     """Precision matrix vanishes off the graph's edges."""
     k = np.asarray(k, dtype=float)
-    for i, j in graph.complement().edges:
-        if abs(k[i, j]) > tol:
-            return False
-    return True
+    return not np.any(np.abs(k[np.triu(~graph.adjacency, 1)]) > tol)
 
 
 def ggm_mle(s, graph, config=None, sigma0=None):
@@ -146,23 +164,27 @@ def dual_mle_edge_positivity(khat, graph, config=None):
     return result.khat  # primal variable of the swapped problem = Sigma-check
 
 
+def _largest(values):
+    """Largest value, floored at +0.0: what a running max from 0.0 gives."""
+    return max(0.0, float(np.max(values, initial=0.0)))
+
+
 def _mde_conditions(s, graph, khat, sigma_hat, sigma_check, kcheck):
     """Residuals of the seven-condition optimality system certifying the
-    two-step estimate."""
-    res = {k: 0.0 for k in ("i", "ii", "iii", "iv", "v", "vi", "vii")}
-    d = graph.d
-    for i, j in graph.edges:
-        res["i"] = max(res["i"], -sigma_check[i, j])
-        res["ii"] = max(res["ii"], abs(sigma_hat[i, j] - s[i, j]))
-        res["v"] = max(res["v"], kcheck[i, j] - khat[i, j])
-        slack = abs(sigma_check[i, j]) * abs(khat[i, j] - kcheck[i, j])
-        res["vii"] = max(res["vii"], slack / (1.0 + abs(sigma_check[i, j]) + abs(khat[i, j])))
-    for i in range(d):
-        res["iii"] = max(res["iii"], abs(sigma_hat[i, i] - s[i, i]))
-        res["vi"] = max(res["vi"], abs(kcheck[i, i] - khat[i, i]))
-    for i, j in graph.complement().edges:
-        res["iv"] = max(res["iv"], abs(kcheck[i, j]), abs(khat[i, j]))
-    return res
+    two-step estimate: conditions on the edges (i < j), the diagonal and
+    the non-edges (i < j)."""
+    on = np.triu(graph.adjacency)
+    off = np.triu(~graph.adjacency, 1)
+    slack = np.abs(sigma_check[on]) * np.abs(khat[on] - kcheck[on])
+    return {
+        "i": _largest(-sigma_check[on]),
+        "ii": _largest(np.abs(sigma_hat[on] - s[on])),
+        "iii": _largest(np.abs(np.diag(sigma_hat) - np.diag(s))),
+        "iv": _largest(np.maximum(np.abs(kcheck[off]), np.abs(khat[off]))),
+        "v": _largest(kcheck[on] - khat[on]),
+        "vi": _largest(np.abs(np.diag(kcheck) - np.diag(khat))),
+        "vii": _largest(slack / (1.0 + np.abs(sigma_check[on]) + np.abs(khat[on]))),
+    }
 
 
 def mde(s, graph, config=None):
@@ -190,15 +212,3 @@ def mde(s, graph, config=None):
         conditions_report=report,
     )
 
-
-def mde_via_zero_pattern(s, graph, sigma_check, config=None):
-    """Recompute the step-2 estimate through its sparsity pattern: constrain
-    the covariance to vanish exactly where sigma_check does (within the
-    graph's edges) and leave every other entry of the precision matrix at
-    its step-1 value.  Used to certify the equivalence of the two
-    formulations."""
-    step1 = ggm_mle(s, graph, config=config)
-    zero_pairs = [(i, j) for i, j in graph.edges if sigma_check[i, j] <= 1e-8]
-    bounds = zero_equality_bounds(GraphSpec(graph.d, zero_pairs))
-    result = fit(step1.khat, bounds, config=config)
-    return result.khat

@@ -130,38 +130,15 @@ def mtp2_bounds(d):
 
 def ggm_bounds(graph):
     """Zero constraints K_ij = 0 off the graph, no penalty on edges."""
-    d = graph.d
-    lower = np.full((d, d), -np.inf)
-    upper = np.full((d, d), np.inf)
-    for i, j in graph.edges:
-        lower[i, j] = lower[j, i] = 0.0
-        upper[i, j] = upper[j, i] = 0.0
-    np.fill_diagonal(lower, 0.0)
-    np.fill_diagonal(upper, 0.0)
-    return PenaltyBounds(lower, upper)
+    off = ~graph.adjacency
+    np.fill_diagonal(off, False)
+    return PenaltyBounds(np.where(off, -np.inf, 0.0), np.where(off, np.inf, 0.0))
 
 
 def dual_positivity_bounds(graph):
     """Bounds for the role-swapped dual problem: on edges the variable is
     constrained nonnegative (L = -inf, U = 0); elsewhere unpenalized."""
-    d = graph.d
-    lower = np.zeros((d, d))
-    upper = np.zeros((d, d))
-    for i, j in graph.edges:
-        lower[i, j] = lower[j, i] = -np.inf
-    return PenaltyBounds(lower, upper)
-
-
-def zero_equality_bounds(graph):
-    """Force the role-swapped variable to vanish on the given pairs
-    (L = -inf, U = +inf on edges, unpenalized elsewhere)."""
-    d = graph.d
-    lower = np.zeros((d, d))
-    upper = np.zeros((d, d))
-    for i, j in graph.edges:
-        lower[i, j] = lower[j, i] = -np.inf
-        upper[i, j] = upper[j, i] = np.inf
-    return PenaltyBounds(lower, upper)
+    return PenaltyBounds(np.where(graph.adjacency, -np.inf, 0.0), np.zeros((graph.d, graph.d)))
 
 
 def preset_bounds(kind, d=None, *, rho=None, rho_neg=None, rho_pos=None, graph=None):

@@ -60,7 +60,6 @@ class FitResult:
     sign_pattern: np.ndarray
     clipped_bounds: PenaltyBounds
     isolated_rows: tuple = ()
-    forced_zero_pairs: tuple = ()
 
     @property
     def edge_count(self):
@@ -226,20 +225,15 @@ def _components(s, clipped):
     return label
 
 
-def _forced_zero_pairs(s, bounds):
-    """Pairs where both one-sided conditions hold, forcing K_ij = 0."""
-    diag = np.diag(s)
-    root = np.sqrt(np.outer(diag, diag))
-    return linalg.upper_pairs((bounds.lower <= -s - root) & (bounds.upper >= -s + root))
-
-
 def _certified(s, k, sigma, clipped, gap, gap_tol):
-    """The duality gap is within ``gap_tol`` and, checked only then, every
-    pair's KKT residual is within KKT_TOL.  The gap alone does not imply
-    the second: near the gap tolerance an entry of K that is 0 at the
+    """The duality gap is within ``gap_tol`` of 0 and, checked only then,
+    every pair's KKT residual is within KKT_TOL.  The gap alone does not
+    imply the second: near the gap tolerance an entry of K that is 0 at the
     optimum can still sit just past EDGE_THRESHOLD, which would report a
-    spurious edge."""
-    return gap <= gap_tol and float(np.max(_pair_residuals(s, k, sigma, clipped))) <= KKT_TOL
+    spurious edge.  A gap below -gap_tol is impossible in exact arithmetic;
+    it means K is too inaccurate to certify anything."""
+    return (-gap_tol <= gap <= gap_tol
+            and float(np.max(_pair_residuals(s, k, sigma, clipped))) <= KKT_TOL)
 
 
 def _check_feasible(sigma, s, clipped, slack=1e-9):
@@ -265,7 +259,6 @@ def fit(s, bounds, config=None, sigma0=None, screen=True):
     d = s.shape[0]
     clipped = clip_to_finite(bounds, s)
     label = _components(s, clipped) if screen else np.zeros(d, dtype=int)
-    forced = _forced_zero_pairs(s, bounds)
 
     if sigma0 is None:
         sigma = _default_start(s, bounds)
@@ -321,7 +314,6 @@ def fit(s, bounds, config=None, sigma0=None, screen=True):
         sign_pattern=sign.astype(int),
         clipped_bounds=clipped,
         isolated_rows=tuple(int(m[0]) for m in comps if m.size == 1),
-        forced_zero_pairs=tuple(forced),
     )
     if not certified:
         raise MaxSweepsExceededError(result)

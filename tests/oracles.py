@@ -7,7 +7,11 @@ import itertools
 
 import numpy as np
 
+from golazo import linalg
+from golazo.estimators import GraphSpec, ggm_mle
 from golazo.linalg import PIVOT_RTOL
+from golazo.penalty import PenaltyBounds
+from golazo.solver import fit
 
 
 def bruteforce_det(a):
@@ -322,3 +326,102 @@ def loop_kkt_residuals(s, k, sigma, lower, upper, edge_threshold):
             else:
                 res[i, j] = max(lower[i, j] - diff, 0.0) + max(diff - upper[i, j], 0.0)
     return res
+
+
+def loop_is_locally_associated(sigma, graph, tol=0.0):
+    """PD with sigma_ij >= -tol on every edge i < j, edge by edge."""
+    sigma = np.asarray(sigma, dtype=float)
+    for i, j in graph.edges:
+        if sigma[i, j] < -tol:
+            return False
+    return linalg.is_positive_definite(sigma)
+
+
+def loop_is_markov(k, graph, tol=0.0):
+    """|k_ij| <= tol on every non-edge i < j, pair by pair."""
+    k = np.asarray(k, dtype=float)
+    for i, j in loop_complement_pairs(graph.d, graph.edges):
+        if abs(k[i, j]) > tol:
+            return False
+    return True
+
+
+def loop_ggm_bounds(graph):
+    """L = -inf, U = +inf off the graph and 0 on its edges, edge by edge."""
+    d = graph.d
+    lower = np.full((d, d), -np.inf)
+    upper = np.full((d, d), np.inf)
+    for i, j in graph.edges:
+        lower[i, j] = lower[j, i] = 0.0
+        upper[i, j] = upper[j, i] = 0.0
+    np.fill_diagonal(lower, 0.0)
+    np.fill_diagonal(upper, 0.0)
+    return PenaltyBounds(lower, upper)
+
+
+def loop_dual_positivity_bounds(graph):
+    """L = -inf on the graph's edges, 0 elsewhere; U = 0, edge by edge."""
+    d = graph.d
+    lower = np.zeros((d, d))
+    upper = np.zeros((d, d))
+    for i, j in graph.edges:
+        lower[i, j] = lower[j, i] = -np.inf
+    return PenaltyBounds(lower, upper)
+
+
+def loop_mde_conditions(s, graph, khat, sigma_hat, sigma_check, kcheck):
+    """The seven two-step residuals as running maxima over edges i < j, the
+    diagonal and non-edges i < j."""
+    res = {k: 0.0 for k in ("i", "ii", "iii", "iv", "v", "vi", "vii")}
+    d = graph.d
+    for i, j in graph.edges:
+        res["i"] = max(res["i"], -sigma_check[i, j])
+        res["ii"] = max(res["ii"], abs(sigma_hat[i, j] - s[i, j]))
+        res["v"] = max(res["v"], kcheck[i, j] - khat[i, j])
+        slack = abs(sigma_check[i, j]) * abs(khat[i, j] - kcheck[i, j])
+        res["vii"] = max(res["vii"], slack / (1.0 + abs(sigma_check[i, j]) + abs(khat[i, j])))
+    for i in range(d):
+        res["iii"] = max(res["iii"], abs(sigma_hat[i, i] - s[i, i]))
+        res["vi"] = max(res["vi"], abs(kcheck[i, i] - khat[i, i]))
+    for i, j in loop_complement_pairs(d, graph.edges):
+        res["iv"] = max(res["iv"], abs(kcheck[i, j]), abs(khat[i, j]))
+    return res
+
+
+def loop_graphml_edges(khat, threshold=1e-6):
+    """1-based edges i < j with |k_ij| > threshold and their partial
+    correlations, scanned pair by pair."""
+    k = np.asarray(khat, dtype=float)
+    d = k.shape[0]
+    edges = {}
+    for i in range(d):
+        for j in range(i + 1, d):
+            if abs(k[i, j]) > threshold:
+                pcor = -k[i, j] / np.sqrt(k[i, i] * k[j, j])
+                edges[(i + 1, j + 1)] = float(pcor)
+    return edges
+
+
+def zero_equality_bounds(graph):
+    """Force the role-swapped variable to vanish on the given pairs
+    (L = -inf, U = +inf on edges, unpenalized elsewhere)."""
+    d = graph.d
+    lower = np.zeros((d, d))
+    upper = np.zeros((d, d))
+    for i, j in graph.edges:
+        lower[i, j] = lower[j, i] = -np.inf
+        upper[i, j] = upper[j, i] = np.inf
+    return PenaltyBounds(lower, upper)
+
+
+def mde_via_zero_pattern(s, graph, sigma_check, config=None):
+    """Recompute the step-2 estimate through its sparsity pattern: constrain
+    the covariance to vanish exactly where sigma_check does (within the
+    graph's edges) and leave every other entry of the precision matrix at
+    its step-1 value.  Used to certify the equivalence of the two
+    formulations."""
+    step1 = ggm_mle(s, graph, config=config)
+    zero_pairs = [(i, j) for i, j in graph.edges if sigma_check[i, j] <= 1e-8]
+    bounds = zero_equality_bounds(GraphSpec(graph.d, zero_pairs))
+    result = fit(step1.khat, bounds, config=config)
+    return result.khat

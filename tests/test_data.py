@@ -243,6 +243,12 @@ class TestGenerators:
         b = gz.sample_locally_associated(g, seed=3)
         assert np.array_equal(a, b)
 
+    def test_sample_locally_associated_ignores_edge_order(self):
+        band = [(i, i + k) for k in (1, 2) for i in range(8 - k)]
+        forward = gz.sample_locally_associated(gz.GraphSpec(8, band), seed=3)
+        backward = gz.sample_locally_associated(gz.GraphSpec(8, band[::-1]), seed=3)
+        assert forward.tobytes() == backward.tobytes()
+
 
 class TestFileFormats:
     def test_matrix_roundtrip(self, tmp_path):

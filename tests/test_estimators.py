@@ -1,15 +1,27 @@
+import io
+
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golazo as gz
-from golazo import linalg
-from golazo.estimators import mde_via_zero_pattern
+from golazo import data as dio
+from golazo import estimators, linalg
 from golazo.errors import MdeStep1FailedError
 
 from oracles import (
     ips_ggm,
     loop_complement_pairs,
+    loop_dual_positivity_bounds,
+    loop_ggm_bounds,
+    loop_graphml_edges,
+    loop_is_locally_associated,
+    loop_is_markov,
+    loop_mde_conditions,
     loop_support_pairs,
+    mde_via_zero_pattern,
     random_correlation,
     random_graph,
 )
@@ -18,7 +30,7 @@ from oracles import (
 class TestGraphSpec:
     def test_normalizes_edges(self):
         g = gz.GraphSpec(4, [(2, 0), (1, 3)])
-        assert g.has_edge(0, 2) and g.has_edge(3, 1)
+        assert g.adjacency[0, 2] and g.adjacency[3, 1]
         assert g.sorted_edges() == [(0, 2), (1, 3)]
 
     def test_rejects_bad_edges(self):
@@ -28,6 +40,21 @@ class TestGraphSpec:
             gz.GraphSpec(3, [(0, 3)])
         with pytest.raises(ValueError):
             gz.GraphSpec(0)
+        # The first bad edge in input order is named; negative indices do
+        # not wrap around.
+        with pytest.raises(ValueError, match=r"edge \(-1, 2\) out of range for d = 3"):
+            gz.GraphSpec(3, [(0, 1), (-1, 2), (1, 1)])
+        with pytest.raises(ValueError, match="self-loop at vertex 5"):
+            gz.GraphSpec(3, [(5, 5), (0, 3)])
+
+    def test_equality_and_hash(self):
+        a = gz.GraphSpec(4, [(0, 1), (2, 3)])
+        b = gz.GraphSpec(4, [(3, 2), (1, 0), (0, 1)])
+        assert a == b and hash(a) == hash(b)
+        assert a != gz.GraphSpec(5, [(0, 1), (2, 3)])
+        assert a != gz.GraphSpec(4, [(0, 1)])
+        with pytest.raises(ValueError):
+            a.adjacency[0, 1] = False
 
     def test_builders(self):
         assert len(gz.GraphSpec.complete(4).edges) == 6
@@ -61,6 +88,68 @@ class TestGraphSpec:
             g = gz.GraphSpec.from_support(k, threshold)
             assert g.edges == frozenset(pairs)
             assert g.complement().edges == frozenset(loop_complement_pairs(d, g.edges))
+
+
+def _rounded(rng, d, diagonal=None):
+    """Entries rounded to 0.1 (ties at the tolerances, exact zeros), not
+    symmetric, with an optional constant diagonal."""
+    a = np.round(rng.standard_normal((d, d)), 1)
+    if diagonal is not None:
+        np.fill_diagonal(a, diagonal)
+    return a
+
+
+def _bits(report):
+    return {key: float(value).hex() for key, value in report.items()}
+
+
+class TestGraphMasksMatchLoops:
+    """Every graph computation against its pair-by-pair loop, exactly, at d
+    up to the benchmark's order of size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["random", "empty", "complete"]),
+           tol=st.sampled_from([0.0, 0.1, 0.5]))
+    def test_masks_match_loops(self, d, seed, kind, tol):
+        rng = np.random.default_rng(seed)
+        support = _rounded(rng, d)
+        if kind == "random":
+            g = gz.GraphSpec.from_support(support, tol)
+            assert g.sorted_edges() == loop_support_pairs(support, tol)
+        else:
+            g = gz.GraphSpec.empty(d) if kind == "empty" else gz.GraphSpec.complete(d)
+        assert g.complement().sorted_edges() == loop_complement_pairs(d, g.edges)
+
+        # Nonnegative but for one entry at or just past -tol; PD or not.
+        sigma = np.abs(_rounded(rng, d, diagonal=float(rng.choice([1.0, 4.0 * d]))))
+        i, j = rng.integers(0, d, 2)
+        if i != j:
+            sigma[i, j] = -tol - float(rng.choice([0.0, 0.1]))
+        assert gz.is_locally_associated(sigma, g, tol) == loop_is_locally_associated(
+            sigma, g, tol)
+        for k in (support, sigma):
+            assert gz.is_markov(k, g, tol) == loop_is_markov(k, g, tol)
+
+        for got, want in [(gz.ggm_bounds(g), loop_ggm_bounds(g)),
+                          (gz.dual_positivity_bounds(g), loop_dual_positivity_bounds(g))]:
+            assert got.lower.tobytes() == want.lower.tobytes()
+            assert got.upper.tobytes() == want.upper.tobytes()
+
+        s, khat, sigma_hat, sigma_check, kcheck = (_rounded(rng, d) for _ in range(5))
+        if rng.random() < 0.5:  # condition (i) met, with exact zeros: +0.0, not -0.0
+            sigma_check = np.abs(sigma_check)
+        args = (s, g, khat, sigma_hat, sigma_check, kcheck)
+        assert _bits(estimators._mde_conditions(*args)) == _bits(loop_mde_conditions(*args))
+
+        khat = _rounded(rng, d, diagonal=float(rng.choice([1.0, 2.5])))
+        khat = np.triu(khat) + np.triu(khat, 1).T
+        buffer = io.BytesIO()
+        dio.write_graphml(buffer, khat, threshold=tol)
+        buffer.seek(0)
+        written = {tuple(sorted((int(u), int(v)))): attrs["partialCorrelation"]
+                   for u, v, attrs in nx.read_graphml(buffer).edges(data=True)}
+        assert written == loop_graphml_edges(khat, threshold=tol)
 
 
 class TestLikelihoodHelpers:

@@ -203,6 +203,17 @@ class TestStartingPoints:
         assert 0.0 <= res.dual_gap <= 1e-8
         assert linalg.is_m_matrix(res.khat)
 
+    def test_negative_gap_is_not_certified(self):
+        # A gap below -dual_gap_tol is impossible in exact arithmetic; this
+        # input reaches -7.6e-6 after one sweep and must not stop there.
+        config = gz.SolverConfig(max_sweeps=200)
+        s = near_collinear_correlation(1e-11, seed=0)
+        try:
+            res = gz.fit(s, gz.mtp2_bounds(4), config=config)
+        except MaxSweepsExceededError:
+            return
+        assert res.dual_gap >= -config.dual_gap_tol
+
     def test_degenerate_correlation_is_no_feasible_start(self):
         # Perfectly correlated pair with L = 0 bounds: existence fails.
         s = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -234,7 +245,7 @@ class TestScreeningAndLimits:
         rng = np.random.default_rng(13)
         s = random_correlation(rng, 5)
         res = gz.fit(s, gz.glasso_bounds(0.9, 5))
-        for i, j in res.forced_zero_pairs:
+        for i, j in loop_forced_zero_pairs(s, gz.glasso_bounds(0.9, 5)):
             assert abs(res.khat[i, j]) <= 1e-6
 
     def test_max_sweeps_carries_best_iterate(self):
@@ -314,15 +325,16 @@ class TestScansMatchLoops:
     def test_isolated_rows_and_forced_pairs(self):
         fitted = 0
         for s, bounds in self.cases():
-            pairs = solver._forced_zero_pairs(s, bounds)
-            assert pairs == loop_forced_zero_pairs(s, bounds)
             try:
-                rows = list(gz.fit(s, bounds).isolated_rows)
+                res = gz.fit(s, bounds)
             except NoFeasibleStartError:
                 continue
             fitted += 1
+            rows = list(res.isolated_rows)
             assert rows == loop_isolated_rows(s, gz.clip_to_finite(bounds, s))
-            assert all(type(v) is int for v in rows + [u for p in pairs for u in p])
+            assert all(type(v) is int for v in rows)
+            for i, j in loop_forced_zero_pairs(s, bounds):
+                assert abs(res.khat[i, j]) <= 1e-6
         assert fitted >= 250
 
     def test_interior_blend(self):
