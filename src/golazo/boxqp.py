@@ -10,20 +10,16 @@ free, the optimum is y_F = A_FC z with z = A_CC^{-1} y_C, and the gradient
 2 A^{-1} y is 0 on F and 2 z on C.  Each face solve is therefore |C| x |C|
 and reads only the |C| columns of A.
 
-The solve starts with block principal pivoting (Judice & Pires 1994; Kim &
-Park 2011): each round solves one face, then fixes every free coordinate
-whose face value leaves the box at the bound it crossed and releases every
-bound coordinate whose multiplier has the wrong sign.  When the count of
-such infeasible coordinates has not fallen for ``_BACKUP_ROUNDS`` rounds,
-only the largest infeasible index is exchanged (Murty's rule) until it
-falls again.  A face with no infeasible coordinate is the optimum.  From a
-cold start this takes a few face solves where a one-bound-per-step method
-takes about as many as there are active bounds.
-
-If ``_PIVOT_ROUNDS`` rounds pass without an optimum, the clipped face value
-of the last round seeds a primal active-set method, which finishes the
-solve: at each step it solves the current face exactly, then either adds a
-blocking bound or releases the bound with the most negative multiplier.
+The solve is block principal pivoting (Judice & Pires 1994; Kim & Park
+2011): each round solves one face, then fixes every free coordinate whose
+face value leaves the box at the bound it crossed and releases every bound
+coordinate whose multiplier has the wrong sign.  When the count of such
+infeasible coordinates has not fallen for ``_BACKUP_ROUNDS`` rounds, only
+the largest infeasible index is exchanged (Murty's rule) until it falls
+again; with that backup rule the method terminates finitely.  A face with
+no infeasible coordinate is the optimum.  From a cold start this takes a few
+face solves where a one-bound-per-step active-set method takes about as many
+as there are active bounds.
 """
 from dataclasses import dataclass
 
@@ -36,10 +32,8 @@ AT_LOWER = -1
 FREE = 0
 AT_UPPER = 1
 
-# Block-pivoting rounds before the active-set method takes over, and the
-# rounds without a fall in the infeasible count that are still full
+# Rounds without a fall in the infeasible count that are still full
 # exchanges before Murty's single exchange.
-_PIVOT_ROUNDS = 10
 _BACKUP_ROUNDS = 3
 
 
@@ -59,22 +53,28 @@ class BoxQP:
         a = np.asarray(self.a, dtype=float)
         lower = np.asarray(self.lower, dtype=float).ravel()
         upper = np.asarray(self.upper, dtype=float).ravel()
+        n = lower.size
         if self.index is None:
-            fits = a.shape == (lower.size, upper.size)
+            fits = a.shape == (n, n)
+            index = np.arange(n)
         else:
             index = np.asarray(self.index, dtype=np.intp).ravel()
-            fits = (a.ndim == 2 and a.shape[0] == a.shape[1]
-                    and index.size == lower.size == upper.size
-                    and (index.size == 0
-                         or (index.min() >= 0 and index.max() < a.shape[0])))
-            object.__setattr__(self, "index", index)
-        if not fits:
+            fits = (a.ndim == 2 and a.shape[0] == a.shape[1] and index.size == n
+                    and (n == 0 or (index.min() >= 0 and index.max() < a.shape[0])))
+        if not fits or upper.size != n:
             raise ValueError("dimension mismatch between A and the box")
+        seen = np.zeros(a.shape[0], dtype=bool)
+        seen[index] = True
+        if np.count_nonzero(seen) < n:
+            raise ValueError("repeated entry in index: A would be singular")
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise ValueError("NaN box end")
         if (lower > upper).any():
             raise ValueError("empty box: some l_i > u_i")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "index", index)
 
 
 def _feasible_seed(problem, y0):
@@ -94,19 +94,18 @@ def _solve_face(problem, state, fixed):
     """Minimizer y of y'A^{-1}y with the coordinates ``fixed`` pinned at the
     bounds their ``state`` names, and z with gradient 2 A^{-1} y = 2 z on
     them (0 elsewhere)."""
-    n = state.size
     if not fixed.size:
-        return np.zeros(n), np.zeros(0)
+        return np.zeros(state.size), np.zeros(0)
     a, index = problem.a, problem.index
     y_c = np.where(state[fixed] == AT_LOWER, problem.lower[fixed], problem.upper[fixed])
-    a_fc = a[:, fixed] if index is None else a[:, index[fixed]][index]
+    a_fc = a[:, index[fixed]][index]
     acc = a_fc[fixed]
     try:
         z = linalg.solve_pd(acc, y_c)
     except NotPositiveDefiniteError:
         # Ridge fail-over for (near-)singular principal blocks, at 1e-10
         # times the mean diagonal entry of A.
-        diag = a.diagonal() if index is None else a.diagonal()[index]
+        diag = a.diagonal()[index]
         ridge = 1e-10 * float(diag.sum()) / diag.size
         z = linalg.solve_pd(acc + ridge * np.eye(fixed.size), y_c)
     y = a_fc @ z
@@ -114,29 +113,36 @@ def _solve_face(problem, state, fixed):
     return y, z
 
 
-def _state_of(y, lower, upper, pinned):
-    return np.where(pinned | (y <= lower), AT_LOWER, np.where(y >= upper, AT_UPPER, FREE))
+def solve_boxqp(problem, tol=1e-10, y0=None, max_iter=None):
+    """Solve the box QP to the stated KKT tolerance.
 
-
-def _pivot(problem, state, pinned, tol, rounds):
-    """At most ``rounds`` rounds of block principal pivoting from ``state``,
-    which is updated in place.  Returns the clipped face value of the last
-    round and whether it meets the KKT conditions."""
+    Returns the optimal vector.  The KKT conditions at the solution are, with
+    g = 2 A^{-1} y:  g_i >= -tol at an active lower bound, g_i <= tol at an
+    active upper bound, |g_i| <= tol on free coordinates.  Each pivoting
+    round is one face solve; ``max_iter`` caps their number.
+    """
     lower, upper = problem.lower, problem.upper
-    best, stalled = state.size + 1, 0
-    for _ in range(rounds):
-        fixed = (state != FREE).nonzero()[0]
-        target, z = _solve_face(problem, state, fixed)
+    n = lower.size
+    if max_iter is None:
+        max_iter = 50 * (n + 5)
+
+    y = _feasible_seed(problem, y0)
+    pinned = lower == upper
+    state = np.where(pinned | (y <= lower), AT_LOWER, np.where(y >= upper, AT_UPPER, FREE))
+    best, stalled = n + 1, 0
+    for _ in range(max_iter):
         free = state == FREE
-        below = free & (target < lower)
-        above = free & (target > upper)
-        release = np.zeros(state.size, dtype=bool)
+        fixed = (~free).nonzero()[0]
+        y, z = _solve_face(problem, state, fixed)
+        below = free & (y < lower)
+        above = free & (y > upper)
+        release = np.zeros(n, dtype=bool)
         wrong_sign = np.where(state[fixed] == AT_LOWER, -2.0 * z, 2.0 * z) > tol
         release[fixed] = wrong_sign & ~pinned[fixed]
         infeasible = below | above | release
         count = np.count_nonzero(infeasible)
         if not count:
-            return target.clip(lower, upper), True
+            return y  # in the box: the free coordinates are, the fixed sit at their ends
         if count < best:
             best, stalled = count, 0
         else:
@@ -146,66 +152,5 @@ def _pivot(problem, state, pinned, tol, rounds):
         state[below & infeasible] = AT_LOWER
         state[above & infeasible] = AT_UPPER
         state[release & infeasible] = FREE
-    return target.clip(lower, upper), False
 
-
-def solve_boxqp(problem, tol=1e-10, y0=None, max_iter=None):
-    """Solve the box QP to the stated KKT tolerance.
-
-    Returns the optimal vector.  The KKT conditions at the solution are, with
-    g = 2 A^{-1} y:  g_i >= -tol at an active lower bound, g_i <= tol at an
-    active upper bound, |g_i| <= tol on free coordinates.  Pivoting rounds
-    and active-set steps share the ``max_iter`` budget of face solves.
-    """
-    lower, upper = problem.lower, problem.upper
-    n = lower.size
-    if n == 0:
-        return np.zeros(0)
-    if max_iter is None:
-        max_iter = 50 * (n + 5)
-
-    y = _feasible_seed(problem, y0)
-    pinned = lower == upper
-    state = _state_of(y, lower, upper, pinned)
-    rounds = min(_PIVOT_ROUNDS, max_iter)
-    if rounds:
-        y, optimal = _pivot(problem, state, pinned, tol, rounds)
-        if optimal:
-            return y
-        state = _state_of(y, lower, upper, pinned)
-    finite_lower = np.isfinite(lower)
-    finite_upper = np.isfinite(upper)
-
-    for _ in range(max_iter - rounds):
-        free = state == FREE
-        fixed = (~free).nonzero()[0]
-        target, z = _solve_face(problem, state, fixed)
-        step = target - y
-        # Largest feasible fraction of the step before a bound blocks it,
-        # over the free coordinates that move toward a finite bound; the
-        # lowest index wins ties.
-        up = free & (step > 0) & finite_upper
-        moving = (up | (free & (step < 0) & finite_lower)).nonzero()[0]
-        if moving.size:
-            ratio = (np.where(up[moving], upper[moving], lower[moving])
-                     - y[moving]) / step[moving]
-            k = ratio.argmin()
-            if ratio[k] < 1.0 - 1e-15:
-                blocker = moving[k]
-                y = (y + max(ratio[k], 0.0) * step).clip(lower, upper)
-                state[blocker] = AT_UPPER if up[blocker] else AT_LOWER
-                continue
-        y = target.clip(lower, upper)
-
-        # On the face optimum: release the active bound with the worst
-        # multiplier; equality-pinned coordinates are never released.
-        if not fixed.size:
-            return y
-        viol = np.where(state[fixed] == AT_LOWER, -2.0 * z, 2.0 * z)
-        viol[pinned[fixed]] = -np.inf
-        k = viol.argmax()
-        if not viol[k] > tol:
-            return y
-        state[fixed[k]] = FREE
-
-    raise MaxIterationsExceededError(y)
+    raise MaxIterationsExceededError(y.clip(lower, upper))

@@ -154,7 +154,8 @@ def _parse_grid(text):
     try:
         if text.startswith("log:"):
             _, lo, hi, k = text.split(":")
-            return list(np.geomspace(float(lo), float(hi), int(k)))
+            with np.errstate(invalid="ignore"):  # an infinite end: EbicConfig says so
+                return list(np.geomspace(float(lo), float(hi), int(k)))
         return [float(t) for t in text.split(",")]
     except ValueError:
         raise _usage(f"--grid {text!r} is neither a comma list of scale factors "

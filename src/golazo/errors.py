@@ -69,13 +69,12 @@ class MaxSweepsExceededError(GolazoError):
 
 
 class MaxIterationsExceededError(GolazoError):
-    """Inner QP spent its face-solve budget, block-pivoting rounds and
-    active-set steps together, without meeting KKT; usually signals severe
-    ill-conditioning.  ``iterate`` is the last feasible point."""
+    """Inner QP spent its budget of block-pivoting rounds, one face solve
+    each, without meeting KKT; usually signals severe ill-conditioning.
+    ``iterate`` is the last feasible point."""
 
     def __init__(self, iterate):
-        super().__init__("box-QP active-set iteration limit reached "
-                         "(block-pivoting rounds included)")
+        super().__init__("box-QP active-set iteration limit reached")
         self.iterate = iterate
 
 

@@ -48,7 +48,9 @@ class PenaltyBounds:
         return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
 
     def scaled(self, rho):
-        """Bounds (rho * L, rho * U); valid for any rho > 0."""
+        """Bounds (rho * L, rho * U); valid for any finite rho > 0."""
+        if not np.isfinite(rho):
+            raise InvalidBoundsError(f"scale factor must be finite, got {rho}")
         if rho <= 0:
             raise NegativePenaltyError("scale factor must be positive")
         return PenaltyBounds(rho * self.lower, rho * self.upper)  # rho * +-inf stays +-inf

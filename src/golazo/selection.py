@@ -23,6 +23,8 @@ class EbicConfig:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         grid = tuple(float(g) for g in self.grid)
+        if not np.isfinite(grid).all():
+            raise ValueError(f"grid entries must be finite, got {grid}")
         if not grid or any(g <= 0 for g in grid):
             raise ValueError("grid must be nonempty with positive entries")
         if any(b <= a for a, b in zip(grid, grid[1:])):

@@ -1,13 +1,14 @@
 """Independent reference implementations used only to cross-check the
 package.  Each oracle deliberately uses a different algorithm than the code
-under test (brute force, projected gradient, proximal gradient, iterative
-proportional scaling, path enumeration).
+under test (brute force, projected gradient, a primal active-set method,
+proximal gradient, iterative proportional scaling, path enumeration).
 """
 import itertools
 
 import numpy as np
 
 from golazo import linalg
+from golazo.errors import MaxIterationsExceededError, NotPositiveDefiniteError
 from golazo.estimators import GraphSpec, ggm_mle
 from golazo.linalg import PIVOT_RTOL
 from golazo.penalty import PenaltyBounds
@@ -36,6 +37,70 @@ def projected_gradient_boxqp(w, lower, upper, iters=100_000):
     for _ in range(iters):
         y = np.clip(y - step * 2.0 * (w @ y), lower, upper)
     return y
+
+
+def active_set_boxqp(a, lower, upper, tol=1e-10, y0=None, max_iter=None):
+    """min y'A^{-1}y on the box by a primal active-set method on the explicit
+    matrix A: at each step it solves the current face exactly, then either
+    adds the first blocking bound or releases the bound with the most
+    negative multiplier.  Returns y and the number of face solves."""
+    a = np.asarray(a, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    n = lower.size
+    if max_iter is None:
+        max_iter = 50 * (n + 5)
+    y = np.zeros(n) if y0 is None else np.asarray(y0, dtype=float).ravel()
+    y = y.clip(lower, upper)
+    y = np.where(np.isfinite(y), y, np.where(np.isfinite(lower), lower, 0.0)).clip(lower, upper)
+    pinned = lower == upper
+    state = np.where(pinned | (y <= lower), -1, np.where(y >= upper, 1, 0))
+    finite_lower = np.isfinite(lower)
+    finite_upper = np.isfinite(upper)
+
+    for faces in range(1, max_iter + 1):
+        free = state == 0
+        fixed = (~free).nonzero()[0]
+        y_c = np.where(state[fixed] == -1, lower[fixed], upper[fixed])
+        target, z = np.zeros(n), np.zeros(0)
+        if fixed.size:
+            acc = a[np.ix_(fixed, fixed)]
+            try:
+                z = linalg.solve_pd(acc, y_c)
+            except NotPositiveDefiniteError:
+                ridge = 1e-10 * float(a.diagonal().sum()) / n
+                z = linalg.solve_pd(acc + ridge * np.eye(fixed.size), y_c)
+            target = a[:, fixed] @ z
+            target[fixed] = y_c
+        step = target - y
+        # Largest feasible fraction of the step before a bound blocks it,
+        # over the free coordinates that move toward a finite bound; the
+        # lowest index wins ties.
+        up = free & (step > 0) & finite_upper
+        moving = (up | (free & (step < 0) & finite_lower)).nonzero()[0]
+        if moving.size:
+            ratio = (np.where(up[moving], upper[moving], lower[moving])
+                     - y[moving]) / step[moving]
+            k = ratio.argmin()
+            if ratio[k] < 1.0 - 1e-15:
+                blocker = moving[k]
+                y = (y + max(ratio[k], 0.0) * step).clip(lower, upper)
+                state[blocker] = 1 if up[blocker] else -1
+                continue
+        y = target.clip(lower, upper)
+
+        # On the face optimum: release the active bound with the worst
+        # multiplier; equality-pinned coordinates are never released.
+        if not fixed.size:
+            return y, faces
+        viol = np.where(state[fixed] == -1, -2.0 * z, 2.0 * z)
+        viol[pinned[fixed]] = -np.inf
+        k = viol.argmax()
+        if not viol[k] > tol:
+            return y, faces
+        state[fixed[k]] = 0
+
+    raise MaxIterationsExceededError(y)
 
 
 def _soft_threshold_offdiag(a, t):
@@ -190,6 +255,17 @@ def near_collinear_correlation(gap, seed=5, n=50):
     np.fill_diagonal(r, 1.0)
     r[0, 1] = r[1, 0] = 1.0 - gap
     return r
+
+
+def forced_pair_bounds(rng, s, rho, frac=0.3):
+    """Glasso bounds at rho, widened on a random subset of pairs to
+    +-1.5 (|S_ij| + sqrt(S_ii S_jj)), which forces K_ij = 0 there."""
+    d = s.shape[0]
+    root = np.sqrt(np.outer(np.diag(s), np.diag(s)))
+    pick = np.triu(rng.random((d, d)) < frac, 1)
+    wide = np.where(pick | pick.T, 1.5 * (np.abs(s) + root), rho)
+    np.fill_diagonal(wide, 0.0)
+    return PenaltyBounds(-wide, wide)
 
 
 def random_graph(rng, d, p=0.5):

@@ -14,6 +14,7 @@ from golazo import data as dio
 
 from oracles import (
     bruteforce_single_linkage,
+    forced_pair_bounds,
     ips_ggm,
     loop_forced_zero_pairs,
     mde_via_zero_pattern,
@@ -222,21 +223,27 @@ def test_criterion_10_refit_self_consistency():
 
 def test_criterion_11_screening_agreement():
     """Screened and unscreened solves agree exactly on the edge pattern at
-    the 1e-6 threshold, and forced-zero pairs are zero, on 100 instances."""
+    the 1e-6 threshold, and forced-zero pairs are zero, on 100 glasso
+    instances and on each of them with a random subset of pairs forced."""
     rng = np.random.default_rng(111)
+    forcing = np.random.default_rng(112)
     ok = True
+    forced = 0
     for _ in range(100):
         d = int(rng.integers(3, 8))
         s = random_correlation(rng, d)
-        bounds = gz.glasso_bounds(float(rng.uniform(0.05, 0.8)), d)
-        a = gz.fit(s, bounds, screen=True)
-        b = gz.fit(s, bounds, screen=False)
-        ok &= bool(np.array_equal(a.sign_pattern != 0, b.sign_pattern != 0))
-        for i, j in loop_forced_zero_pairs(s, bounds):
-            ok &= abs(a.khat[i, j]) <= 1e-6 and abs(b.khat[i, j]) <= 1e-6
-        for j in a.isolated_rows:
-            ok &= bool(np.all(a.sign_pattern[j] == 0))
-    _report(11, "screening agreement", ok)
+        rho = float(rng.uniform(0.05, 0.8))
+        for bounds in (gz.glasso_bounds(rho, d), forced_pair_bounds(forcing, s, rho)):
+            a = gz.fit(s, bounds, screen=True)
+            b = gz.fit(s, bounds, screen=False)
+            ok &= bool(np.array_equal(a.sign_pattern != 0, b.sign_pattern != 0))
+            for i, j in loop_forced_zero_pairs(s, bounds):
+                ok &= abs(a.khat[i, j]) <= 1e-6 and abs(b.khat[i, j]) <= 1e-6
+                forced += 1
+            for j in a.isolated_rows:
+                ok &= bool(np.all(a.sign_pattern[j] == 0))
+    ok &= forced > 0
+    _report(11, "screening agreement", ok, f"{forced} forced pairs")
 
 
 def test_criterion_12_consistency_monte_carlo():

@@ -7,7 +7,7 @@ from golazo import boxqp, linalg
 from golazo.boxqp import AT_LOWER, FREE, BoxQP, solve_boxqp
 from golazo.errors import MaxIterationsExceededError, NotPositiveDefiniteError
 
-from oracles import projected_gradient_boxqp, random_pd
+from oracles import active_set_boxqp, projected_gradient_boxqp, random_pd
 
 
 def qp(w, lower, upper):
@@ -142,6 +142,21 @@ def test_empty_box_rejected():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         BoxQP(np.eye(3), [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        BoxQP(np.ones((2, 3)), [0.0, 0.0], [1.0, 1.0, 1.0])
+
+
+def test_nan_box_end_rejected():
+    for lower, upper in (([np.nan, -1.0, -1.0], [1.0, 1.0, 1.0]),
+                         ([-1.0, -1.0, -1.0], [1.0, np.nan, 1.0])):
+        with pytest.raises(ValueError, match="NaN"):
+            BoxQP(np.eye(3), lower, upper)
+
+
+def test_repeated_index_rejected():
+    # A repeated row of a makes A = a[index][:, index] singular.
+    with pytest.raises(ValueError, match="repeated"):
+        BoxQP(np.eye(3) + 0.1, [0.5, 0.5], [1.0, 1.0], index=[1, 1])
 
 
 def test_dimension_mismatch_rejected_with_index():
@@ -229,9 +244,10 @@ def test_ridge_fallback_on_singular_active_block(monkeypatch):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
-def test_every_pivot_round_cap_hands_over_exactly(seed):
-    # Pivoting stopped after 0, 1 or 2 rounds hands its point to the
-    # active-set method; the answer must not depend on where it stopped.
+def test_matches_active_set_oracle(seed):
+    # Block pivoting and the primal active-set method reach the same
+    # optimum on index-form problems with infinite ends, pinned coordinates,
+    # cold and warm starts.
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 30))
     n = int(rng.integers(1, m + 1))
@@ -245,20 +261,14 @@ def test_every_pivot_round_cap_hands_over_exactly(seed):
     lower[pin] = upper[pin] = np.where(np.isfinite(lower[pin]), lower[pin], 0.3)
     y0 = [None, np.where(np.isfinite(lower), lower, 0.0),
           np.where(np.isfinite(upper), upper, 0.0)][int(rng.integers(3))]
-    problem = BoxQP(big, lower, upper, index=idx)
-    results = []
-    for cap in (0, 1, 2, boxqp._PIVOT_ROUNDS):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(boxqp, "_PIVOT_ROUNDS", cap)
-            results.append(solve_boxqp(problem, y0=y0))
-    w = np.linalg.inv(big[np.ix_(idx, idx)])
-    for y in results:
-        assert np.max(np.abs(y - results[0])) <= 1e-12
-        assert np.array_equal(y[pin], lower[pin])
-        for end in (lower, upper):
-            near = np.abs(y - end) < 1e-9
-            assert np.array_equal(y[near], end[near])
-        assert kkt_holds(w, y, lower, upper)
+    y = solve_boxqp(BoxQP(big, lower, upper, index=idx), y0=y0)
+    ref, _ = active_set_boxqp(big[np.ix_(idx, idx)], lower, upper, y0=y0)
+    assert np.max(np.abs(y - ref)) <= 1e-12
+    assert np.array_equal(y[pin], lower[pin])
+    for end in (lower, upper):
+        near = np.abs(y - end) < 1e-9
+        assert np.array_equal(y[near], end[near])
+    assert kkt_holds(np.linalg.inv(big[np.ix_(idx, idx)]), y, lower, upper)
 
 
 def test_murty_single_exchange_when_the_count_stalls(monkeypatch):
@@ -281,7 +291,7 @@ def test_murty_single_exchange_when_the_count_stalls(monkeypatch):
 
     monkeypatch.setattr(boxqp, "_solve_face", recording)
     y = solve_boxqp(problem, y0=s[0, 1:])
-    assert len(faces) <= boxqp._PIVOT_ROUNDS  # solved by pivoting alone
+    assert len(faces) <= 10
     single = 0
     for (state, target, fixed, z), (after, *_) in zip(faces, faces[1:]):
         infeasible = (state == FREE) & ((target < lower) | (target > upper))
@@ -292,8 +302,8 @@ def test_murty_single_exchange_when_the_count_stalls(monkeypatch):
             single += 1
     assert single >= 1
     assert kkt_holds(np.linalg.inv(s[1:, 1:]), y, lower, upper)
-    monkeypatch.setattr(boxqp, "_PIVOT_ROUNDS", 0)
-    assert np.max(np.abs(solve_boxqp(problem, y0=s[0, 1:]) - y)) <= 1e-12
+    ref, _ = active_set_boxqp(s[1:, 1:], lower, upper, y0=s[0, 1:])
+    assert np.max(np.abs(ref - y)) <= 1e-12
 
 
 def test_pivot_rounds_count_against_max_iter():

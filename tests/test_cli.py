@@ -228,6 +228,17 @@ class TestPath:
         assert "log:lo:hi:k" in err
 
 
+    @pytest.mark.parametrize("grid", ["0.1,nan,1", "log:0.1:inf:3"])
+    def test_non_finite_grid_is_usage(self, data_csv, tmp_path, capsys, grid):
+        path, _ = data_csv
+        code = run(["path", "--input", path, "--input-kind", "data",
+                    "--out", tmp_path / "o", "--preset", "glasso", "--rho", "1.0",
+                    "--grid", grid])
+        assert code == cli.EXIT_USAGE
+        assert "grid entries must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestMdeAndSkeptic:
     def test_mde_outputs(self, cov_csv, tmp_path):
         path, s = cov_csv

@@ -56,6 +56,9 @@ class TestPenaltyBounds:
         assert b.lower[0, 1] == pytest.approx(-0.1)
         with pytest.raises(NegativePenaltyError):
             b.scaled(0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidBoundsError, match="finite"):
+                b.scaled(bad)
 
     def test_scaled_keeps_infinities(self):
         b = penalty.mtp2_bounds(3).scaled(0.25)

@@ -65,6 +65,9 @@ class TestEbicConfig:
             gz.EbicConfig(n=10, grid=[])
         with pytest.raises(ValueError):
             gz.EbicConfig(n=10, grid=[-0.1, 0.5])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                gz.EbicConfig(n=10, grid=[0.1, bad, 1.0])
 
     def test_default_grid_log_spaced(self):
         g = default_grid()

@@ -14,7 +14,9 @@ from golazo.errors import (
 )
 
 from oracles import (
+    active_set_boxqp,
     chain_er_correlation,
+    forced_pair_bounds,
     glasso_kkt_residual,
     loop_components,
     loop_forced_zero_pairs,
@@ -243,9 +245,12 @@ class TestScreeningAndLimits:
 
     def test_forced_zero_pairs_are_zero(self):
         rng = np.random.default_rng(13)
-        s = random_correlation(rng, 5)
-        res = gz.fit(s, gz.glasso_bounds(0.9, 5))
-        for i, j in loop_forced_zero_pairs(s, gz.glasso_bounds(0.9, 5)):
+        s = random_correlation(rng, 8)
+        bounds = forced_pair_bounds(rng, s, 0.1)
+        res = gz.fit(s, bounds)
+        pairs = loop_forced_zero_pairs(s, bounds)
+        assert len(pairs) > 0
+        for i, j in pairs:
             assert abs(res.khat[i, j]) <= 1e-6
 
     def test_max_sweeps_carries_best_iterate(self):
@@ -419,7 +424,7 @@ class TestAtScale:
 
     def test_block_pivoting_at_benchmark_size(self, monkeypatch):
         # A d = 150 glasso fit from Sigma = S: block pivoting must reach the
-        # optimum of the active-set method alone (cap 0) in fewer face solves.
+        # optimum of the primal active-set oracle in fewer face solves.
         s = chain_er_correlation(np.random.default_rng(150), 150, 300)
         bounds = gz.glasso_bounds(0.1, 150)
         original = boxqp._solve_face
@@ -430,16 +435,23 @@ class TestAtScale:
             return original(*args)
 
         monkeypatch.setattr(boxqp, "_solve_face", counting)
-        fits = []
-        for cap in (boxqp._PIVOT_ROUNDS, 0):
-            monkeypatch.setattr(boxqp, "_PIVOT_ROUNDS", cap)
-            calls.clear()
-            fits.append((gz.fit(s, bounds), len(calls)))
-        (pivoted, pivoted_calls), (active_set, active_set_calls) = fits
-        assert pivoted.sweeps == active_set.sweeps
-        assert pivoted.edges() == active_set.edges()
-        assert np.max(np.abs(pivoted.khat - active_set.khat)) <= 1e-9
-        assert pivoted_calls <= 0.7 * active_set_calls
+        pivoted = gz.fit(s, bounds)
+        pivoted_calls = len(calls)
+        oracle_calls = []
+
+        def active_set(problem, tol, y0):
+            idx = problem.index
+            y, faces = active_set_boxqp(problem.a[np.ix_(idx, idx)], problem.lower,
+                                        problem.upper, tol=tol, y0=y0)
+            oracle_calls.append(faces)
+            return y
+
+        monkeypatch.setattr(solver, "solve_boxqp", active_set)
+        reference = gz.fit(s, bounds)
+        assert pivoted.sweeps == reference.sweeps
+        assert pivoted.edges() == reference.edges()
+        assert np.max(np.abs(pivoted.khat - reference.khat)) <= 1e-9
+        assert pivoted_calls <= 0.7 * sum(oracle_calls)
 
     @pytest.mark.parametrize("kind", ["asymmetric", "mtp2"])
     def test_certificates(self, kind):
