@@ -3,7 +3,7 @@
 graph-constrained MLE, the two-step estimator for locally associated
 graphical models, and EBIC penalty selection.
 """
-from .linalg import cholesky_logdet, invert_pd, is_m_matrix, logdet_pd
+from .linalg import cholesky_logdet, invert_pd, is_m_matrix
 from .penalty import (
     PenaltyBounds,
     asymmetric_bounds,
@@ -25,9 +25,6 @@ from .solver import (
     fit,
     kkt_residuals,
     single_linkage_matrix,
-    single_linkage_matrix_cov,
-    starting_point_interior,
-    starting_point_single_linkage,
 )
 from .estimators import (
     GraphSpec,

@@ -16,6 +16,7 @@ from . import data as dio
 from .errors import (
     AllFitsFailedError,
     GolazoError,
+    InvalidBoundsError,
     MaxIterationsExceededError,
     MaxSweepsExceededError,
     MdeStep1FailedError,
@@ -293,7 +294,7 @@ def main(argv=None):
     except AllFitsFailedError as exc:
         print(f"AllFitsFailed: {exc}", file=sys.stderr)
         return EXIT_ALL_FITS_FAILED
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, InvalidBoundsError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GolazoError as exc:

@@ -36,25 +36,19 @@ class NotUnitDiagonalError(GolazoError):
 
 
 class NoFeasibleStartError(GolazoError):
-    """No dually feasible starting point could be constructed."""
-
-
-class BoundsNotStrictError(NoFeasibleStartError):
-    """Diagonal-blend starting point requires L < 0 < U off-diagonal."""
+    """No dually feasible, positive definite start: a supplied ``sigma0``
+    is not one, or S is not positive definite and neither of its blends,
+    toward diag(S) or toward its single-linkage matrix, gives one."""
 
 
 class DegenerateCorrelationError(NoFeasibleStartError):
-    """Some S_ij is so close to sqrt(S_ii S_jj) that its 2 x 2 block fails
-    the Cholesky pivot test: no strictly feasible single-linkage start
-    exists."""
+    """The blend toward diag(S) failed, and the 2 x 2 block of S at ``pair``
+    (the first in row-major order) fails the Cholesky pivot test, so no
+    blend toward the single-linkage matrix is positive definite."""
 
     def __init__(self, i, j):
         super().__init__(f"degenerate correlation at pair ({i}, {j})")
         self.pair = (i, j)
-
-
-class InfeasibleBoundsError(NoFeasibleStartError):
-    pass
 
 
 class MaxSweepsExceededError(GolazoError):

@@ -62,10 +62,6 @@ def cholesky_logdet(a):
     return factor, logdet
 
 
-def logdet_pd(a):
-    return cholesky_logdet(a)[1]
-
-
 def is_positive_definite(a):
     try:
         cholesky_logdet(a)

@@ -30,6 +30,8 @@ class PenaltyBounds:
         upper = np.asarray(self.upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 2 or lower.shape[0] != lower.shape[1]:
             raise InvalidBoundsError("L and U must be square matrices of equal shape")
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise InvalidBoundsError("L and U must not contain NaN")
         if not (np.array_equal(lower, lower.T) and np.array_equal(upper, upper.T)):
             raise InvalidBoundsError("L and U must be exactly symmetric")
         if np.any(np.diag(lower) != 0.0) or np.any(np.diag(upper) != 0.0):

@@ -20,8 +20,6 @@ from . import linalg
 from .boxqp import BoxQP, solve_boxqp
 from .errors import (
     DegenerateCorrelationError,
-    BoundsNotStrictError,
-    InfeasibleBoundsError,
     MaxSweepsExceededError,
     NoFeasibleStartError,
     NotUnitDiagonalError,
@@ -125,81 +123,53 @@ def single_linkage_matrix(r):
     return z
 
 
-def single_linkage_matrix_cov(s):
-    """Single-linkage matrix on covariance scale: closure of the correlation
-    matrix rescaled back by sqrt(S_ii S_jj)."""
-    s = np.asarray(s, dtype=float)
-    scale = np.sqrt(np.diag(s))
-    r = s / np.outer(scale, scale)
-    np.fill_diagonal(r, 1.0)
-    return single_linkage_matrix(r) * np.outer(scale, scale)
-
-
-def starting_point_interior(s, bounds):
-    """Diagonal blend (1-t) S + t diag(S), feasible when L < 0 < U strictly."""
-    s = np.asarray(s, dtype=float)
-    if linalg.is_positive_definite(s):
-        return s.copy()
-    d = s.shape[0]
-    off = ~np.eye(d, dtype=bool)
-    if np.any(bounds.lower[off] == 0.0) or np.any(bounds.upper[off] == 0.0):
-        raise BoundsNotStrictError("diagonal-blend start needs L < 0 < U off-diagonal")
-    pos = off & (s > 0.0)
-    neg = off & (s < 0.0)
+def _blend(s, target, bounds):
+    """(1 - t) S + t T with S's exact diagonal, for the largest t <= 1 that
+    keeps every off-diagonal step t (T - S)_ij inside [L_ij, U_ij]; None
+    when that blend is not positive definite.  At t = 0 it is S, which
+    ``_default_start`` passes only when S is not."""
+    step = target - s
+    up = step > 0.0
+    down = step < 0.0
     t = min(1.0,
-            float(np.min(-bounds.lower[pos] / s[pos], initial=1.0)),
-            float(np.min(bounds.upper[neg] / -s[neg], initial=1.0)))
-    sigma0 = (1.0 - t) * s + t * np.diag(np.diag(s))
-    if not linalg.is_positive_definite(sigma0):
-        raise NoFeasibleStartError("diagonal-blend starting point is not positive definite")
-    return sigma0
-
-
-def starting_point_single_linkage(s, bounds):
-    """Blend of S with its single-linkage matrix; feasible for L = 0 bounds."""
-    s = np.asarray(s, dtype=float)
-    d = s.shape[0]
-    diag = np.diag(s)
-    # A pair is degenerate when its 2 x 2 block fails the Cholesky pivot
-    # test: S_ij^2 >= (1 - PIVOT_RTOL) S_ii S_jj, that is, a correlation
-    # within about PIVOT_RTOL / 2 of 1.
-    degenerate = s >= np.sqrt((1.0 - linalg.PIVOT_RTOL) * np.outer(diag, diag))
-    # The first offending pair in row-major order decides which error is raised.
-    bad = np.argwhere(np.triu(degenerate | (bounds.upper == 0.0), 1))
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
-        if degenerate[i, j]:
-            raise DegenerateCorrelationError(i, j)
-        raise InfeasibleBoundsError(
-            f"single-linkage start needs U > 0 off-diagonal; U[{i},{j}] = 0"
-        )
-    if linalg.is_positive_definite(s):
-        return s.copy()
-    z = single_linkage_matrix_cov(s)
-    delta = float(np.max(np.abs(z - s)))
-    if delta == 0.0:
-        return z
-    off = ~np.eye(d, dtype=bool)
-    rho = float(np.min(bounds.upper[off]))
-    t = min(1.0, rho / delta)
-    sigma0 = (1.0 - t) * s + t * z
-    if not linalg.is_positive_definite(sigma0):
-        raise NoFeasibleStartError("single-linkage starting point is not positive definite")
-    return sigma0
+            float(np.min(bounds.upper[up] / step[up], initial=1.0)),
+            float(np.min(bounds.lower[down] / step[down], initial=1.0)))
+    sigma = (1.0 - t) * s + t * target
+    np.fill_diagonal(sigma, np.diag(s))
+    return sigma if linalg.is_positive_definite(sigma) else None
 
 
 def _default_start(s, bounds):
-    d = s.shape[0]
-    off = ~np.eye(d, dtype=bool)
+    """A dually feasible, positive definite start: S if it is positive
+    definite, else S blended toward diag(S), else toward its single-linkage
+    matrix Z >= S, which is positive definite for U > 0 (Lauritzen, Uhler &
+    Zwiernik 2019) unless a pair's 2 x 2 block of S fails the Cholesky pivot
+    test; the first such pair in row-major order is reported.
+    """
     if linalg.is_positive_definite(s):
-        return np.asarray(s, dtype=float).copy()
-    if np.all(bounds.lower[off] < 0.0) and np.all(bounds.upper[off] > 0.0):
-        return starting_point_interior(s, bounds)
-    if np.all(bounds.upper[off] > 0.0):
-        return starting_point_single_linkage(s, bounds)
-    raise NoFeasibleStartError(
-        "S is rank deficient and the bounds admit no generic starting point"
-    )
+        return s.copy()
+    diag = np.diag(s)
+    sigma = _blend(s, np.diag(diag), bounds)
+    if sigma is not None:
+        return sigma
+    degenerate = s >= np.sqrt((1.0 - linalg.PIVOT_RTOL) * np.outer(diag, diag))
+    bad = np.argwhere(np.triu(degenerate, 1))
+    if bad.size:
+        raise DegenerateCorrelationError(*(int(v) for v in bad[0]))
+    scale = np.outer(np.sqrt(diag), np.sqrt(diag))
+    r = s / scale
+    np.fill_diagonal(r, 1.0)
+    # Rounding can leave a Z_ij an ulp below S_ij, which would block the
+    # blend wherever L_ij = 0.
+    z = np.maximum(single_linkage_matrix(r) * scale, s)
+    np.fill_diagonal(z, diag)
+    sigma = _blend(s, z, bounds)
+    if sigma is None:
+        raise NoFeasibleStartError(
+            "S is not positive definite, and neither its blend toward diag(S) "
+            "nor toward its single-linkage matrix is a feasible positive definite start"
+        )
+    return sigma
 
 
 def _components(s, clipped):
@@ -247,8 +217,7 @@ def fit(s, bounds, config=None, sigma0=None, screen=True):
     ``config.dual_gap_tol`` and every pair's KKT residual within KKT_TOL.
 
     ``sigma0`` optionally supplies a dually feasible starting point; when
-    omitted one is constructed (S itself if positive definite, else the
-    diagonal blend for strict bounds, else the single-linkage blend).
+    omitted one is constructed by ``_default_start``.
     Rows are solved only against the other members of their connected
     component (see ``_components``); rows alone in theirs are never
     touched and are reported as ``isolated_rows``.  ``screen=False`` treats
@@ -306,7 +275,7 @@ def fit(s, bounds, config=None, sigma0=None, screen=True):
     sign = np.sign(k) * (np.abs(k) > EDGE_THRESHOLD)
     np.fill_diagonal(sign, 0)
     result = FitResult(
-        khat=linalg.sym(k),
+        khat=k,
         sigma_hat=sigma,
         dual_gap=gap,
         sweeps=sweeps,

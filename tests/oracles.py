@@ -8,11 +8,16 @@ import itertools
 import numpy as np
 
 from golazo import linalg
-from golazo.errors import MaxIterationsExceededError, NotPositiveDefiniteError
+from golazo.errors import (
+    DegenerateCorrelationError,
+    MaxIterationsExceededError,
+    NoFeasibleStartError,
+    NotPositiveDefiniteError,
+)
 from golazo.estimators import GraphSpec, ggm_mle
 from golazo.linalg import PIVOT_RTOL
 from golazo.penalty import PenaltyBounds
-from golazo.solver import fit
+from golazo.solver import fit, single_linkage_matrix
 
 
 def bruteforce_det(a):
@@ -326,32 +331,113 @@ def loop_forced_zero_pairs(s, bounds):
     return pairs
 
 
-def loop_interior_blend_weight(s, bounds):
-    """Largest t <= 1 keeping (1 - t) S + t diag(S) inside the dual box."""
+def loop_blend_weight(s, target, bounds):
+    """Largest t <= 1 keeping every off-diagonal step t (T - S)_ij inside
+    [L_ij, U_ij], scanned pair by pair."""
     d = s.shape[0]
     t = 1.0
     for i in range(d):
         for j in range(d):
-            if i == j or s[i, j] == 0.0:
+            step = target[i, j] - s[i, j]
+            if i == j or step == 0.0:
                 continue
-            if s[i, j] > 0:
-                t = min(t, -bounds.lower[i, j] / s[i, j])
+            if step > 0:
+                t = min(t, bounds.upper[i, j] / step)
             else:
-                t = min(t, bounds.upper[i, j] / (-s[i, j]))
+                t = min(t, bounds.lower[i, j] / step)
     return t
 
 
-def loop_single_linkage_blocker(s, bounds):
-    """First pair i < j, in row-major order, that blocks the single-linkage
-    start: ("degenerate", (i, j)), ("zero_upper", (i, j)) or None."""
+def loop_degenerate_pair(s):
+    """First pair i < j, in row-major order, whose 2 x 2 block fails the
+    Cholesky pivot test, or None."""
     d = s.shape[0]
     for i in range(d):
         for j in range(i + 1, d):
             if s[i, j] >= np.sqrt((1.0 - PIVOT_RTOL) * (s[i, i] * s[j, j])):
-                return "degenerate", (i, j)
-            if bounds.upper[i, j] == 0.0:
-                return "zero_upper", (i, j)
+                return i, j
     return None
+
+
+# The three starting-point constructions that ``solver._default_start``
+# replaced, kept as references: the diagonal blend for L < 0 < U, the
+# single-linkage blend for U > 0 (whose diagonal is sqrt(S_ii)^2, not S_ii)
+# and the dispatch between them.  Only the two error classes that no longer
+# exist became NoFeasibleStartError.
+
+def single_linkage_matrix_cov(s):
+    """Single-linkage matrix on covariance scale: closure of the correlation
+    matrix rescaled back by sqrt(S_ii S_jj)."""
+    s = np.asarray(s, dtype=float)
+    scale = np.sqrt(np.diag(s))
+    r = s / np.outer(scale, scale)
+    np.fill_diagonal(r, 1.0)
+    return single_linkage_matrix(r) * np.outer(scale, scale)
+
+
+def starting_point_interior(s, bounds):
+    """Diagonal blend (1-t) S + t diag(S), feasible when L < 0 < U strictly."""
+    s = np.asarray(s, dtype=float)
+    if linalg.is_positive_definite(s):
+        return s.copy()
+    d = s.shape[0]
+    off = ~np.eye(d, dtype=bool)
+    if np.any(bounds.lower[off] == 0.0) or np.any(bounds.upper[off] == 0.0):
+        raise NoFeasibleStartError("diagonal-blend start needs L < 0 < U off-diagonal")
+    pos = off & (s > 0.0)
+    neg = off & (s < 0.0)
+    t = min(1.0,
+            float(np.min(-bounds.lower[pos] / s[pos], initial=1.0)),
+            float(np.min(bounds.upper[neg] / -s[neg], initial=1.0)))
+    sigma0 = (1.0 - t) * s + t * np.diag(np.diag(s))
+    if not linalg.is_positive_definite(sigma0):
+        raise NoFeasibleStartError("diagonal-blend starting point is not positive definite")
+    return sigma0
+
+
+def starting_point_single_linkage(s, bounds):
+    """Blend of S with its single-linkage matrix; feasible for L = 0 bounds."""
+    s = np.asarray(s, dtype=float)
+    d = s.shape[0]
+    diag = np.diag(s)
+    degenerate = s >= np.sqrt((1.0 - linalg.PIVOT_RTOL) * np.outer(diag, diag))
+    bad = np.argwhere(np.triu(degenerate | (bounds.upper == 0.0), 1))
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        if degenerate[i, j]:
+            raise DegenerateCorrelationError(i, j)
+        raise NoFeasibleStartError(
+            f"single-linkage start needs U > 0 off-diagonal; U[{i},{j}] = 0"
+        )
+    if linalg.is_positive_definite(s):
+        return s.copy()
+    z = single_linkage_matrix_cov(s)
+    delta = float(np.max(np.abs(z - s)))
+    if delta == 0.0:
+        return z
+    off = ~np.eye(d, dtype=bool)
+    rho = float(np.min(bounds.upper[off]))
+    t = min(1.0, rho / delta)
+    sigma0 = (1.0 - t) * s + t * z
+    if not linalg.is_positive_definite(sigma0):
+        raise NoFeasibleStartError("single-linkage starting point is not positive definite")
+    return sigma0
+
+
+def reference_start(s, bounds):
+    """S if positive definite, else the diagonal blend for L < 0 < U, else
+    the single-linkage blend for U > 0, else NoFeasibleStartError."""
+    d = s.shape[0]
+    off = ~np.eye(d, dtype=bool)
+    if linalg.is_positive_definite(s):
+        return np.asarray(s, dtype=float).copy()
+    if np.all(bounds.lower[off] < 0.0) and np.all(bounds.upper[off] > 0.0):
+        return starting_point_interior(s, bounds)
+    if np.all(bounds.upper[off] > 0.0):
+        return starting_point_single_linkage(s, bounds)
+    raise NoFeasibleStartError(
+        "S is rank deficient and the bounds admit no generic starting point"
+    )
 
 
 def loop_kendall_tau(x, variant="a"):

@@ -189,6 +189,38 @@ class TestExitCodes:
         assert (f"{graph_file}, line 2: expected two distinct 1-based vertex indices in 1..4, "
                 "got '3 3' (self-loop at vertex 3)") in err
 
+    @pytest.mark.parametrize("penalty, message", [
+        (["--preset", "glasso", "--rho", "nan"], "L and U must not contain NaN"),
+        (["--preset", "asymmetric", "--rho-neg", "nan", "--rho-pos", "0.1"],
+         "L and U must not contain NaN"),
+        (["--preset", "positive", "--rho", "nan"], "L and U must not contain NaN"),
+        (["--preset", "glasso", "--rho", "-1"], "rho must be nonnegative"),
+    ], ids=["glasso-nan", "asymmetric-nan", "positive-nan", "glasso-negative"])
+    def test_bad_penalty_value_is_usage(self, cov_csv, tmp_path, capsys, penalty, message):
+        path, _ = cov_csv
+        out = tmp_path / "o"
+        code = run(["fit", "--input", path, "--input-kind", "covariance",
+                    "--out", out, *penalty])
+        assert code == cli.EXIT_USAGE
+        assert f"input error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_bounds_files_are_usage(self, cov_csv, tmp_path, capsys):
+        # L > 0 off the diagonal.
+        path, _ = cov_csv
+        lo_f, hi_f = tmp_path / "L.csv", tmp_path / "U.csv"
+        lo = np.full((4, 4), 0.1)
+        np.fill_diagonal(lo, 0.0)
+        dio.write_csv_matrix(lo_f, lo)
+        dio.write_csv_matrix(hi_f, lo)
+        out = tmp_path / "o"
+        code = run(["fit", "--input", path, "--input-kind", "covariance",
+                    "--out", out, "--bounds-l", lo_f, "--bounds-u", hi_f])
+        assert code == cli.EXIT_USAGE
+        assert "input error: off-diagonal entries must satisfy L <= 0 <= U" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missing_file_is_usage(self, tmp_path):
         code = run(["fit", "--input", tmp_path / "absent.csv",
                     "--input-kind", "covariance", "--out", tmp_path / "o",

@@ -12,6 +12,7 @@ from golazo import estimators, linalg
 from golazo.errors import MdeStep1FailedError
 
 from oracles import (
+    chain_er_correlation,
     ips_ggm,
     loop_complement_pairs,
     loop_dual_positivity_bounds,
@@ -214,6 +215,16 @@ class TestGgmMle:
         res = gz.ggm_mle(s, g)
         ref = ips_ggm(s, g.sorted_edges(), 4)
         assert np.max(np.abs(res.khat - ref)) < 1e-6
+
+    @settings(max_examples=6, deadline=None)
+    @given(d=st.integers(3, 60), seed=st.integers(0, 2**32 - 1))
+    def test_matches_ips_oracle_at_scale(self, d, seed):
+        rng = np.random.default_rng(seed)
+        s = chain_er_correlation(rng, d, 2 * d)
+        g = gz.GraphSpec(d, random_graph(rng, d, p=0.1))
+        res = gz.ggm_mle(s, g)
+        ref = ips_ggm(s, g.sorted_edges(), d)
+        assert np.max(np.abs(res.khat - ref)) <= 1e-7
 
     def test_complete_graph_is_inverse(self):
         rng = np.random.default_rng(4)

@@ -42,6 +42,17 @@ class TestPenaltyBounds:
         with pytest.raises(InvalidBoundsError):
             penalty.PenaltyBounds(lower, upper)
 
+    def test_nan_rejected_first(self):
+        # A NaN anywhere, symmetric or not, is named as such.
+        for i, j in ((0, 1), (1, 1)):
+            for side in (0, 1):
+                pair = off_fill(3, -0.1, 0.1)
+                pair[side][i, j] = np.nan
+                with pytest.raises(InvalidBoundsError, match="NaN"):
+                    penalty.PenaltyBounds(*pair)
+        with pytest.raises(InvalidBoundsError, match="NaN"):
+            penalty.glasso_bounds(np.nan, 3)
+
     def test_sign_violation_rejected(self):
         lower, upper = off_fill(2, 0.1, 0.2)
         with pytest.raises(InvalidBoundsError):

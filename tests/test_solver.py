@@ -7,7 +7,6 @@ import golazo as gz
 from golazo import boxqp, linalg, solver
 from golazo.errors import (
     DegenerateCorrelationError,
-    InfeasibleBoundsError,
     MaxSweepsExceededError,
     NoFeasibleStartError,
     NotUnitDiagonalError,
@@ -18,17 +17,21 @@ from oracles import (
     chain_er_correlation,
     forced_pair_bounds,
     glasso_kkt_residual,
+    loop_blend_weight,
     loop_components,
+    loop_degenerate_pair,
     loop_forced_zero_pairs,
-    loop_interior_blend_weight,
     loop_isolated_rows,
     loop_kkt_residuals,
-    loop_single_linkage_blocker,
     loop_support_pairs,
     near_collinear_correlation,
     prox_gradient_glasso,
     random_correlation,
     random_pd,
+    reference_start,
+    single_linkage_matrix_cov,
+    starting_point_interior,
+    starting_point_single_linkage,
 )
 
 
@@ -139,14 +142,21 @@ class TestSingleLinkage:
             gz.single_linkage_matrix(np.diag([2.0, 1.0]))
 
     def test_cov_scale_consistent(self):
+        # Under mtp2 bounds (L = 0, U = inf) a rank-deficient S with a
+        # positive entry blocks the diagonal blend, and the single-linkage
+        # blend takes t = 1: the start is Z itself, the closure of the
+        # correlation matrix rescaled by sqrt(S_ii S_jj), clamped to S.
         rng = np.random.default_rng(7)
-        s = random_pd(rng, 5, 0.2)
+        x = rng.standard_normal((3, 5)) * rng.uniform(0.5, 2.0, 5)
+        s = x.T @ x / 3
         scale = np.sqrt(np.diag(s))
         r = s / np.outer(scale, scale)
         np.fill_diagonal(r, 1.0)
-        z_cov = gz.single_linkage_matrix_cov(s)
-        z = gz.single_linkage_matrix(r)
-        assert np.allclose(z_cov, z * np.outer(scale, scale), atol=1e-12)
+        expected = np.maximum(gz.single_linkage_matrix(r) * np.outer(scale, scale), s)
+        np.fill_diagonal(expected, np.diag(s))
+        got = solver._default_start(s, gz.mtp2_bounds(5))
+        assert np.array_equal(got, expected)
+        assert np.allclose(got, single_linkage_matrix_cov(s), rtol=0.0, atol=1e-12)
 
 
 class TestStartingPoints:
@@ -155,32 +165,74 @@ class TestStartingPoints:
         x = rng.standard_normal((n, d))
         return x.T @ x / n + 0.0
 
+    @staticmethod
+    def assert_valid_start(sigma0, s, bounds):
+        assert linalg.is_positive_definite(sigma0)
+        assert solver._check_feasible(sigma0, s, gz.clip_to_finite(bounds, s))
+        assert np.array_equal(np.diag(sigma0), np.diag(s))
+
     def test_pd_input_returns_itself(self):
         rng = np.random.default_rng(8)
         s = random_pd(rng, 4, 0.2)
-        assert np.array_equal(gz.starting_point_interior(s, gz.glasso_bounds(0.1, 4)), s)
+        assert np.array_equal(solver._default_start(s, gz.glasso_bounds(0.1, 4)), s)
 
     def test_interior_start_feasible(self):
+        # Glasso bounds: the diagonal blend, equal to the reference one off
+        # the diagonal bit for bit.
         rng = np.random.default_rng(9)
+        off = ~np.eye(5, dtype=bool)
         for _ in range(20):
             s = self.rank_deficient(rng, 5)
-            b = gz.clip_to_finite(gz.glasso_bounds(0.3, 5), s)
-            sigma0 = gz.starting_point_interior(s, b)
-            assert np.all(np.linalg.eigvalsh(sigma0) > 0)
-            diff = sigma0 - s
-            assert np.all(diff >= b.lower - 1e-12)
-            assert np.all(diff <= b.upper + 1e-12)
+            b = gz.glasso_bounds(0.3, 5)
+            sigma0 = solver._default_start(s, b)
+            self.assert_valid_start(sigma0, s, b)
+            assert np.array_equal(sigma0[off], starting_point_interior(s, b)[off])
 
     def test_single_linkage_start_feasible(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             s = self.rank_deficient(rng, 5)
-            b = gz.clip_to_finite(gz.positive_glasso_bounds(0.2, 5), s)
-            sigma0 = gz.starting_point_single_linkage(s, b)
-            assert np.all(np.linalg.eigvalsh(sigma0) > 0)
-            diff = sigma0 - s
-            assert np.all(diff >= b.lower - 1e-12)
-            assert np.all(diff <= b.upper + 1e-12)
+            b = gz.positive_glasso_bounds(0.2, 5)
+            starting_point_single_linkage(s, b)  # the reference finds one too
+            self.assert_valid_start(solver._default_start(s, b), s, b)
+
+    def test_rank_deficient_fit_keeps_the_diagonal(self):
+        # The dual constraint Sigma_ii = S_ii holds exactly: no row QP moves
+        # the diagonal, so it must hold at the start.
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            s = self.rank_deficient(rng, 8, n=3)
+            for bounds in (gz.mtp2_bounds(8), gz.positive_glasso_bounds(0.1, 8)):
+                res = gz.fit(s, bounds)
+                assert np.array_equal(np.diag(res.sigma_hat), np.diag(s))
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(2, 60), n=st.integers(1, 59), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["glasso", "positive", "mtp2", "asymmetric", "zeros"]),
+           rho=st.sampled_from([0.02, 0.1, 0.3, 1.0]))
+    def test_start_properties(self, d, n, seed, kind, rho):
+        # Rank-deficient S (n < d), the five bound families of
+        # TestScansMatchLoops: a start found is valid, and one is found
+        # wherever the reference constructions find one.
+        rng = np.random.default_rng(seed)
+        n = min(n, d - 1)
+        x = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, d)
+        s = linalg.check_square_symmetric(x.T @ x / n)
+        upper = np.where(rng.random((d, d)) < 0.15, 0.0, rho)
+        upper = np.minimum(upper, upper.T)
+        np.fill_diagonal(upper, 0.0)
+        bounds = {"glasso": gz.glasso_bounds(rho, d),
+                  "positive": gz.positive_glasso_bounds(rho, d),
+                  "mtp2": gz.mtp2_bounds(d),
+                  "asymmetric": gz.asymmetric_bounds(rho, rho / 3, d),
+                  "zeros": gz.PenaltyBounds(-upper, upper)}[kind]
+        try:
+            sigma0 = solver._default_start(s, bounds)
+        except NoFeasibleStartError:
+            with pytest.raises(NoFeasibleStartError):
+                reference_start(s, bounds)
+        else:
+            self.assert_valid_start(sigma0, s, bounds)
 
     def test_rank_deficient_fit_succeeds(self):
         rng = np.random.default_rng(11)
@@ -343,33 +395,63 @@ class TestScansMatchLoops:
         assert fitted >= 250
 
     def test_interior_blend(self):
+        # Wherever the diagonal step allows t > 0 and gives a positive
+        # definite blend, that blend is the start; where the reference used
+        # its diagonal blend, the two agree off the diagonal bit for bit.
+        blended = 0
         for s, bounds in self.cases():
-            off = ~np.eye(s.shape[0], dtype=bool)
-            if linalg.is_positive_definite(s) or np.any(bounds.lower[off] == 0.0):
+            if linalg.is_positive_definite(s):
                 continue
-            t = loop_interior_blend_weight(s, bounds)
-            expected = (1.0 - t) * s + t * np.diag(np.diag(s))
+            target = np.diag(np.diag(s))
+            t = loop_blend_weight(s, target, bounds)
+            expected = (1.0 - t) * s + t * target
+            np.fill_diagonal(expected, np.diag(s))
+            if t <= 0.0 or not linalg.is_positive_definite(expected):
+                continue
+            blended += 1
+            assert np.array_equal(solver._default_start(s, bounds), expected)
             try:
-                got = gz.starting_point_interior(s, bounds)
+                ref = starting_point_interior(s, bounds)
             except NoFeasibleStartError:
-                assert not linalg.is_positive_definite(expected)
-            else:
-                assert np.array_equal(got, expected)
+                continue
+            off = ~np.eye(s.shape[0], dtype=bool)
+            assert np.array_equal(ref[off], expected[off])
+        assert blended >= 20
 
     def test_single_linkage_blocker(self):
+        # Where the diagonal blend fails, the first degenerate pair is
+        # reported; otherwise a start is found wherever the reference
+        # constructions find one.
         for s, bounds in self.cases():
-            blocker = loop_single_linkage_blocker(s, bounds)
+            if linalg.is_positive_definite(s):
+                continue
             try:
-                gz.starting_point_single_linkage(s, bounds)
-            except DegenerateCorrelationError as exc:
-                assert blocker == ("degenerate", exc.pair)
-            except InfeasibleBoundsError as exc:
-                assert blocker[0] == "zero_upper"
-                assert f"U[{blocker[1][0]},{blocker[1][1]}]" in str(exc)
-            except NoFeasibleStartError:
-                assert blocker is None
+                sigma0 = solver._default_start(s, bounds)
+            except NoFeasibleStartError as exc:
+                # Only DegenerateCorrelationError carries a pair.
+                assert getattr(exc, "pair", None) == loop_degenerate_pair(s)
+                with pytest.raises(NoFeasibleStartError):
+                    reference_start(s, bounds)
             else:
-                assert blocker is None
+                TestStartingPoints.assert_valid_start(sigma0, s, bounds)
+
+    def test_blend_starts_reach_the_reference_optimum(self):
+        # Fits from the reference start and from the new one end at the
+        # same edge set and the same K.
+        compared = 0
+        for s, bounds in self.cases():
+            if linalg.is_positive_definite(s):
+                continue
+            try:
+                sigma0 = reference_start(s, bounds)
+            except NoFeasibleStartError:
+                continue
+            compared += 1
+            ref = gz.fit(s, bounds, sigma0=sigma0)
+            res = gz.fit(s, bounds)
+            assert res.edges() == ref.edges()
+            assert np.max(np.abs(res.khat - ref.khat)) <= 1e-9
+        assert compared >= 20
 
 
 class TestAtScale:
@@ -481,6 +563,16 @@ class TestCertificateProperties:
         res = gz.fit(s, bounds)
         assert gz.duality_gap(s, res.khat, res.clipped_bounds) <= 1e-8
         assert np.max(gz.kkt_residuals(s, res)) <= 1e-6
+
+    @settings(max_examples=5, deadline=None)
+    @given(d=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+           rho=st.sampled_from([0.05, 0.1, 0.2]))
+    def test_glasso_agrees_with_prox_gradient_oracle(self, d, seed, rho):
+        s = chain_er_correlation(np.random.default_rng(seed), d, 2 * d)
+        res = gz.fit(s, gz.glasso_bounds(rho, d))
+        ref = prox_gradient_glasso(s, rho)
+        assert np.max(np.abs(res.khat - ref)) <= 1e-7
+        assert glasso_kkt_residual(s, res.khat, rho, zero_tol=gz.EDGE_THRESHOLD) <= 1e-6
 
     def test_no_spurious_edge_at_the_gap_tolerance(self):
         # Once the gap was 1.7e-9, K[1, 3] of this input was still -1.02e-6,
