@@ -119,6 +119,15 @@ def _load_input(args):
 
 
 def _load_bounds(args, d):
+    # Bad bounds from the arguments or files are an input error (exit 4); an
+    # InvalidBoundsError raised later in a command keeps exit 1.
+    try:
+        return _bounds_from_args(args, d)
+    except InvalidBoundsError as exc:
+        raise ValueError(str(exc)) from exc
+
+
+def _bounds_from_args(args, d):
     if args.bounds_l or args.bounds_u:
         if not (args.bounds_l and args.bounds_u):
             raise _usage("--bounds-l and --bounds-u must be given together")
@@ -294,7 +303,7 @@ def main(argv=None):
     except AllFitsFailedError as exc:
         print(f"AllFitsFailed: {exc}", file=sys.stderr)
         return EXIT_ALL_FITS_FAILED
-    except (ValueError, OSError, InvalidBoundsError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GolazoError as exc:
