@@ -14,7 +14,6 @@ from .penalty import (
     golazo_norm,
     mtp2_bounds,
     positive_glasso_bounds,
-    preset_bounds,
 )
 from .boxqp import BoxQP, solve_boxqp
 from .solver import (
@@ -40,7 +39,6 @@ from .estimators import (
 from .selection import EbicConfig, PathResult, ebic, edge_count, fit_path
 from .data import (
     DagSpec,
-    DataMatrix,
     dag_covariance,
     kendall_tau_matrix,
     nearest_correlation,

@@ -21,10 +21,19 @@ from .errors import (
     MaxSweepsExceededError,
     MdeStep1FailedError,
     NoFeasibleStartError,
+    NonpositiveDiagonalError,
 )
 from .estimators import GraphSpec, gaussian_neg_loglik, mde
 from .linalg import is_m_matrix
-from .penalty import preset_bounds, PenaltyBounds
+from .penalty import (
+    PenaltyBounds,
+    asymmetric_bounds,
+    dual_positivity_bounds,
+    ggm_bounds,
+    glasso_bounds,
+    mtp2_bounds,
+    positive_glasso_bounds,
+)
 from .selection import EbicConfig, ebic, fit_path
 from .solver import SolverConfig, fit
 
@@ -36,6 +45,19 @@ EXIT_USAGE = 4
 EXIT_ALL_FITS_FAILED = 5
 EXIT_MDE_STEP1 = 6
 EXIT_QP_ITERATIONS = 7
+
+# Each preset: the arguments it requires and its bounds builder over
+# (arguments, d).
+_PRESETS = {
+    "glasso": (("rho",), lambda a, d: glasso_bounds(a.rho, d)),
+    "asymmetric": (("rho_neg", "rho_pos"),
+                   lambda a, d: asymmetric_bounds(a.rho_neg, a.rho_pos, d)),
+    "positive": (("rho",), lambda a, d: positive_glasso_bounds(a.rho, d)),
+    "mtp2": ((), lambda a, d: mtp2_bounds(d)),
+    "ggm": (("graph",), lambda a, d: ggm_bounds(dio.read_edge_list(a.graph, d=d))),
+    "dual-positivity": (("graph",),
+                        lambda a, d: dual_positivity_bounds(dio.read_edge_list(a.graph, d=d))),
+}
 
 
 def _build_parser():
@@ -56,9 +78,7 @@ def _build_parser():
         p.add_argument("--out", required=True, help="output directory")
 
     def add_penalty(p):
-        p.add_argument("--preset",
-                       choices=["glasso", "asymmetric", "positive", "mtp2",
-                                "ggm", "dual-positivity"])
+        p.add_argument("--preset", choices=_PRESETS)
         p.add_argument("--rho", type=float)
         p.add_argument("--rho-neg", type=float)
         p.add_argument("--rho-pos", type=float)
@@ -111,11 +131,14 @@ def _build_parser():
 def _load_input(args):
     """Returns (statistic matrix S, sample size n or None)."""
     if args.input_kind == "data":
-        dm = dio.read_csv_data(args.input, header=args.header)
-        s = dio.sample_covariance(dm)
-        return s, dm.n
-    s = dio.read_csv_matrix(args.input, header=args.header)
-    return s, getattr(args, "n", None)
+        x = dio.read_csv_data(args.input, header=args.header)
+        s, n = dio.sample_covariance(x), x.shape[0]
+    else:
+        s, n = dio.read_csv_matrix(args.input, header=args.header), getattr(args, "n", None)
+    bad = np.flatnonzero(np.diag(s) <= 0)
+    if bad.size:
+        raise NonpositiveDiagonalError(int(bad[0]))
+    return s, n
 
 
 def _load_bounds(args, d):
@@ -130,34 +153,24 @@ def _load_bounds(args, d):
 def _bounds_from_args(args, d):
     if args.bounds_l or args.bounds_u:
         if not (args.bounds_l and args.bounds_u):
-            raise _usage("--bounds-l and --bounds-u must be given together")
-        lower = dio.read_csv_matrix(args.bounds_l)
-        upper = dio.read_csv_matrix(args.bounds_u)
-        return PenaltyBounds(lower, upper)
+            raise _UsageError("--bounds-l and --bounds-u must be given together")
+        bounds = PenaltyBounds(dio.read_csv_matrix(args.bounds_l),
+                               dio.read_csv_matrix(args.bounds_u))
+        if bounds.dim != d:
+            raise InvalidBoundsError(
+                f"bounds are {bounds.dim} x {bounds.dim} but S is {d} x {d}")
+        return bounds
     if not args.preset:
-        raise _usage("either --preset or --bounds-l/--bounds-u is required")
-    kind = args.preset.replace("-", "_")
-    graph = None
-    if kind in ("ggm", "dual_positivity"):
-        if not args.graph:
-            raise _usage(f"--preset {args.preset} requires --graph")
-        graph = dio.read_edge_list(args.graph, d=d)
-    if kind == "glasso" and args.rho is None:
-        raise _usage("--preset glasso requires --rho")
-    if kind == "positive" and args.rho is None:
-        raise _usage("--preset positive requires --rho")
-    if kind == "asymmetric" and (args.rho_neg is None or args.rho_pos is None):
-        raise _usage("--preset asymmetric requires --rho-neg and --rho-pos")
-    return preset_bounds(kind, d, rho=args.rho, rho_neg=args.rho_neg,
-                         rho_pos=args.rho_pos, graph=graph)
+        raise _UsageError("either --preset or --bounds-l/--bounds-u is required")
+    required, build = _PRESETS[args.preset]
+    for name in required:
+        if getattr(args, name) is None:
+            raise _UsageError(f"--preset {args.preset} requires --{name.replace('_', '-')}")
+    return build(args, d)
 
 
 class _UsageError(Exception):
     pass
-
-
-def _usage(msg):
-    return _UsageError(msg)
 
 
 def _parse_grid(text):
@@ -168,23 +181,17 @@ def _parse_grid(text):
                 return list(np.geomspace(float(lo), float(hi), int(k)))
         return [float(t) for t in text.split(",")]
     except ValueError:
-        raise _usage(f"--grid {text!r} is neither a comma list of scale factors "
-                     "(e.g. 0.1,0.5,1) nor log:lo:hi:k (e.g. log:0.01:1:20)") from None
-
-
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    raise TypeError(f"not JSON serializable: {type(o)}")
+        raise _UsageError(f"--grid {text!r} is neither a comma list of scale factors "
+                          "(e.g. 0.1,0.5,1) nor log:lo:hi:k (e.g. log:0.01:1:20)") from None
 
 
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_fit_artifacts(outdir, s, result, n, gamma, **extra):
+def _write_fit_artifacts(outdir, s, result, ebic_config, **extra):
     dio.write_csv_matrix(outdir / "Khat.csv", result.khat)
     dio.write_csv_matrix(outdir / "Sigma.csv", result.sigma_hat)
     graph = GraphSpec.from_support(result.khat)
@@ -195,7 +202,7 @@ def _write_fit_artifacts(outdir, s, result, n, gamma, **extra):
         "sweeps": result.sweeps,
         "edgeCount": result.edge_count,
         "negLogLik": negll,
-        "ebic": ebic(s, result, n, gamma) if n else None,
+        "ebic": ebic(s, result, ebic_config.n, ebic_config.gamma) if ebic_config else None,
         **extra,
     }
     _write_json(outdir / "summary.json", summary)
@@ -204,6 +211,7 @@ def _write_fit_artifacts(outdir, s, result, n, gamma, **extra):
 def cmd_fit(args):
     s, n = _load_input(args)
     bounds = _load_bounds(args, s.shape[0])
+    ebic_config = None if n is None else EbicConfig(n=n, gamma=args.gamma)
     config = SolverConfig(dual_gap_tol=args.tol, max_sweeps=args.max_sweeps)
     result = fit(s, bounds, config=config)
     outdir = Path(args.out)
@@ -211,7 +219,7 @@ def cmd_fit(args):
     extra = {}
     if args.preset == "mtp2":
         extra["mMatrix"] = bool(is_m_matrix(result.khat, tol=1e-8))
-    _write_fit_artifacts(outdir, s, result, n, args.gamma, **extra)
+    _write_fit_artifacts(outdir, s, result, ebic_config, **extra)
     if args.graphml:
         dio.write_graphml(outdir / "graph.graphml", result.khat)
     return EXIT_OK
@@ -220,7 +228,7 @@ def cmd_fit(args):
 def cmd_path(args):
     s, n = _load_input(args)
     if not n:
-        raise _usage("path needs a sample size: use --input-kind data or --n")
+        raise _UsageError("path needs a sample size: use --input-kind data or --n")
     bounds = _load_bounds(args, s.shape[0])
     config = EbicConfig(n=n, gamma=args.gamma, grid=_parse_grid(args.grid))
     solver_config = SolverConfig(dual_gap_tol=args.tol, max_sweeps=args.max_sweeps)
@@ -244,13 +252,13 @@ def cmd_path(args):
         "selectedRho": config.grid[path_result.selected_index],
         "points": per_point,
     })
-    _write_fit_artifacts(outdir, s, path_result.selected_fit, n, args.gamma)
+    _write_fit_artifacts(outdir, s, path_result.selected_fit, config)
     return EXIT_OK
 
 
 def cmd_mde(args):
     if not args.graph:
-        raise _usage("mde requires --graph")
+        raise _UsageError("mde requires --graph")
     s, _ = _load_input(args)
     graph = dio.read_edge_list(args.graph, d=s.shape[0])
     config = SolverConfig(dual_gap_tol=args.tol, max_sweeps=args.max_sweeps)
@@ -264,10 +272,10 @@ def cmd_mde(args):
 
 
 def cmd_skeptic(args):
-    dm = dio.read_csv_data(args.input, header=args.header)
-    if dm.n < 2:
-        raise _usage("skeptic needs at least two observations")
-    r = dio.skeptic_correlation(dm)
+    x = dio.read_csv_data(args.input, header=args.header)
+    if x.shape[0] < 2:
+        raise _UsageError("skeptic needs at least two observations")
+    r = dio.skeptic_correlation(x)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     dio.write_csv_matrix(outdir / "R.csv", r)
@@ -303,7 +311,7 @@ def main(argv=None):
     except AllFitsFailedError as exc:
         print(f"AllFitsFailed: {exc}", file=sys.stderr)
         return EXIT_ALL_FITS_FAILED
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NonpositiveDiagonalError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GolazoError as exc:

@@ -4,7 +4,7 @@ edge-list file formats used by the command-line tool.
 """
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .errors import (
     NonpositiveDiagonalError,
 )
 from .estimators import GraphSpec, ggm_mle, is_locally_associated, is_markov
+from .solver import EDGE_THRESHOLD
 
 
 def _rng(seed):
@@ -24,37 +25,8 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-@dataclass(frozen=True)
-class DataMatrix:
-    values: np.ndarray
-    column_names: tuple = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.size == 0:
-            raise ValueError("data must be a nonempty 2-d array")
-        if np.any(~np.isfinite(values)):
-            raise ValueError("data contains missing or non-finite values")
-        object.__setattr__(self, "values", values)
-        if self.column_names is not None:
-            names = tuple(self.column_names)
-            if len(names) != values.shape[1]:
-                raise ValueError("column_names length does not match data width")
-            object.__setattr__(self, "column_names", names)
-
-    @property
-    def n(self):
-        return self.values.shape[0]
-
-    @property
-    def d(self):
-        return self.values.shape[1]
-
-
 def sample_covariance(x, centered=True):
     """X'X / n, after subtracting column means when ``centered``."""
-    if isinstance(x, DataMatrix):
-        x = x.values
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     if centered:
@@ -121,8 +93,6 @@ def kendall_tau_matrix(x, variant="a"):
     """
     if variant not in ("a", "b"):
         raise ValueError("variant must be 'a' or 'b'")
-    if isinstance(x, DataMatrix):
-        x = x.values
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     if n < 2:
@@ -207,7 +177,7 @@ def sample_positive_dag(spec, n, seed, require_nonnegative=True):
     y = np.empty((n, spec.d))
     for c in range(spec.d):
         y[:, c] = eps[:, c] + y[:, :c] @ lam[c, :c]
-    return DataMatrix(y)
+    return y
 
 
 def _perfect_elimination_dag(graph, rng):
@@ -290,27 +260,33 @@ def sample_locally_associated(graph, seed, max_tries=1000, tol=1e-9):
 
 # --- file formats -----------------------------------------------------------
 
-def read_csv_data(path, header=False):
-    """Read an n x d data CSV (comma separator, '.' decimal point)."""
+def _read_csv(path, header):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    names = None
-    if header and rows:
-        names = tuple(c.strip() for c in rows[0])
-        rows = rows[1:]
-    values = np.array([[_parse_number(c) for c in row] for row in rows if row])
-    return DataMatrix(values, column_names=names)
+    names = rows.pop(0) if header and rows else None
+    # float reads 'inf', '+inf' and '-inf' in any case, blanks around them.
+    a = np.array([[float(c) for c in row] for row in rows if row])
+    if names is not None and a.ndim == 2 and len(names) != a.shape[1]:
+        raise ValueError(f"header has {len(names)} names for {a.shape[1]} columns")
+    return a
+
+
+def read_csv_data(path, header=False):
+    """Read an n x d data CSV (comma separator, '.' decimal point) as a
+    float array; a header row is skipped."""
+    x = _read_csv(path, header)
+    if x.ndim != 2 or x.size == 0:
+        raise ValueError("data must be a nonempty 2-d array")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("data contains missing or non-finite values")
+    return x
 
 
 def read_csv_matrix(path, header=False, sym_tol=1e-9):
     """Read a square symmetric matrix CSV; symmetrized by averaging after a
     symmetry check at ``sym_tol``.  Unlike data CSVs, 'inf' / '-inf' entries
     are allowed (penalty-bound matrices use them)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if header and rows:
-        rows = rows[1:]
-    a = np.array([[_parse_number(c) for c in row] for row in rows if row])
+    a = _read_csv(path, header)
     if np.any(np.isnan(a)):
         raise ValueError("matrix CSV contains missing values")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -322,16 +298,7 @@ def read_csv_matrix(path, header=False, sym_tol=1e-9):
         asym = np.abs(np.where(finite, a, 0.0) - np.where(finite, a, 0.0).T)
     if np.max(asym) > sym_tol:
         raise ValueError("matrix CSV is not symmetric within tolerance")
-    return linalg.sym(np.where(finite, (a + a.T) / 2.0, a))
-
-
-def _parse_number(token):
-    token = token.strip().lower()
-    if token in ("inf", "+inf"):
-        return np.inf
-    if token == "-inf":
-        return -np.inf
-    return float(token)
+    return linalg.sym(a)  # infinite entries equal their mirror, so they stay
 
 
 def write_csv_matrix(path, a, fmt="%.17g"):
@@ -373,7 +340,7 @@ def write_edge_list(path, graph):
             fh.write(f"{i + 1} {j + 1}\n")
 
 
-def write_graphml(path, khat, threshold=1e-6):
+def write_graphml(path, khat, threshold=EDGE_THRESHOLD):
     """GraphML export with a 'partialCorrelation' attribute per edge."""
     import networkx as nx
 

@@ -9,7 +9,7 @@ import numpy as np
 from . import linalg
 from .errors import MdeStep1FailedError, GolazoError
 from .penalty import dual_positivity_bounds, ggm_bounds
-from .solver import SolverConfig, fit
+from .solver import EDGE_THRESHOLD, SolverConfig, fit
 
 
 def _symmetric(mask):
@@ -88,7 +88,7 @@ class GraphSpec:
         return cls(d, edges)
 
     @classmethod
-    def from_support(cls, k, threshold=1e-6):
+    def from_support(cls, k, threshold=EDGE_THRESHOLD):
         """Graph of the entries k_ij, i < j, with magnitude above threshold."""
         return cls._from_upper(np.abs(np.asarray(k)) > threshold)
 

@@ -144,17 +144,3 @@ def dual_positivity_bounds(graph):
     constrained nonnegative (L = -inf, U = 0); elsewhere unpenalized."""
     return PenaltyBounds(np.where(graph.adjacency, -np.inf, 0.0), np.zeros((graph.d, graph.d)))
 
-
-def preset_bounds(kind, d=None, *, rho=None, rho_neg=None, rho_pos=None, graph=None):
-    """Build one of the named penalty presets."""
-    presets = {
-        "glasso": lambda: glasso_bounds(rho, d),
-        "asymmetric": lambda: asymmetric_bounds(rho_neg, rho_pos, d),
-        "positive": lambda: positive_glasso_bounds(rho, d),
-        "mtp2": lambda: mtp2_bounds(d),
-        "ggm": lambda: ggm_bounds(graph),
-        "dual_positivity": lambda: dual_positivity_bounds(graph),
-    }
-    if kind not in presets:
-        raise ValueError(f"unknown preset {kind!r}; expected one of {sorted(presets)}")
-    return presets[kind]()

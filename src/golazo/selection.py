@@ -47,9 +47,9 @@ class PathResult:
         return self.fits[self.selected_index]
 
 
-def edge_count(khat, threshold=EDGE_THRESHOLD):
+def edge_count(khat):
     k = np.asarray(khat)
-    return int(np.count_nonzero(np.abs(np.triu(k, 1)) > threshold))
+    return int(np.count_nonzero(np.abs(np.triu(k, 1)) > EDGE_THRESHOLD))
 
 
 def ebic(s, fit_result, n, gamma):
@@ -74,7 +74,7 @@ def fit_path(s, base_bounds, config, solver_config=None):
             failures[i] = f"{type(exc).__name__}: {exc}"
 
     scores = [None if f is None else ebic(s, f, config.n, config.gamma) for f in fits]
-    counts = [None if f is None else edge_count(f.khat) for f in fits]
+    counts = [None if f is None else f.edge_count for f in fits]
     valid = [i for i, sc in enumerate(scores) if sc is not None]
     if not valid:
         raise AllFitsFailedError(failures)

@@ -20,6 +20,7 @@ from . import linalg
 from .boxqp import BoxQP, solve_boxqp
 from .errors import (
     DegenerateCorrelationError,
+    InvalidBoundsError,
     MaxSweepsExceededError,
     NoFeasibleStartError,
     NotUnitDiagonalError,
@@ -42,8 +43,8 @@ class SolverConfig:
     max_sweeps: int = 1000
 
     def __post_init__(self):
-        if self.dual_gap_tol <= 0:
-            raise ValueError("dual_gap_tol must be positive")
+        if not 0 < self.dual_gap_tol < np.inf:
+            raise ValueError(f"dual_gap_tol must be positive and finite, got {self.dual_gap_tol}")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
 
@@ -74,19 +75,19 @@ def duality_gap(s, k, bounds):
     return float(np.sum(s * k)) - s.shape[0] + golazo_norm(k, bounds)
 
 
-def kkt_residuals(s, result, edge_threshold=EDGE_THRESHOLD):
+def kkt_residuals(s, result):
     """Per-pair violation of the optimality certificate.
 
     At the optimum, Sigma_ij - S_ij lies at L_ij when K_ij < 0, at U_ij when
     K_ij > 0, and anywhere in [L_ij, U_ij] when K_ij = 0.  Entries of K are
-    branched by sign at ``edge_threshold``.  Uses the clipped bounds stored
-    on the result.  Returns a symmetric matrix of residuals, zero diagonal.
+    branched by sign at EDGE_THRESHOLD.  Uses the clipped bounds stored on
+    the result.  Returns a symmetric matrix of residuals, zero diagonal.
     """
     return _pair_residuals(np.asarray(s, dtype=float), result.khat, result.sigma_hat,
-                           result.clipped_bounds, edge_threshold)
+                           result.clipped_bounds)
 
 
-def _pair_residuals(s, k, sigma, clipped, edge_threshold=EDGE_THRESHOLD):
+def _pair_residuals(s, k, sigma, clipped):
     # Built in place: ``fit`` runs this on every converged iterate, and a
     # nested np.where would hold about six d x d temporaries at once.
     diff = sigma - s
@@ -94,9 +95,9 @@ def _pair_residuals(s, k, sigma, clipped, edge_threshold=EDGE_THRESHOLD):
     res = np.maximum(lo - diff, 0.0)
     above = np.subtract(diff, hi)
     res += np.maximum(above, 0.0, out=above)
-    neg = k < -edge_threshold
+    neg = k < -EDGE_THRESHOLD
     res[neg] = np.abs(diff[neg] - lo[neg])
-    pos = k > edge_threshold
+    pos = k > EDGE_THRESHOLD
     res[pos] = np.abs(diff[pos] - hi[pos])
     np.fill_diagonal(res, 0.0)
     return res
@@ -226,6 +227,8 @@ def fit(s, bounds, config=None, sigma0=None, screen=True):
     config = config or SolverConfig()
     s = linalg.check_square_symmetric(s)
     d = s.shape[0]
+    if bounds.dim != d:
+        raise InvalidBoundsError(f"bounds are {bounds.dim} x {bounds.dim} but S is {d} x {d}")
     clipped = clip_to_finite(bounds, s)
     label = _components(s, clipped) if screen else np.zeros(d, dtype=int)
 

@@ -6,7 +6,7 @@ import pytest
 import golazo as gz
 from golazo import cli
 from golazo import data as dio
-from golazo.errors import MaxIterationsExceededError
+from golazo.errors import ConstantColumnWarning, GolazoError, MaxIterationsExceededError
 
 from oracles import loop_kendall_tau, near_collinear_correlation, random_correlation
 
@@ -31,6 +31,30 @@ def data_csv(tmp_path):
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+CHAIN = gz.GraphSpec(4, [(0, 1), (1, 2), (2, 3)])
+
+# Each preset's CLI arguments and the library bounds they stand for, d = 4;
+# None stands for the file that holds CHAIN.
+PRESETS = {
+    "glasso": (["--rho", "0.1"], gz.glasso_bounds(0.1, 4)),
+    "asymmetric": (["--rho-neg", "0.05", "--rho-pos", "0.2"],
+                   gz.asymmetric_bounds(0.05, 0.2, 4)),
+    "positive": (["--rho", "0.1"], gz.positive_glasso_bounds(0.1, 4)),
+    "mtp2": ([], gz.mtp2_bounds(4)),
+    "ggm": (["--graph", None], gz.ggm_bounds(CHAIN)),
+    "dual-positivity": (["--graph", None], gz.dual_positivity_bounds(CHAIN)),
+}
+
+
+@pytest.fixture
+def singular_csv(tmp_path):
+    """S = [[1, 1], [1, 1]] and the edge list of its one pair."""
+    path, graph_file = tmp_path / "S.csv", tmp_path / "g.txt"
+    dio.write_csv_matrix(path, np.ones((2, 2)))
+    graph_file.write_text("1 2\n")
+    return path, graph_file
 
 
 class TestFit:
@@ -96,6 +120,19 @@ class TestFit:
         ref = gz.fit(s, gz.mtp2_bounds(4))
         assert np.max(np.abs(khat - ref.khat)) < 1e-12
 
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_preset_matches_library_builder(self, cov_csv, tmp_path, preset):
+        path, _ = cov_csv
+        graph_file = tmp_path / "g.txt"
+        dio.write_edge_list(graph_file, CHAIN)
+        args, bounds = PRESETS[preset]
+        args = [graph_file if a is None else a for a in args]
+        out = tmp_path / "out"
+        assert run(["fit", "--input", path, "--input-kind", "covariance",
+                    "--out", out, "--preset", preset, *args]) == 0
+        dio.write_csv_matrix(tmp_path / "ref.csv", gz.fit(dio.read_csv_matrix(path), bounds).khat)
+        assert (out / "Khat.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
 
 class TestExitCodes:
     def test_usage_missing_rho(self, cov_csv, tmp_path):
@@ -112,6 +149,91 @@ class TestExitCodes:
 
     def test_usage_bad_flag(self):
         assert run(["fit", "--nope"]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("preset, given, missing", [
+        ("glasso", [], "--rho"),
+        ("asymmetric", ["--rho-neg", "0.1"], "--rho-pos"),
+        ("asymmetric", ["--rho-pos", "0.1"], "--rho-neg"),
+        ("positive", [], "--rho"),
+        ("ggm", [], "--graph"),
+        ("dual-positivity", [], "--graph"),
+    ])
+    def test_preset_names_missing_argument(self, cov_csv, tmp_path, capsys, preset, given,
+                                           missing):
+        path, _ = cov_csv
+        code = run(["fit", "--input", path, "--input-kind", "covariance",
+                    "--out", tmp_path / "o", "--preset", preset, *given])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: --preset {preset} requires {missing}\n"
+
+    def test_unknown_preset_is_usage(self, cov_csv, tmp_path, capsys):
+        path, _ = cov_csv
+        code = run(["fit", "--input", path, "--input-kind", "covariance",
+                    "--out", tmp_path / "o", "--preset", "nope", "--rho", "0.1"])
+        assert code == cli.EXIT_USAGE
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, message", [
+        (["--tol", "nan"], "dual_gap_tol must be positive and finite"),
+        (["--tol", "0"], "dual_gap_tol must be positive and finite"),
+        (["--tol", "inf"], "dual_gap_tol must be positive and finite"),
+        (["--n", "50", "--gamma", "nan"], "gamma must lie in [0, 1]"),
+        (["--n", "50", "--gamma", "2"], "gamma must lie in [0, 1]"),
+        (["--n", "-5"], "sample size must be at least 1"),
+        (["--n", "0"], "sample size must be at least 1"),
+    ], ids=["tol-nan", "tol-zero", "tol-inf", "gamma-nan", "gamma-2", "n-negative", "n-zero"])
+    def test_bad_solver_or_sample_setting_is_usage(self, cov_csv, tmp_path, capsys, setting,
+                                                   message):
+        path, _ = cov_csv
+        out = tmp_path / "o"
+        code = run(["fit", "--input", path, "--input-kind", "covariance",
+                    "--out", out, "--preset", "glasso", "--rho", "0.1", *setting])
+        assert code == cli.EXIT_USAGE
+        assert f"input error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("fit", ["--preset", "glasso", "--rho", "0.1"]),
+        ("path", ["--preset", "glasso", "--rho", "1.0"]),
+        ("mde", ["--graph"]),
+    ])
+    def test_zero_variance_column_is_usage(self, tmp_path, capsys, command, extra):
+        path, graph_file = tmp_path / "X.csv", tmp_path / "g.txt"
+        x = np.column_stack([np.arange(10.0), np.full(10, 3.0), np.arange(10.0) ** 2])
+        np.savetxt(path, x, delimiter=",", fmt="%.17g")
+        graph_file.write_text("1 2\n")
+        extra = [*extra, graph_file] if command == "mde" else extra
+        with pytest.warns(ConstantColumnWarning):
+            code = run([command, "--input", path, "--input-kind", "data",
+                        "--out", tmp_path / "o", *extra])
+        assert code == cli.EXIT_USAGE
+        assert "input error: diagonal entry 1 is not strictly positive" in capsys.readouterr().err
+
+    def test_all_path_fits_failed_exit(self, singular_csv, tmp_path, capsys):
+        path, graph_file = singular_csv
+        code = run(["path", "--input", path, "--input-kind", "covariance", "--n", "10",
+                    "--out", tmp_path / "o", "--preset", "ggm", "--graph", graph_file,
+                    "--grid", "0.5,1"])
+        assert code == cli.EXIT_ALL_FITS_FAILED == 5
+        assert "AllFitsFailed: all penalty-path fits failed" in capsys.readouterr().err
+
+    def test_mde_step1_failed_exit(self, singular_csv, tmp_path, capsys):
+        path, graph_file = singular_csv
+        code = run(["mde", "--input", path, "--input-kind", "covariance",
+                    "--out", tmp_path / "o", "--graph", graph_file])
+        assert code == cli.EXIT_MDE_STEP1 == 6
+        assert "MdeStep1Failed: step 1 (graph-constrained MLE) failed" in capsys.readouterr().err
+
+    def test_other_package_error_exit(self, cov_csv, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise GolazoError("unexpected state")
+
+        monkeypatch.setattr(cli, "fit", broken)
+        path, _ = cov_csv
+        code = run(["fit", "--input", path, "--input-kind", "covariance",
+                    "--out", tmp_path / "o", "--preset", "glasso", "--rho", "0.1"])
+        assert code == cli.EXIT_ERROR == 1
+        assert capsys.readouterr().err == "GolazoError: unexpected state\n"
 
     def test_max_sweeps_exit(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -221,6 +343,21 @@ class TestExitCodes:
             capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("d_bounds", [1, 3])
+    def test_bounds_files_must_match_s(self, tmp_path, capsys, d_bounds):
+        path = tmp_path / "S.csv"
+        dio.write_csv_matrix(path, random_correlation(np.random.default_rng(2), 5))
+        lo_f, hi_f = tmp_path / "L.csv", tmp_path / "U.csv"
+        dio.write_csv_matrix(lo_f, np.zeros((d_bounds, d_bounds)))
+        dio.write_csv_matrix(hi_f, np.zeros((d_bounds, d_bounds)))
+        out = tmp_path / "o"
+        code = run(["fit", "--input", path, "--input-kind", "covariance",
+                    "--out", out, "--bounds-l", lo_f, "--bounds-u", hi_f])
+        assert code == cli.EXIT_USAGE
+        assert (f"input error: bounds are {d_bounds} x {d_bounds} but S is 5 x 5"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missing_file_is_usage(self, tmp_path):
         code = run(["fit", "--input", tmp_path / "absent.csv",
                     "--input-kind", "covariance", "--out", tmp_path / "o",
@@ -240,6 +377,21 @@ class TestPath:
         assert len(payload["points"]) == 6
         assert payload["selectedRho"] == payload["grid"][payload["selectedIndex"]]
         assert (out / "Khat.csv").exists()
+
+    def test_failed_point_is_recorded(self, tmp_path):
+        # At rho = 0.01 one sweep does not certify; at rho = 10 every row is
+        # screened off and the start is optimal after 0 sweeps.
+        path = tmp_path / "S.csv"
+        dio.write_csv_matrix(path, random_correlation(np.random.default_rng(5), 8))
+        out = tmp_path / "out"
+        code = run(["path", "--input", path, "--input-kind", "correlation", "--n", "50",
+                    "--out", out, "--preset", "glasso", "--rho", "1.0", "--grid", "0.01,10",
+                    "--tol", "1e-15", "--max-sweeps", "1"])
+        assert code == 0
+        failed, ok = json.loads((out / "path.json").read_text())["points"]
+        assert sorted(failed) == ["error", "rho"] and failed["rho"] == 0.01
+        assert failed["error"].startswith("MaxSweepsExceededError: no convergence after 1 sweeps")
+        assert ok["rho"] == 10.0 and ok["edgeCount"] == 0 and ok["dualGap"] == 0.0
 
     def test_path_needs_sample_size(self, cov_csv, tmp_path):
         path, _ = cov_csv

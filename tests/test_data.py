@@ -20,20 +20,28 @@ from oracles import loop_kendall_tau
 
 
 class TestDataMatrix:
-    def test_shape_and_names(self):
-        dm = dio.DataMatrix([[1.0, 2.0], [3.0, 4.0]], column_names=["a", "b"])
-        assert dm.n == 2 and dm.d == 2
-        assert dm.column_names == ("a", "b")
+    """The n x d float array that ``read_csv_data`` returns."""
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            dio.DataMatrix([[1.0, np.nan]])
-        with pytest.raises(ValueError):
-            dio.DataMatrix([[np.inf, 0.0]])
+    def test_shape_and_names(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n1,2\n3,4\n5,6\n")
+        x = dio.read_csv_data(path, header=True)
+        assert type(x) is np.ndarray and x.dtype == float and x.shape == (3, 2)
+        with pytest.raises(ValueError, match="could not convert string to float: 'a'"):
+            dio.read_csv_data(path)
 
-    def test_rejects_name_mismatch(self):
-        with pytest.raises(ValueError):
-            dio.DataMatrix([[1.0, 2.0]], column_names=["only_one"])
+    def test_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "d.csv"
+        for text in ("1,nan\n2,3\n", "inf,0\n1,2\n", "1,2\n-INF,3\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="data contains missing or non-finite values"):
+                dio.read_csv_data(path)
+
+    def test_rejects_name_mismatch(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("only_one\n1,2\n")
+        with pytest.raises(ValueError, match="header has 1 names for 2 columns"):
+            dio.read_csv_data(path, header=True)
 
 
 class TestSampleCovariance:
@@ -196,9 +204,10 @@ class TestGenerators:
         spec = gz.DagSpec(3, {(0, 1): 0.4}, np.ones(3))
         a = gz.sample_positive_dag(spec, 20, seed=5)
         b = gz.sample_positive_dag(spec, 20, seed=5)
-        assert np.array_equal(a.values, b.values)
+        assert type(a) is np.ndarray and a.shape == (20, 3)
+        assert np.array_equal(a, b)
         c = gz.sample_positive_dag(spec, 20, seed=6)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a, c)
 
     def test_sample_positive_dag_rejects_negative_loading(self):
         spec = gz.DagSpec(2, {(0, 1): -0.4}, np.ones(2))
@@ -207,8 +216,8 @@ class TestGenerators:
 
     def test_sample_positive_dag_covariance_close(self):
         spec = gz.DagSpec(3, {(0, 1): 0.5, (0, 2): 0.3}, np.ones(3))
-        dm = gz.sample_positive_dag(spec, 200_000, seed=7)
-        s = gz.sample_covariance(dm)
+        x = gz.sample_positive_dag(spec, 200_000, seed=7)
+        s = gz.sample_covariance(x)
         assert np.max(np.abs(s - gz.dag_covariance(spec))) < 0.03
 
     @pytest.mark.parametrize("graph", [
@@ -265,6 +274,9 @@ class TestFileFormats:
         path = tmp_path / "b.csv"
         dio.write_csv_matrix(path, a)
         assert np.array_equal(dio.read_csv_matrix(path), a)
+        path.write_text("0, INF ,-Inf\n+inf,0,1\n-inf ,1,0\n")
+        want = np.array([[0.0, np.inf, -np.inf], [np.inf, 0.0, 1.0], [-np.inf, 1.0, 0.0]])
+        assert np.array_equal(dio.read_csv_matrix(path), want)
 
     def test_matrix_symmetry_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -275,9 +287,7 @@ class TestFileFormats:
     def test_data_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y\n1,2\n3,4\n")
-        dm = dio.read_csv_data(path, header=True)
-        assert dm.column_names == ("x", "y")
-        assert dm.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert dio.read_csv_data(path, header=True).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_edge_list_roundtrip(self, tmp_path):
         g = gz.GraphSpec(5, [(0, 3), (1, 2)])

@@ -194,34 +194,3 @@ class TestPresets:
         b = penalty.dual_positivity_bounds(g)
         assert b.lower[1, 2] == -np.inf and b.upper[1, 2] == 0.0
         assert b.lower[0, 1] == 0.0 and b.upper[0, 1] == 0.0
-
-    def test_dispatcher(self):
-        b = penalty.preset_bounds("glasso", 4, rho=0.2)
-        assert b.dim == 4
-        with pytest.raises(ValueError):
-            penalty.preset_bounds("nope", 4)
-
-    def test_dispatcher_builds_every_preset(self):
-        g = GraphSpec(3, [(0, 1)])
-        built = {
-            "glasso": (penalty.preset_bounds("glasso", 3, rho=0.2),
-                       penalty.glasso_bounds(0.2, 3)),
-            "asymmetric": (penalty.preset_bounds("asymmetric", 3, rho_neg=0.1, rho_pos=0.3),
-                           penalty.asymmetric_bounds(0.1, 0.3, 3)),
-            "positive": (penalty.preset_bounds("positive", 3, rho=0.2),
-                         penalty.positive_glasso_bounds(0.2, 3)),
-            "mtp2": (penalty.preset_bounds("mtp2", 3), penalty.mtp2_bounds(3)),
-            "ggm": (penalty.preset_bounds("ggm", graph=g), penalty.ggm_bounds(g)),
-            "dual_positivity": (penalty.preset_bounds("dual_positivity", graph=g),
-                                penalty.dual_positivity_bounds(g)),
-        }
-        for got, want in built.values():
-            assert np.array_equal(got.lower, want.lower)
-            assert np.array_equal(got.upper, want.upper)
-
-    def test_unknown_preset_message(self):
-        expected = ("unknown preset 'nope'; expected one of ['asymmetric', "
-                    "'dual_positivity', 'ggm', 'glasso', 'mtp2', 'positive']")
-        with pytest.raises(ValueError) as info:
-            penalty.preset_bounds("nope", 4)
-        assert str(info.value) == expected

@@ -7,6 +7,7 @@ import golazo as gz
 from golazo import boxqp, linalg, solver
 from golazo.errors import (
     DegenerateCorrelationError,
+    InvalidBoundsError,
     MaxSweepsExceededError,
     NoFeasibleStartError,
     NotUnitDiagonalError,
@@ -337,6 +338,18 @@ class TestScreeningAndLimits:
         s[0, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             gz.fit(s, gz.glasso_bounds(0.1, 2))
+
+    @pytest.mark.parametrize("d_bounds", [1, 3])
+    def test_bounds_must_match_s(self, d_bounds):
+        s = random_correlation(np.random.default_rng(2), 5)
+        with pytest.raises(InvalidBoundsError,
+                           match=f"bounds are {d_bounds} x {d_bounds} but S is 5 x 5"):
+            gz.fit(s, gz.glasso_bounds(0.1, d_bounds))
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-8, np.inf])
+    def test_gap_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="dual_gap_tol must be positive and finite"):
+            gz.SolverConfig(dual_gap_tol=tol)
 
 
 class TestScansMatchLoops:
