@@ -183,18 +183,13 @@ def sample_positive_dag(spec, n, seed, require_nonnegative=True):
 def _perfect_elimination_dag(graph, rng):
     """For a chordal graph, orient edges along a perfect elimination ordering
     and draw nonnegative loadings; the resulting covariance is Markov to the
-    graph and entrywise nonnegative."""
-    import networkx as nx
-
-    g = nx.Graph()
-    g.add_nodes_from(range(graph.d))
-    g.add_edges_from(graph.sorted_edges())
-    if not nx.is_chordal(g):
+    graph and entrywise nonnegative.  None for a graph that is not chordal."""
+    peo = _perfect_elimination_ordering(graph.adjacency)
+    if peo is None:
         return None
     # A perfect elimination ordering, reversed, gives a vertex order in which
     # each vertex's earlier neighbors form a clique, so orienting every edge
     # forward yields a DAG whose moral graph is the graph itself.
-    peo = _perfect_elimination_ordering(g)
     pos = np.empty(graph.d, dtype=int)
     pos[peo[::-1]] = np.arange(graph.d)
     # One loading per edge, drawn in row-major edge order.
@@ -208,20 +203,22 @@ def _perfect_elimination_dag(graph, rng):
     return cov_pos[np.ix_(pos, pos)]
 
 
-def _perfect_elimination_ordering(g):
-    import networkx as nx
-
+def _perfect_elimination_ordering(adjacency):
+    """Remove the smallest simplicial vertex until none is left; None when no
+    vertex left is simplicial, i.e. the graph is not chordal (Dirac 1961)."""
+    adj = np.array(adjacency, dtype=bool)
+    left = list(range(adj.shape[0]))
     order = []
-    h = g.copy()
-    while h.number_of_nodes():
-        for v in sorted(h.nodes):
-            nbrs = list(h.neighbors(v))
-            if all(h.has_edge(a, b) for k, a in enumerate(nbrs) for b in nbrs[k + 1:]):
+    while left:
+        for v in left:
+            nbrs = np.flatnonzero(adj[v])
+            if np.count_nonzero(adj[np.ix_(nbrs, nbrs)]) == nbrs.size * (nbrs.size - 1):
                 order.append(v)
-                h.remove_node(v)
+                left.remove(v)
+                adj[v, :] = adj[:, v] = False
                 break
-        else:  # pragma: no cover - cannot happen for chordal graphs
-            raise GenerationFailedError("no simplicial vertex found")
+        else:
+            return None
     return order
 
 
@@ -262,10 +259,20 @@ def sample_locally_associated(graph, seed, max_tries=1000, tol=1e-9):
 
 def _read_csv(path, header):
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    names = rows.pop(0) if header and rows else None
-    # float reads 'inf', '+inf' and '-inf' in any case, blanks around them.
-    a = np.array([[float(c) for c in row] for row in rows if row])
+        reader = csv.reader(fh)
+        names = next(reader, None) if header else None
+        rows = []
+        for row in filter(None, reader):
+            where = f"{path}, line {reader.line_num}"  # the header row counts
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{where}: expected {len(rows[0])} values, got {len(row)}")
+            rows.append([])
+            for col, token in enumerate(row, 1):
+                try:  # float reads 'inf', '+inf' and '-inf' in any case, blanks around them
+                    rows[-1].append(float(token))
+                except ValueError as exc:
+                    raise ValueError(f"{where}, column {col}: {exc}") from None
+    a = np.array(rows)
     if names is not None and a.ndim == 2 and len(names) != a.shape[1]:
         raise ValueError(f"header has {len(names)} names for {a.shape[1]} columns")
     return a
@@ -341,14 +348,23 @@ def write_edge_list(path, graph):
 
 
 def write_graphml(path, khat, threshold=EDGE_THRESHOLD):
-    """GraphML export with a 'partialCorrelation' attribute per edge."""
-    import networkx as nx
-
+    """GraphML export of nodes 1..d and the edges i < j in row-major order, each
+    with a 'partialCorrelation'; its key is declared only when there is an edge."""
     k = np.asarray(khat, dtype=float)
     i, j = np.nonzero(np.triu(np.abs(k) > threshold, 1))
     pcor = -k[i, j] / np.sqrt(k[i, i] * k[j, j])
-    g = nx.Graph()
-    g.add_nodes_from(range(1, k.shape[0] + 1))
-    g.add_edges_from((a, b, {"partialCorrelation": p})
-                     for a, b, p in zip((i + 1).tolist(), (j + 1).tolist(), pcor.tolist()))
-    nx.write_graphml(g, path)
+    ns = "http://graphml.graphdrawing.org/xmlns"
+    parts = ["<?xml version='1.0' encoding='utf-8'?>\n"
+             f'<graphml xmlns="{ns}" xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" '
+             f'xsi:schemaLocation="{ns} {ns}/1.0/graphml.xsd">\n']
+    if i.size:
+        parts.append('  <key id="d0" for="edge" attr.name="partialCorrelation" '
+                     'attr.type="double" />\n')
+    parts.append('  <graph edgedefault="undirected">\n')
+    parts += [f'    <node id="{v}" />\n' for v in range(1, k.shape[0] + 1)]
+    parts += [f'    <edge source="{a}" target="{b}">\n      <data key="d0">{p!r}</data>\n'
+              '    </edge>\n'
+              for a, b, p in zip((i + 1).tolist(), (j + 1).tolist(), pcor.tolist())]
+    parts.append("  </graph>\n</graphml>\n")
+    with open(path, "wb") as fh:
+        fh.write("".join(parts).encode("utf-8"))

@@ -364,6 +364,39 @@ class TestExitCodes:
                     "--preset", "glasso", "--rho", "0.1"])
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("kind, text, where", [
+        (["--input-kind", "data", "--header"], "a,b,c\n1,2,3\n\n4,x,6\n",
+         "line 4, column 2: could not convert string to float: 'x'"),
+        (["--input-kind", "data", "--header"], "a,b,c\n1,2,3\n4,5\n",
+         "line 3: expected 3 values, got 2"),
+        (["--input-kind", "covariance"], "1,0.5\n0.5,1x\n",
+         "line 2, column 2: could not convert string to float: '1x'"),
+        (["--input-kind", "covariance"], "1,0.5,0\n0.5,1\n0,0,1\n",
+         "line 2: expected 3 values, got 2"),
+    ], ids=["data-token", "data-short-row", "covariance-token", "covariance-short-row"])
+    def test_bad_csv_names_file_line_and_column(self, tmp_path, capsys, kind, text, where):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        out = tmp_path / "o"
+        code = run(["fit", "--input", path, *kind, "--out", out,
+                    "--preset", "glasso", "--rho", "0.1"])
+        assert code == cli.EXIT_USAGE
+        assert f"input error: {path}, {where}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_bounds_csv_names_that_file(self, cov_csv, tmp_path, capsys):
+        path, _ = cov_csv
+        lo_f, hi_f = tmp_path / "L.csv", tmp_path / "U.csv"
+        dio.write_csv_matrix(lo_f, np.zeros((4, 4)))
+        hi_f.write_text("0,1,1,1\n1,0,1,1\n1,1,0,one\n1,1,1,0\n")
+        code = run(["fit", "--input", path, "--input-kind", "covariance",
+                    "--out", tmp_path / "o", "--bounds-l", lo_f, "--bounds-u", hi_f])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert (f"input error: {hi_f}, line 3, column 4: could not convert string to float: "
+                "'one'") in err
+        assert str(path) not in err
+
 
 class TestPath:
     def test_path_outputs(self, data_csv, tmp_path):

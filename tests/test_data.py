@@ -1,6 +1,7 @@
 import tracemalloc
 from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,13 @@ from golazo.errors import (
     NotPositiveDefiniteError,
 )
 
-from oracles import loop_kendall_tau
+from oracles import (
+    loop_graphml_edges,
+    loop_is_perfect_elimination_ordering,
+    loop_kendall_tau,
+    nx_perfect_elimination_ordering,
+    random_graph,
+)
 
 
 class TestDataMatrix:
@@ -252,11 +259,41 @@ class TestGenerators:
         b = gz.sample_locally_associated(g, seed=3)
         assert np.array_equal(a, b)
 
+    def test_sample_locally_associated_chordal_draw_is_pinned(self):
+        # A triangle {0, 1, 2} with vertex 3 hanging off 0: eliminated as 1, 2, 0, 3.
+        # Pinned bytes: a seeded draw must not change when the ordering code does.
+        g = gz.GraphSpec(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+        assert dio._perfect_elimination_ordering(g.adjacency) == [1, 2, 0, 3]
+        want = np.array([
+            [1.1697559901007502, 0.7405601874833243, 0.6580416217533784, 0.32205715988059547],
+            [0.7405601874833243, 1.793143473047497, 0.5603434817723665, 0.20389099326687665],
+            [0.6580416217533784, 0.5603434817723665, 1.1454695284520273, 0.18117198593431524],
+            [0.32205715988059547, 0.20389099326687665, 0.18117198593431524, 1.0366007138626605],
+        ])
+        assert gz.sample_locally_associated(g, seed=5).tobytes() == want.tobytes()
+
     def test_sample_locally_associated_ignores_edge_order(self):
         band = [(i, i + k) for k in (1, 2) for i in range(8 - k)]
         forward = gz.sample_locally_associated(gz.GraphSpec(8, band), seed=3)
         backward = gz.sample_locally_associated(gz.GraphSpec(8, band[::-1]), seed=3)
         assert forward.tobytes() == backward.tobytes()
+
+
+class TestPerfectEliminationOrdering:
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(1, 15), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+           complete=st.booleans())
+    def test_matches_networkx(self, d, p, seed, complete):
+        g = nx.empty_graph(d)
+        g.add_edges_from(random_graph(np.random.default_rng(seed), d, p))
+        if complete:
+            g, _ = nx.complete_to_chordal_graph(g)
+        graph = gz.GraphSpec(d, list(g.edges))
+        order = dio._perfect_elimination_ordering(graph.adjacency)
+        assert (order is None) == (not nx.is_chordal(g))
+        assert order == nx_perfect_elimination_ordering(g)
+        if order is not None:
+            assert loop_is_perfect_elimination_ordering(graph, order)
 
 
 class TestFileFormats:
@@ -312,3 +349,20 @@ class TestFileFormats:
         assert g.number_of_edges() == 1
         (_, _, attrs), = g.edges(data=True)
         assert attrs["partialCorrelation"] == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("k, threshold", [
+        (np.array([[2.0]]), 1e-6),
+        (np.diag([1.0, 2.0, 3.0]), 1e-6),  # no edge: no attribute key either
+        (np.array([[1.0, -0.3, 0.0], [-0.3, 2.0, 0.5], [0.0, 0.5, 1.5]]), 1e-6),
+        (np.array([[1e4, -1e-3, 0.2], [-1e-3, 1e4, 0.0], [0.2, 0.0, 1e4]]), 1e-4),
+    ], ids=["d1", "no-edges", "both-signs", "exponent"])  # pcor 1e-07 and -2e-05
+    def test_graphml_bytes_match_networkx(self, tmp_path, k, threshold):
+        ours, theirs = tmp_path / "ours.graphml", tmp_path / "theirs.graphml"
+        dio.write_graphml(ours, k, threshold=threshold)
+        g = nx.Graph()
+        g.add_nodes_from(range(1, k.shape[0] + 1))
+        g.add_edges_from((a, b, {"partialCorrelation": p})
+                         for (a, b), p in loop_graphml_edges(k, threshold).items())
+        # The standard-library writer; nx.write_graphml is that one unless lxml is installed.
+        nx.write_graphml_xml(g, theirs)
+        assert ours.read_bytes() == theirs.read_bytes()

@@ -1,4 +1,5 @@
-import io
+import tempfile
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -145,11 +146,11 @@ class TestGraphMasksMatchLoops:
 
         khat = _rounded(rng, d, diagonal=float(rng.choice([1.0, 2.5])))
         khat = np.triu(khat) + np.triu(khat, 1).T
-        buffer = io.BytesIO()
-        dio.write_graphml(buffer, khat, threshold=tol)
-        buffer.seek(0)
-        written = {tuple(sorted((int(u), int(v)))): attrs["partialCorrelation"]
-                   for u, v, attrs in nx.read_graphml(buffer).edges(data=True)}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.graphml"
+            dio.write_graphml(path, khat, threshold=tol)
+            written = {tuple(sorted((int(u), int(v)))): attrs["partialCorrelation"]
+                       for u, v, attrs in nx.read_graphml(path).edges(data=True)}
         assert written == loop_graphml_edges(khat, threshold=tol)
 
 
