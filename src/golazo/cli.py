@@ -24,7 +24,7 @@ from .errors import (
     NonpositiveDiagonalError,
 )
 from .estimators import GraphSpec, gaussian_neg_loglik, mde
-from .linalg import is_m_matrix
+from .linalg import _one_blas_thread, is_m_matrix
 from .penalty import (
     PenaltyBounds,
     asymmetric_bounds,
@@ -134,7 +134,8 @@ def _load_input(args):
         x = dio.read_csv_data(args.input, header=args.header)
         s, n = dio.sample_covariance(x), x.shape[0]
     else:
-        s, n = dio.read_csv_matrix(args.input, header=args.header), getattr(args, "n", None)
+        s = dio.read_csv_matrix(args.input, header=args.header, allow_inf=False)
+        n = getattr(args, "n", None)
     bad = np.flatnonzero(np.diag(s) <= 0)
     if bad.size:
         raise NonpositiveDiagonalError(int(bad[0]))
@@ -292,7 +293,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        with _one_blas_thread():
+            return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

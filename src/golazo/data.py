@@ -3,6 +3,7 @@
 edge-list file formats used by the command-line tool.
 """
 import csv
+import heapq
 import warnings
 from dataclasses import dataclass
 
@@ -205,21 +206,33 @@ def _perfect_elimination_dag(graph, rng):
 
 def _perfect_elimination_ordering(adjacency):
     """Remove the smallest simplicial vertex until none is left; None when no
-    vertex left is simplicial, i.e. the graph is not chordal (Dirac 1961)."""
+    vertex left is simplicial, i.e. the graph is not chordal (Dirac 1961).
+
+    ``missing[u]`` counts the pairs of u's neighbours that are not adjacent,
+    so u is simplicial when it is 0.  Removing v takes from it the pairs
+    {v, w} with w a neighbour of u but not of v: only v's neighbours change,
+    and a simplicial vertex stays simplicial.  A heap holds the simplicial
+    vertices left.
+    """
     adj = np.array(adjacency, dtype=bool)
-    left = list(range(adj.shape[0]))
+    deg = adj.sum(axis=1)
+    missing = (deg * (deg - 1) - [np.count_nonzero(adj[row] & row) for row in adj]) // 2
+    queued = missing == 0
+    heap = np.flatnonzero(queued).tolist()  # ascending, so already a heap
     order = []
-    while left:
-        for v in left:
-            nbrs = np.flatnonzero(adj[v])
-            if np.count_nonzero(adj[np.ix_(nbrs, nbrs)]) == nbrs.size * (nbrs.size - 1):
-                order.append(v)
-                left.remove(v)
-                adj[v, :] = adj[:, v] = False
-                break
-        else:
-            return None
-    return order
+    while heap:
+        v = heapq.heappop(heap)
+        order.append(v)
+        nbrs = np.flatnonzero(adj[v])
+        outside = ~adj[v]
+        outside[v] = False
+        adj[v, :] = adj[:, v] = False
+        missing[nbrs] -= np.count_nonzero(adj[nbrs] & outside, axis=1)
+        new = nbrs[(missing[nbrs] == 0) & ~queued[nbrs]]
+        queued[new] = True
+        for u in new.tolist():
+            heapq.heappush(heap, u)
+    return order if len(order) == adj.shape[0] else None
 
 
 def sample_locally_associated(graph, seed, max_tries=1000, tol=1e-9):
@@ -257,16 +270,19 @@ def sample_locally_associated(graph, seed, max_tries=1000, tol=1e-9):
 
 # --- file formats -----------------------------------------------------------
 
-def _read_csv(path, header):
+def _read_csv(path, header, what, allow_inf):
+    """The CSV's numbers as an array; the first entry that is NaN (or
+    infinite, unless ``allow_inf``) is an error naming its line and column."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         names = next(reader, None) if header else None
-        rows = []
+        rows, lines = [], []
         for row in filter(None, reader):
             where = f"{path}, line {reader.line_num}"  # the header row counts
             if rows and len(row) != len(rows[0]):
                 raise ValueError(f"{where}: expected {len(rows[0])} values, got {len(row)}")
             rows.append([])
+            lines.append(reader.line_num)
             for col, token in enumerate(row, 1):
                 try:  # float reads 'inf', '+inf' and '-inf' in any case, blanks around them
                     rows[-1].append(float(token))
@@ -275,27 +291,30 @@ def _read_csv(path, header):
     a = np.array(rows)
     if names is not None and a.ndim == 2 and len(names) != a.shape[1]:
         raise ValueError(f"header has {len(names)} names for {a.shape[1]} columns")
+    bad = np.isnan(a) if allow_inf else ~np.isfinite(a)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        kind = "missing" if allow_inf else "missing or non-finite"
+        raise ValueError(f"{path}, line {lines[r]}, column {c + 1}: "
+                         f"{what} contains {kind} values ({a[r, c]})")
     return a
 
 
 def read_csv_data(path, header=False):
     """Read an n x d data CSV (comma separator, '.' decimal point) as a
-    float array; a header row is skipped."""
-    x = _read_csv(path, header)
+    float array; a header row is skipped.  Every entry must be finite."""
+    x = _read_csv(path, header, "data", allow_inf=False)
     if x.ndim != 2 or x.size == 0:
         raise ValueError("data must be a nonempty 2-d array")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("data contains missing or non-finite values")
     return x
 
 
-def read_csv_matrix(path, header=False, sym_tol=1e-9):
+def read_csv_matrix(path, header=False, sym_tol=1e-9, allow_inf=True):
     """Read a square symmetric matrix CSV; symmetrized by averaging after a
     symmetry check at ``sym_tol``.  Unlike data CSVs, 'inf' / '-inf' entries
-    are allowed (penalty-bound matrices use them)."""
-    a = _read_csv(path, header)
-    if np.any(np.isnan(a)):
-        raise ValueError("matrix CSV contains missing values")
+    are allowed (penalty-bound matrices use them) unless ``allow_inf`` is
+    false."""
+    a = _read_csv(path, header, "matrix CSV", allow_inf)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix CSV must be square, got {a.shape}")
     finite = np.isfinite(a)

@@ -4,6 +4,12 @@ All functions take and return plain ``numpy`` arrays.  Matrices are assumed
 symmetric; ``sym`` can be used to enforce exact symmetry after operations
 that may break it in the last bits.
 """
+import contextlib
+import ctypes
+import functools
+import os
+from pathlib import Path
+
 import numpy as np
 import scipy.linalg
 
@@ -90,3 +96,53 @@ def is_m_matrix(k, tol=0.0):
     if np.any(off > tol):
         return False
     return is_positive_definite(k)
+
+
+# The OpenBLAS builds that the numpy and scipy wheels bundle, as (directory,
+# library glob, symbol suffix).  Only the paths are formed here; nothing is
+# searched or opened before the first ``_one_blas_thread``.
+_BUNDLED_OPENBLAS = (
+    (Path(np.__file__).parent.parent / "numpy.libs", "libscipy_openblas64_-*.so", "64_"),
+    (Path(scipy.__file__).parent.parent / "scipy.libs", "libscipy_openblas-*.so", ""),
+)
+
+
+@functools.cache
+def _blas_pools(libraries):
+    """(get_num_threads, set_num_threads) of each bundled OpenBLAS that the
+    process has loaded; empty where none is found (MKL, a conda build, the
+    ``.dylibs`` of a macOS wheel)."""
+    pools = []
+    for directory, pattern, suffix in libraries:
+        for path in sorted(directory.glob(pattern)):
+            try:  # RTLD_NOLOAD: reach the pool numpy or scipy uses, never load a copy
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            pools.append((get, set_))
+    return tuple(pools)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every bundled OpenBLAS pool on one thread and put
+    the old thread counts back on the way out.
+
+    GOLAZO's dense calls are small (a |C| x |C| face solve per row, a d x d
+    inverse per sweep); at those sizes a second thread makes each call
+    slower, and its worker spins after the call returns.  One thread also
+    makes the results independent of the machine's core count.
+    """
+    pools = _blas_pools(_BUNDLED_OPENBLAS)
+    old = [get() for get, _ in pools]
+    try:
+        for _, set_ in pools:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), n in zip(pools, old):
+            set_(n)

@@ -1,14 +1,25 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import golazo as gz
-from golazo import cli
+from golazo import cli, linalg
 from golazo import data as dio
 from golazo.errors import ConstantColumnWarning, GolazoError, MaxIterationsExceededError
 
-from oracles import loop_kendall_tau, near_collinear_correlation, random_correlation
+from oracles import (
+    chain_er_correlation,
+    loop_kendall_tau,
+    near_collinear_correlation,
+    random_correlation,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -373,7 +384,14 @@ class TestExitCodes:
          "line 2, column 2: could not convert string to float: '1x'"),
         (["--input-kind", "covariance"], "1,0.5,0\n0.5,1\n0,0,1\n",
          "line 2: expected 3 values, got 2"),
-    ], ids=["data-token", "data-short-row", "covariance-token", "covariance-short-row"])
+        (["--input-kind", "data", "--header"], "a,b,c\n1,2,3\n\n4,NaN,6\n",
+         "line 4, column 2: data contains missing or non-finite values (nan)"),
+        (["--input-kind", "covariance"], "1,0.5\n0.5,nan\n",
+         "line 2, column 2: matrix CSV contains missing or non-finite values (nan)"),
+        (["--input-kind", "correlation"], "1,0.5,0\n0.5,1,-inf\n0,-inf,1\n",
+         "line 2, column 3: matrix CSV contains missing or non-finite values (-inf)"),
+    ], ids=["data-token", "data-short-row", "covariance-token", "covariance-short-row",
+            "data-nan", "covariance-nan", "correlation-inf"])
     def test_bad_csv_names_file_line_and_column(self, tmp_path, capsys, kind, text, where):
         path = tmp_path / "in.csv"
         path.write_text(text)
@@ -396,6 +414,18 @@ class TestExitCodes:
         assert (f"input error: {hi_f}, line 3, column 4: could not convert string to float: "
                 "'one'") in err
         assert str(path) not in err
+
+    def test_nan_bounds_csv_names_that_file(self, cov_csv, tmp_path, capsys):
+        path, _ = cov_csv
+        lo_f, hi_f = tmp_path / "L.csv", tmp_path / "U.csv"
+        lo_f.write_text("0,-inf,0,0\n-inf,0,0,0\n0,0,0,nan\n0,0,nan,0\n")
+        dio.write_csv_matrix(hi_f, np.full((4, 4), np.inf))  # inf stays legal in bounds
+        code = run(["fit", "--input", path, "--input-kind", "covariance",
+                    "--out", tmp_path / "o", "--bounds-l", lo_f, "--bounds-u", hi_f])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"input error: {lo_f}, line 3, column 4: matrix CSV contains missing values (nan)" in err
+        assert str(hi_f) not in err
 
 
 class TestPath:
@@ -512,6 +542,14 @@ class TestMdeAndSkeptic:
         assert code == cli.EXIT_USAGE
         assert "skeptic needs at least two observations" in capsys.readouterr().err
 
+    def test_skeptic_nan_cell_names_file_line_and_column(self, tmp_path, capsys):
+        path = tmp_path / "X.csv"
+        path.write_text("1,2,3\n4,5,6\n7,nan,9\n")
+        code = run(["skeptic", "--input", path, "--out", tmp_path / "out"])
+        assert code == cli.EXIT_USAGE
+        assert (f"input error: {path}, line 3, column 2: data contains missing or "
+                "non-finite values (nan)") in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_fit_byte_identical(self, cov_csv, tmp_path):
@@ -525,3 +563,70 @@ class TestDeterminism:
             outs.append(out)
         for fname in ("Khat.csv", "Sigma.csv", "edges.txt", "summary.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_fit_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # At d = 150 OpenBLAS would thread dpotrf/dpotrs (from n = 128 on),
+        # which changes the last bits of K.
+        path = tmp_path / "R.csv"
+        dio.write_csv_matrix(path, chain_er_correlation(np.random.default_rng(0), 150, 300))
+        outs = []
+        for threads in ("1", "2"):
+            outs.append(tmp_path / f"t{threads}")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
+            done = subprocess.run(
+                [sys.executable, "-m", "golazo.cli", "fit", "--input", str(path),
+                 "--input-kind", "correlation", "--preset", "glasso", "--rho", "0.1",
+                 "--out", str(outs[-1])],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+        for fname in ("Khat.csv", "summary.json"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def blas_thread_counts():
+    return [get() for get, _ in linalg._blas_pools(linalg._BUNDLED_OPENBLAS)]
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def counts(self):
+        counts = blas_thread_counts()
+        if not counts:
+            pytest.skip("numpy and scipy bundle no OpenBLAS here")
+        return counts
+
+    @pytest.mark.parametrize("raised, code", [
+        (None, cli.EXIT_OK),
+        (ValueError("bad value"), cli.EXIT_USAGE),
+        (GolazoError("failed"), cli.EXIT_ERROR),
+    ], ids=["ok", "input-error", "error"])
+    def test_command_runs_on_one_thread_and_counts_come_back(
+            self, counts, cov_csv, tmp_path, monkeypatch, raised, code):
+        seen = []
+
+        def command(args):
+            seen.append(blas_thread_counts())
+            if raised is not None:
+                raise raised
+            return cli.EXIT_OK
+
+        monkeypatch.setitem(cli._COMMANDS, "fit", command)
+        path, _ = cov_csv
+        assert run(["fit", "--input", path, "--input-kind", "covariance",
+                    "--out", tmp_path / "o", "--preset", "mtp2"]) == code
+        assert seen == [[1] * len(counts)]
+        assert blas_thread_counts() == counts
+
+    def test_no_bundled_openblas_is_a_no_op(self, cov_csv, tmp_path, monkeypatch):
+        path, _ = cov_csv
+        argv = ["fit", "--input", path, "--input-kind", "covariance",
+                "--preset", "glasso", "--rho", "0.1", "--n", "50", "--out"]
+        assert run([*argv, tmp_path / "a"]) == 0
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        monkeypatch.setattr(linalg, "_BUNDLED_OPENBLAS", tuple(
+            (empty, pattern, suffix) for _, pattern, suffix in linalg._BUNDLED_OPENBLAS))
+        assert run([*argv, tmp_path / "b"]) == 0
+        assert linalg._blas_pools(linalg._BUNDLED_OPENBLAS) == ()
+        for fname in ("Khat.csv", "Sigma.csv", "edges.txt", "summary.json"):
+            assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()

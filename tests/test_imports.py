@@ -22,6 +22,16 @@ def test_import_loads_no_heavy_modules():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_looks_up_no_blas_library():
+    # The bundled OpenBLAS libraries are looked up on the first CLI command.
+    probe = "import golazo; print(golazo.linalg._blas_pools.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
+
+
 def test_package_imports_only_stdlib_numpy_scipy():
     # Every absolute import, function-local ones included; relative imports
     # stay inside the package.
