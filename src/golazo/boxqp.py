@@ -21,7 +21,7 @@ no infeasible coordinate is the optimum.  From a cold start this takes a few
 face solves where a one-bound-per-step active-set method takes about as many
 as there are active bounds.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,9 @@ class BoxQP:
     lower: np.ndarray
     upper: np.ndarray
     index: np.ndarray = None
+    # lower != upper: the coordinates pivoting may release.  Set once here,
+    # since the solver builds each row's problem once per fit.
+    movable: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -75,18 +78,22 @@ class BoxQP:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "movable", lower != upper)
 
 
 def _feasible_seed(problem, y0):
     lower, upper = problem.lower, problem.upper
     if y0 is None:
         y0 = np.zeros(lower.size)
-    y = np.asarray(y0, dtype=float).ravel().clip(lower, upper)
-    if not np.isfinite(y).all():
+    y = np.asarray(y0, dtype=float).ravel()
+    if y.size != lower.size:
+        raise ValueError(f"y0 has {y.size} entries but the box has {lower.size}")
+    y = np.maximum(np.minimum(y, upper), lower)
+    if np.count_nonzero(np.isfinite(y)) < y.size:
         # An infinite y0 entry survives the clip where its box end is
         # infinite too; replace it by the lower end, or 0 if that is infinite.
         y = np.where(np.isfinite(y), y, np.where(np.isfinite(lower), lower, 0.0))
-        y = y.clip(lower, upper)
+        y = np.maximum(np.minimum(y, upper), lower)
     return y
 
 
@@ -98,8 +105,9 @@ def _solve_face(problem, state, fixed):
         return np.zeros(state.size), np.zeros(0)
     a, index = problem.a, problem.index
     y_c = np.where(state[fixed] == AT_LOWER, problem.lower[fixed], problem.upper[fixed])
-    a_fc = a[:, index[fixed]][index]
-    acc = a_fc[fixed]
+    # Columns first, then rows: a C-contiguous n x |C| block, read in place.
+    a_fc = a.take(index[fixed], axis=1).take(index, axis=0)
+    acc = a_fc.take(fixed, axis=0)
     try:
         z = linalg.solve_pd(acc, y_c)
     except NotPositiveDefiniteError:
@@ -121,36 +129,41 @@ def solve_boxqp(problem, tol=1e-10, y0=None, max_iter=None):
     active upper bound, |g_i| <= tol on free coordinates.  Each pivoting
     round is one face solve; ``max_iter`` caps their number.
     """
-    lower, upper = problem.lower, problem.upper
+    lower, upper, movable = problem.lower, problem.upper, problem.movable
     n = lower.size
     if max_iter is None:
         max_iter = 50 * (n + 5)
 
     y = _feasible_seed(problem, y0)
-    pinned = lower == upper
-    state = np.where(pinned | (y <= lower), AT_LOWER, np.where(y >= upper, AT_UPPER, FREE))
+    # Pinned coordinates (lower == upper) sit at both ends and start, and
+    # stay, AT_LOWER.
+    state = (y >= upper).view(np.int8)
+    state[y <= lower] = AT_LOWER
     best, stalled = n + 1, 0
     for _ in range(max_iter):
-        free = state == FREE
-        fixed = (~free).nonzero()[0]
+        fixed = state.nonzero()[0]
         y, z = _solve_face(problem, state, fixed)
-        below = free & (y < lower)
-        above = free & (y > upper)
-        release = np.zeros(n, dtype=bool)
-        wrong_sign = np.where(state[fixed] == AT_LOWER, -2.0 * z, 2.0 * z) > tol
-        release[fixed] = wrong_sign & ~pinned[fixed]
-        infeasible = below | above | release
-        count = np.count_nonzero(infeasible)
+        # y sits on its end at every fixed coordinate, so only free ones can
+        # be below or above the box; a fixed one is released when its
+        # multiplier has the wrong sign.
+        below = y < lower
+        above = y > upper
+        release = (2.0 * z * state[fixed] > tol) & movable[fixed]
+        count = np.count_nonzero(below) + np.count_nonzero(above) + np.count_nonzero(release)
         if not count:
-            return y  # in the box: the free coordinates are, the fixed sit at their ends
+            return y
         if count < best:
             best, stalled = count, 0
         else:
             stalled += 1
         if stalled > _BACKUP_ROUNDS:
-            infeasible[:infeasible.nonzero()[0][-1]] = False
-        state[below & infeasible] = AT_LOWER
-        state[above & infeasible] = AT_UPPER
-        state[release & infeasible] = FREE
+            # Murty's rule: exchange only the largest infeasible index.
+            i = max(np.flatnonzero(below | above).max(initial=-1),
+                    fixed[release].max(initial=-1))
+            state[i] = FREE if state[i] else (AT_LOWER if below[i] else AT_UPPER)
+        else:
+            state[below] = AT_LOWER
+            state[above] = AT_UPPER
+            state[fixed[release]] = FREE
 
     raise MaxIterationsExceededError(y.clip(lower, upper))

@@ -8,6 +8,7 @@ import contextlib
 import ctypes
 import functools
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +44,7 @@ def check_square_symmetric(a, atol=1e-9):
 
 
 def _pivot_tolerance(a):
-    diag_max = float(np.abs(a.diagonal()).max()) if a.shape[0] else 0.0
-    return PIVOT_RTOL * max(diag_max, 1.0e-300)
+    return PIVOT_RTOL * np.abs(a.diagonal()).max(initial=1.0e-300)
 
 
 def cholesky_logdet(a):
@@ -84,9 +84,19 @@ def invert_pd(a):
 
 
 def solve_pd(a, b):
-    """Solve a @ x = b for positive definite a."""
-    factor, _ = cholesky_logdet(a)
-    return scipy.linalg.lapack.dpotrs(factor, b, lower=True)[0]
+    """Solve a @ x = b for positive definite a.
+
+    One LAPACK ``dposv`` call (``dpotrf`` then ``dpotrs``), so x has the same
+    bits as ``cholesky_logdet`` followed by ``dpotrs``; no log-determinant is
+    formed.  The pivots pass the test of ``cholesky_logdet`` or it is called
+    on ``a`` to raise NotPositiveDefiniteError with the failing pivot.
+    """
+    a = np.asarray(a, dtype=float)
+    factor, x, info = scipy.linalg.lapack.dposv(a, b, lower=True)
+    piv = factor.diagonal()
+    if info or np.count_nonzero(piv * piv > _pivot_tolerance(a)) < piv.size:
+        cholesky_logdet(a)  # raises: dpotrf gives it the same factor
+    return x
 
 
 def is_m_matrix(k, tol=0.0):
@@ -127,10 +137,17 @@ def _blas_pools(libraries):
     return tuple(pools)
 
 
+# Entries into ``_one_blas_thread`` still open in the process, and the
+# thread counts the outermost one saved.  The pools are process-wide, so
+# this is too: nested or concurrent fits switch once and restore once.
+_switch_lock = threading.Lock()
+_switch = {"depth": 0, "saved": ()}
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with every bundled OpenBLAS pool on one thread and put
-    the old thread counts back on the way out.
+    the old thread counts back when the last open block exits.
 
     GOLAZO's dense calls are small (a |C| x |C| face solve per row, a d x d
     inverse per sweep); at those sizes a second thread makes each call
@@ -138,11 +155,17 @@ def _one_blas_thread():
     makes the results independent of the machine's core count.
     """
     pools = _blas_pools(_BUNDLED_OPENBLAS)
-    old = [get() for get, _ in pools]
+    with _switch_lock:
+        if not _switch["depth"]:
+            _switch["saved"] = tuple((set_, get()) for get, set_ in pools)
+            for _, set_ in pools:
+                set_(1)
+        _switch["depth"] += 1
     try:
-        for _, set_ in pools:
-            set_(1)
         yield
     finally:
-        for (_, set_), n in zip(pools, old):
-            set_(n)
+        with _switch_lock:
+            _switch["depth"] -= 1
+            if not _switch["depth"]:
+                for set_, n in _switch["saved"]:
+                    set_(n)

@@ -213,9 +213,12 @@ def _check_feasible(sigma, s, clipped, slack=1e-9):
             and np.all(sigma - s <= clipped.upper + slack * scale))
 
 
+@linalg._one_blas_thread()  # entered anew on every call
 def fit(s, bounds, config=None, sigma0=None, screen=True):
     """Run the block-coordinate dual ascent until the duality gap is within
     ``config.dual_gap_tol`` and every pair's KKT residual within KKT_TOL.
+    BLAS and LAPACK run on one thread throughout (``linalg._one_blas_thread``),
+    so K does not depend on the machine's core count.
 
     ``sigma0`` optionally supplies a dually feasible starting point; when
     omitted one is constructed by ``_default_start``.
@@ -235,6 +238,8 @@ def fit(s, bounds, config=None, sigma0=None, screen=True):
     if sigma0 is None:
         sigma = _default_start(s, bounds)
     else:
+        if np.shape(sigma0) != s.shape:
+            raise ValueError(f"sigma0 has shape {np.shape(sigma0)} but S has shape {s.shape}")
         sigma = linalg.check_square_symmetric(sigma0)
         if not _check_feasible(sigma, s, clipped):
             raise NoFeasibleStartError("supplied sigma0 is not dually feasible")
@@ -266,9 +271,11 @@ def fit(s, bounds, config=None, sigma0=None, screen=True):
 
     while not certified and sweeps < config.max_sweeps:
         for j, keep, problem in rows:
-            y = solve_boxqp(problem, tol=QP_TOL, y0=sigma[j, keep])
-            sigma[j, keep] = y
-            sigma[keep, j] = y
+            # sigma[j] and sigma[:, j] are views: indexing them is cheaper
+            # than sigma[j, keep] and moves the same entries.
+            y = solve_boxqp(problem, tol=QP_TOL, y0=sigma[j][keep])
+            sigma[j][keep] = y
+            sigma[:, j][keep] = y
         sweeps += 1
         k = linalg.invert_pd(sigma)
         gap = duality_gap(s, k, clipped)

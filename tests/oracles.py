@@ -2,11 +2,14 @@
 package.  Each oracle deliberately uses a different algorithm than the code
 under test (brute force, projected gradient, a primal active-set method,
 proximal gradient, iterative proportional scaling, path enumeration).
+The one exception is ``reference_boxqp``: the same pivoting method written
+with other numpy calls, so that a faster rewrite can be held to its bits.
 """
 import itertools
 
 import networkx as nx
 import numpy as np
+import scipy.linalg
 
 from golazo import linalg
 from golazo.errors import (
@@ -108,6 +111,80 @@ def active_set_boxqp(a, lower, upper, tol=1e-10, y0=None, max_iter=None):
         state[fixed[k]] = 0
 
     raise MaxIterationsExceededError(y)
+
+
+def _reference_solve_pd(a, b):
+    factor, _ = linalg.cholesky_logdet(a)
+    return scipy.linalg.lapack.dpotrs(factor, b, lower=True)[0]
+
+
+def _reference_feasible_seed(problem, y0):
+    lower, upper = problem.lower, problem.upper
+    if y0 is None:
+        y0 = np.zeros(lower.size)
+    y = np.asarray(y0, dtype=float).ravel().clip(lower, upper)
+    if not np.isfinite(y).all():
+        y = np.where(np.isfinite(y), y, np.where(np.isfinite(lower), lower, 0.0))
+        y = y.clip(lower, upper)
+    return y
+
+
+def _reference_solve_face(problem, state, fixed):
+    if not fixed.size:
+        return np.zeros(state.size), np.zeros(0)
+    a, index = problem.a, problem.index
+    y_c = np.where(state[fixed] == -1, problem.lower[fixed], problem.upper[fixed])
+    a_fc = a[:, index[fixed]][index]
+    acc = a_fc[fixed]
+    try:
+        z = _reference_solve_pd(acc, y_c)
+    except NotPositiveDefiniteError:
+        diag = a.diagonal()[index]
+        ridge = 1e-10 * float(diag.sum()) / diag.size
+        z = _reference_solve_pd(acc + ridge * np.eye(fixed.size), y_c)
+    y = a_fc @ z
+    y[fixed] = y_c
+    return y, z
+
+
+def reference_boxqp(problem, tol=1e-10, y0=None, max_iter=None):
+    """Block principal pivoting as first written, kept to pin the bits of
+    ``boxqp.solve_boxqp``: a boolean-mask round with one ``np.where`` per
+    test, and face solves through ``cholesky_logdet`` and ``dpotrs``.
+    Returns the same vector, bit for bit, or raises the same error."""
+    lower, upper = problem.lower, problem.upper
+    n = lower.size
+    if max_iter is None:
+        max_iter = 50 * (n + 5)
+
+    y = _reference_feasible_seed(problem, y0)
+    pinned = lower == upper
+    state = np.where(pinned | (y <= lower), -1, np.where(y >= upper, 1, 0))
+    best, stalled = n + 1, 0
+    for _ in range(max_iter):
+        free = state == 0
+        fixed = (~free).nonzero()[0]
+        y, z = _reference_solve_face(problem, state, fixed)
+        below = free & (y < lower)
+        above = free & (y > upper)
+        release = np.zeros(n, dtype=bool)
+        wrong_sign = np.where(state[fixed] == -1, -2.0 * z, 2.0 * z) > tol
+        release[fixed] = wrong_sign & ~pinned[fixed]
+        infeasible = below | above | release
+        count = np.count_nonzero(infeasible)
+        if not count:
+            return y
+        if count < best:
+            best, stalled = count, 0
+        else:
+            stalled += 1
+        if stalled > 3:
+            infeasible[:infeasible.nonzero()[0][-1]] = False
+        state[below & infeasible] = -1
+        state[above & infeasible] = 1
+        state[release & infeasible] = 0
+
+    raise MaxIterationsExceededError(y.clip(lower, upper))
 
 
 def _soft_threshold_offdiag(a, t):

@@ -7,7 +7,7 @@ from golazo import boxqp, linalg
 from golazo.boxqp import AT_LOWER, FREE, BoxQP, solve_boxqp
 from golazo.errors import MaxIterationsExceededError, NotPositiveDefiniteError
 
-from oracles import active_set_boxqp, projected_gradient_boxqp, random_pd
+from oracles import active_set_boxqp, projected_gradient_boxqp, random_pd, reference_boxqp
 
 
 def qp(w, lower, upper):
@@ -157,6 +157,13 @@ def test_repeated_index_rejected():
     # A repeated row of a makes A = a[index][:, index] singular.
     with pytest.raises(ValueError, match="repeated"):
         BoxQP(np.eye(3) + 0.1, [0.5, 0.5], [1.0, 1.0], index=[1, 1])
+
+
+def test_y0_size_must_match_the_box():
+    problem = qp(np.eye(3), [-1.0] * 3, [1.0] * 3)
+    for y0 in ([0.5], [0.5, 0.5], np.zeros(4), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match=f"y0 has {np.size(y0)} entries but the box has 3"):
+            solve_boxqp(problem, y0=y0)
 
 
 def test_dimension_mismatch_rejected_with_index():
@@ -313,3 +320,77 @@ def test_pivot_rounds_count_against_max_iter():
         solve_boxqp(problem, y0=[1.0, -2.0], max_iter=1)
     y = solve_boxqp(problem, y0=[1.0, -2.0], max_iter=2)
     assert y == pytest.approx([1.0, 0.9], abs=1e-12)
+
+
+def bit_identical(problem, **kwargs):
+    """solve_boxqp and the first-written pivoting code agree bit for bit,
+    also on the last iterate when both reach ``max_iter``."""
+    try:
+        ref = reference_boxqp(problem, **kwargs)
+    except MaxIterationsExceededError as exc:
+        with pytest.raises(MaxIterationsExceededError) as got:
+            solve_boxqp(problem, **kwargs)
+        return np.array_equal(got.value.iterate, exc.iterate)
+    return np.array_equal(solve_boxqp(problem, **kwargs), ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_bits_match_the_reference_pivoting(seed):
+    # Index-form problems with infinite ends, pinned coordinates, cold and
+    # warm starts, seeds on and off the box, and tight boxes that hold many
+    # coordinates at a bound.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 40))
+    n = int(rng.integers(1, m + 1))
+    big = random_pd(rng, m, rng.choice([0.0, 0.05, 1.0]))
+    idx = rng.choice(m, n, replace=False)
+    width = rng.choice([0.05, 0.5, 2.0])
+    lower = np.where(rng.random(n) < 0.2, -np.inf, -width * rng.random(n))
+    upper = np.where(rng.random(n) < 0.2, np.inf, width * rng.random(n))
+    shift = rng.standard_normal(n) * rng.random()
+    lower, upper = lower + shift, upper + shift
+    pin = rng.random(n) < 0.15
+    lower[pin] = upper[pin] = np.where(np.isfinite(lower[pin]), lower[pin], 0.3)
+    y0 = [None, np.where(np.isfinite(lower), lower, 0.0),
+          np.where(np.isfinite(upper), upper, 0.0),
+          big[idx[0], idx] * rng.random(),
+          np.where(rng.random(n) < 0.3, np.inf * rng.choice([-1, 1], n), 0.0)][int(rng.integers(5))]
+    assert bit_identical(BoxQP(big, lower, upper, index=idx), y0=y0)
+
+
+def test_bits_match_the_reference_on_a_ridged_face():
+    # A singular A_CC: both codes take the ridge on the same face.
+    base = np.array([[1.0, 1.0, 0.3], [1.0, 1.0, 0.3], [0.3, 0.3, 1.0]])
+    big = np.eye(5)
+    idx = np.array([3, 1, 4])
+    big[np.ix_(idx, idx)] = base
+    lower = np.array([0.5, 0.5, -np.inf])
+    upper = np.array([1.0, 1.0, np.inf])
+    for problem in (BoxQP(base, lower, upper), BoxQP(big, lower, upper, index=idx)):
+        for y0 in (lower, None, [1.0, 0.5, 3.0]):
+            assert bit_identical(problem, y0=y0)
+
+
+def first_glasso_row(rng, d):
+    """The first row QP of a glasso fit from Sigma = S, on a sample
+    correlation S of 2d draws, and its warm start."""
+    mix = np.eye(d) + rng.standard_normal((d, d)) * rng.uniform(0.1, 0.5)
+    s = np.corrcoef(rng.standard_normal((2 * d, d)) @ mix, rowvar=False)
+    rho = rng.choice([0.05, 0.1, 0.3])
+    return BoxQP(s, s[0, 1:] - rho, s[0, 1:] + rho, index=np.arange(1, d)), s[0, 1:]
+
+
+@pytest.mark.parametrize("seed", [86, 24, 83, 89])
+def test_bits_match_the_reference_through_murty_rounds(seed):
+    # Rows on which full exchanges stall, so pivoting takes Murty rounds:
+    # seed 86 is the case of test_murty_single_exchange_when_the_count_stalls
+    # (only multipliers are infeasible there); in the others free and bound
+    # coordinates are infeasible together, and the largest index is a free
+    # one (24, 89) or a bound one (83).
+    rng = np.random.default_rng(seed)
+    problem, y0 = first_glasso_row(rng, 8 if seed == 86 else int(rng.integers(6, 16)))
+    assert bit_identical(problem, y0=y0)
+    # Stopped after each round: the same iterate comes back in the error.
+    for max_iter in range(1, 11):
+        assert bit_identical(problem, y0=y0, max_iter=max_iter)

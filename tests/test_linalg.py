@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from golazo import linalg
 from golazo.errors import NotPositiveDefiniteError
@@ -104,3 +105,34 @@ def test_is_m_matrix():
     assert linalg.is_m_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     # Nonpositive off-diagonal but indefinite.
     assert not linalg.is_m_matrix(np.array([[1.0, -2.0], [-2.0, 1.0]]))
+
+
+def test_solve_pd_matches_factor_then_solve_bit_for_bit(monkeypatch):
+    # One dposv call gives the bits of dpotrf then dpotrs, and a solve that
+    # succeeds forms no log-determinant.
+    rng = np.random.default_rng(21)
+    cases = []
+    for _ in range(60):
+        d = int(rng.integers(1, 40))
+        a = random_pd(rng, d, float(rng.choice([0.0, 0.05, 1.0])))
+        b = rng.standard_normal(d)
+        factor, _ = linalg.cholesky_logdet(a)
+        cases.append((a, b, scipy.linalg.lapack.dpotrs(factor, b, lower=True)[0]))
+    monkeypatch.setattr(linalg, "cholesky_logdet", None)
+    for a, b, expected in cases:
+        assert np.array_equal(linalg.solve_pd(a, b), expected)
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[1.0, 2.0], [2.0, 1.0]]),          # LAPACK fails at pivot 1
+    np.diag([1.0, 1e-13, 1.0]),                  # positive, below the relative tolerance
+    np.diag([-1.0, 1.0]),
+    np.array([[1.0, 0.5], [0.5, np.nan]]),
+    np.zeros((2, 2)),
+], ids=["indefinite", "tiny-pivot", "negative-diagonal", "nan", "zero"])
+def test_solve_pd_fails_at_the_cholesky_pivot(a):
+    with pytest.raises(NotPositiveDefiniteError) as expected:
+        linalg.cholesky_logdet(a)
+    with pytest.raises(NotPositiveDefiniteError) as got:
+        linalg.solve_pd(a, np.ones(a.shape[0]))
+    assert got.value.pivot_index == expected.value.pivot_index

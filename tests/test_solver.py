@@ -1,3 +1,10 @@
+import os
+import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +41,9 @@ from oracles import (
     starting_point_interior,
     starting_point_single_linkage,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def two_by_two(r):
@@ -332,6 +342,12 @@ class TestScreeningAndLimits:
         assert np.min(np.linalg.eigvalsh(sigma0)) < 0
         with pytest.raises(NoFeasibleStartError, match="positive definite"):
             gz.fit(s, gz.glasso_bounds(1.0, 3), sigma0=sigma0)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 1), (2, 3), (2,)])
+    def test_sigma0_must_match_s(self, shape):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"sigma0 has shape {shape} but S has shape (2, 2)")):
+            gz.fit(two_by_two(0.3), gz.glasso_bounds(0.1, 2), sigma0=np.ones(shape))
 
     def test_non_finite_input_rejected(self):
         s = two_by_two(0.3)
@@ -656,3 +672,106 @@ class TestFitResultApi:
         assert res.edge_count == len(edges)
         for i, j in edges:
             assert abs(res.khat[i, j]) > gz.EDGE_THRESHOLD
+
+
+def blas_thread_counts():
+    return [get() for get, _ in linalg._blas_pools(linalg._BUNDLED_OPENBLAS)]
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def counts(self):
+        """Every bundled pool set to 2 threads for the test, so that a count
+        that is not put back shows also on a one-core machine."""
+        pools = linalg._blas_pools(linalg._BUNDLED_OPENBLAS)
+        if not pools:
+            pytest.skip("numpy and scipy bundle no OpenBLAS here")
+        old = blas_thread_counts()
+        try:
+            for _, set_ in pools:
+                set_(2)
+            yield blas_thread_counts()
+        finally:
+            for (_, set_), n in zip(pools, old):
+                set_(n)
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The thread counts at every duality-gap evaluation of a fit."""
+        seen = []
+        original = solver.duality_gap
+
+        def recording(*args):
+            seen.append(blas_thread_counts())
+            return original(*args)
+
+        monkeypatch.setattr(solver, "duality_gap", recording)
+        return seen
+
+    def test_fit_runs_on_one_thread_and_counts_come_back(self, counts, seen):
+        s = chain_er_correlation(np.random.default_rng(4), 10, 20)
+        gz.fit(s, gz.glasso_bounds(0.05, 10))
+        with pytest.raises(MaxSweepsExceededError):
+            gz.fit(s, gz.glasso_bounds(0.02, 10), config=gz.SolverConfig(max_sweeps=1))
+        assert len(seen) >= 3
+        assert all(c == [1] * len(counts) for c in seen)
+        assert blas_thread_counts() == counts
+
+    def test_nested_fits_keep_the_outer_switch(self, counts, seen):
+        # Under cli.main a fit is the inner block; leaving it must not put
+        # the old counts back while the command still runs.
+        s = random_correlation(np.random.default_rng(6), 6)
+        with linalg._one_blas_thread():
+            gz.fit(s, gz.glasso_bounds(0.1, 6))
+            assert blas_thread_counts() == [1] * len(counts)
+        assert all(c == [1] * len(counts) for c in seen)
+        assert blas_thread_counts() == counts
+
+    def test_concurrent_fits_restore_the_counts(self, counts, seen):
+        # Fits on four threads overlap in every order: no fit may run with
+        # a count another fit's exit put back, and the last exit restores.
+        rng = np.random.default_rng(8)
+        problems = [random_correlation(rng, 8) for _ in range(5)]
+        errors = []
+
+        def work():
+            try:
+                for s in problems:
+                    gz.fit(s, gz.glasso_bounds(0.05, 8))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(seen) >= 4 * len(problems)
+        assert all(c == [1] * len(counts) for c in seen)
+        assert blas_thread_counts() == counts
+
+    def test_fit_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # A library fit, d = 150: OpenBLAS would thread dpotrf/dpotrs from
+        # n = 128 on, which changes the last bits of K.  The input is made
+        # once, here, since making it also runs BLAS.
+        path = tmp_path / "S.npy"
+        np.save(path, chain_er_correlation(np.random.default_rng(150), 150, 300))
+        probe = ("import sys, hashlib, numpy as np, golazo as gz; "
+                 "s = np.load(sys.argv[1]); "
+                 "print(hashlib.sha256(gz.fit(s, gz.glasso_bounds(0.1, 150)).khat.tobytes())"
+                 ".hexdigest())")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
+            done = subprocess.run([sys.executable, "-c", probe, str(path)], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1]
