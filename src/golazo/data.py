@@ -52,45 +52,71 @@ def to_correlation(s):
     return linalg.sym(r)
 
 
-# Entries (sample pairs x columns) of one block of pair signs: two float64
-# buffers of 2 MB each.  A block always holds at least one whole lag.
+# Entries (sample pairs x columns) of one block of pair signs: one float32
+# buffer of 1 MB.  A block always holds at least one whole lag.
 _SIGN_BLOCK_ENTRIES = 1 << 18
+
+# Ranks, rank differences and the partial sums of a block's sign product are
+# integers, exact in float32 while below 2**24 in magnitude.
+_MAX_KENDALL_ROWS = 1 << 24
+
+
+def _dense_ranks(x):
+    """Each column's values replaced by 0, 1, 2, ... in increasing order, equal
+    values (equal infinities, 0.0 and -0.0) sharing one rank; float32."""
+    order = np.argsort(x, axis=0)
+    ordered = np.take_along_axis(x, order, axis=0)
+    steps = np.empty(x.shape, dtype=np.float32)
+    steps[:1] = 0.0
+    np.not_equal(ordered[1:], ordered[:-1], out=steps[1:])
+    np.cumsum(steps, axis=0, out=steps)
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, steps, axis=0)
+    return ranks
 
 
 def _sign_gram(x):
     """G[i, j] = sum over sample pairs p < q of
     sign(x_qi - x_pi) * sign(x_qj - x_pj).
 
-    The pairs are taken a lag q - p at a time and packed into blocks of
-    rows; each block of signs S adds S'S to G.  Every summand is -1, 0 or 1
-    and every partial sum an integer far below 2**53, so G is exact
-    whatever the BLAS blocking or thread count.
+    The columns are replaced by their dense ranks, which keep every pair
+    sign.  The pairs are taken a lag q - p at a time and packed into float32
+    blocks of rows; clipping a block of rank differences to [-1, 1] gives its
+    signs S, and S'S is added to a float64 G.  Ranks below 2**24 are exact in
+    float32, every summand of S'S is -1, 0 or 1, and every partial sum an
+    integer of magnitude at most the block's rows, which is below 2**24 too.
+    So G is exact whatever the BLAS blocking or thread count.
     """
     n, d = x.shape
+    ranks = _dense_ranks(x)
     rows = max(n - 1, _SIGN_BLOCK_ENTRIES // max(d, 1))
-    diff = np.empty((rows, d))
-    signs = np.empty((rows, d))
+    signs = np.empty((rows, d), dtype=np.float32)
     gram = np.zeros((d, d))
     lag = 1
     while lag < n:
         m = 0
         while lag < n and m + n - lag <= rows:
-            np.subtract(x[lag:], x[:-lag], out=diff[m:m + n - lag])
+            np.subtract(ranks[lag:], ranks[:-lag], out=signs[m:m + n - lag])
             m += n - lag
             lag += 1
-        # Into a second buffer: numpy's in-place sign is several times slower.
-        np.sign(diff[:m], out=signs[:m])
-        gram += signs[:m].T @ signs[:m]
+        # The differences are integers, so clipping them is their sign, and
+        # in place it is several times faster than np.sign.
+        block = signs[:m]
+        np.clip(block, -1.0, 1.0, out=block)
+        gram += block.T @ block
     return gram
 
 
 def kendall_tau_matrix(x, variant="a"):
     """Pairwise Kendall correlation, exact, from one blocked Gram product of
-    pair signs: O(d^2 n^2) flops in BLAS and O(n d) working memory.
+    the signs of rank differences: O(d^2 n^2) flops in single-precision
+    BLAS and O(n d) working memory.
 
     ``variant='a'`` divides the concordant-discordant balance by n(n-1)/2,
     counting tied pairs as zero; ``variant='b'`` divides by the geometric
-    mean of the untied pair counts in each column.
+    mean of the untied pair counts in each column.  Infinities are ordered
+    values, so equal ones tie; a NaN is an error, and so is n > 2**24, past
+    which float32 ranks are no longer exact.
     """
     if variant not in ("a", "b"):
         raise ValueError("variant must be 'a' or 'b'")
@@ -98,6 +124,14 @@ def kendall_tau_matrix(x, variant="a"):
     n, d = x.shape
     if n < 2:
         raise ValueError("Kendall correlation needs at least two observations")
+    if n > _MAX_KENDALL_ROWS:
+        raise ValueError(f"Kendall correlation is exact for at most 2**24 = "
+                         f"{_MAX_KENDALL_ROWS} observations, got {n}")
+    nan = np.isnan(x)
+    if nan.any():
+        r, c = np.argwhere(nan)[0]
+        raise ValueError(f"Kendall correlation needs data without NaN; "
+                         f"row {r}, column {c} (0-based) is NaN")
     gram = _sign_gram(x)  # concordant - discordant; untied pairs on the diagonal
     if variant == "a":
         denom = n * (n - 1)
@@ -272,7 +306,30 @@ def sample_locally_associated(graph, seed, max_tries=1000, tol=1e-9):
 
 def _read_csv(path, header, what, allow_inf):
     """The CSV's numbers as an array; the first entry that is NaN (or
-    infinite, unless ``allow_inf``) is an error naming its line and column."""
+    infinite, unless ``allow_inf``) is an error naming its line and column.
+
+    ``np.loadtxt`` parses in C and rounds correctly, as ``float`` does.  When
+    it fails or warns, or the header or values do not pass, the csv-module
+    scan reads the file again: it forms every error message, and it accepts
+    what ``loadtxt`` does not, such as quoted numbers.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with open(path, newline="", encoding="utf-8") as fh:
+                names = next(csv.reader(fh), None) if header else None
+                a = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, csv.Error, Warning):
+        pass  # outside the handler, so the scan's own error has no context
+    else:
+        bad = np.isnan(a).any() if allow_inf else not np.isfinite(a).all()
+        if not bad and (names is None or len(names) == a.shape[1]):
+            return a
+    return _scan_csv(path, header, what, allow_inf)
+
+
+def _scan_csv(path, header, what, allow_inf):
+    """``_read_csv`` one csv-module row at a time, in Python."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         names = next(reader, None) if header else None
@@ -309,9 +366,16 @@ def read_csv_data(path, header=False):
     return x
 
 
-def read_csv_matrix(path, header=False, sym_tol=1e-9, allow_inf=True):
+# Largest |a_ij - a_ji| that ``read_csv_matrix`` averages away.
+_SYM_TOL = 1e-9
+
+# Enough digits to read every float64 back bit for bit.
+_CSV_FORMAT = "%.17g"
+
+
+def read_csv_matrix(path, header=False, allow_inf=True):
     """Read a square symmetric matrix CSV; symmetrized by averaging after a
-    symmetry check at ``sym_tol``.  Unlike data CSVs, 'inf' / '-inf' entries
+    symmetry check at ``_SYM_TOL``.  Unlike data CSVs, 'inf' / '-inf' entries
     are allowed (penalty-bound matrices use them) unless ``allow_inf`` is
     false."""
     a = _read_csv(path, header, "matrix CSV", allow_inf)
@@ -322,13 +386,13 @@ def read_csv_matrix(path, header=False, sym_tol=1e-9, allow_inf=True):
         raise ValueError("matrix CSV is not symmetric within tolerance")
     with np.errstate(invalid="ignore"):
         asym = np.abs(np.where(finite, a, 0.0) - np.where(finite, a, 0.0).T)
-    if np.max(asym) > sym_tol:
+    if np.max(asym) > _SYM_TOL:
         raise ValueError("matrix CSV is not symmetric within tolerance")
     return linalg.sym(a)  # infinite entries equal their mirror, so they stay
 
 
-def write_csv_matrix(path, a, fmt="%.17g"):
-    np.savetxt(path, np.asarray(a, dtype=float), delimiter=",", fmt=fmt)
+def write_csv_matrix(path, a):
+    np.savetxt(path, np.asarray(a, dtype=float), delimiter=",", fmt=_CSV_FORMAT)
 
 
 def read_edge_list(path, d=None):

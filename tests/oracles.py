@@ -2,9 +2,12 @@
 package.  Each oracle deliberately uses a different algorithm than the code
 under test (brute force, projected gradient, a primal active-set method,
 proximal gradient, iterative proportional scaling, path enumeration).
-The one exception is ``reference_boxqp``: the same pivoting method written
-with other numpy calls, so that a faster rewrite can be held to its bits.
+Two exceptions hold a faster rewrite to the bits of the code it replaced:
+``reference_boxqp``, the same pivoting method written with other numpy
+calls, and ``reference_read_csv``, the csv-module CSV reader that the
+``np.loadtxt`` fast path falls back on.
 """
+import csv
 import itertools
 
 import networkx as nx
@@ -570,6 +573,38 @@ def loop_kendall_tau(x, variant="a"):
                 denom = np.sqrt(ti * tj) if ti > 0 and tj > 0 else np.inf
             tau[i, j] = tau[j, i] = agree / denom
     return tau
+
+
+def reference_read_csv(path, header, what, allow_inf):
+    """The csv-module reader as it stood before ``np.loadtxt`` parsed first.
+
+    The CSV's numbers as an array; the first entry that is NaN (or
+    infinite, unless ``allow_inf``) is an error naming its line and column."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        names = next(reader, None) if header else None
+        rows, lines = [], []
+        for row in filter(None, reader):
+            where = f"{path}, line {reader.line_num}"  # the header row counts
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{where}: expected {len(rows[0])} values, got {len(row)}")
+            rows.append([])
+            lines.append(reader.line_num)
+            for col, token in enumerate(row, 1):
+                try:  # float reads 'inf', '+inf' and '-inf' in any case, blanks around them
+                    rows[-1].append(float(token))
+                except ValueError as exc:
+                    raise ValueError(f"{where}, column {col}: {exc}") from None
+    a = np.array(rows)
+    if names is not None and a.ndim == 2 and len(names) != a.shape[1]:
+        raise ValueError(f"header has {len(names)} names for {a.shape[1]} columns")
+    bad = np.isnan(a) if allow_inf else ~np.isfinite(a)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        kind = "missing" if allow_inf else "missing or non-finite"
+        raise ValueError(f"{path}, line {lines[r]}, column {c + 1}: "
+                         f"{what} contains {kind} values ({a[r, c]})")
+    return a
 
 
 def loop_support_pairs(k, threshold):

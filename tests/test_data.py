@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -23,7 +28,10 @@ from oracles import (
     loop_kendall_tau,
     nx_perfect_elimination_ordering,
     random_graph,
+    reference_read_csv,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestDataMatrix:
@@ -49,6 +57,87 @@ class TestDataMatrix:
         path.write_text("only_one\n1,2\n")
         with pytest.raises(ValueError, match="header has 1 names for 2 columns"):
             dio.read_csv_data(path, header=True)
+
+
+# Number spellings that float() and np.loadtxt both read, and tokens that
+# send the reader down its csv-module path or to an error.
+_CSV_NUMBERS = st.one_of(
+    st.sampled_from(["1e3", " 2.5 ", "INF", "-inf", "+Inf", "0", "-0", "7", ".5",
+                     "\t-2\t", "1e400"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+_CSV_ODD = st.sampled_from(["nan", "NaN", '"4"', '" 2.5 "', '"1,5"', "#", "# 3", "",
+                            " ", "x", "1_0", "1 2"])
+_CSV_TOKENS = st.one_of(_CSV_NUMBERS, _CSV_NUMBERS, _CSV_NUMBERS, _CSV_ODD)
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text: an optional header row, then rows that are mostly k wide
+    (or a symmetric k x k matrix), with ragged rows, trailing commas and
+    blank or whitespace-only lines mixed in."""
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        cells = [[None] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                cells[i][j] = cells[j][i] = draw(_CSV_TOKENS)
+        lines = [",".join(row) for row in cells]
+    else:
+        lines = []
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from(["row", "row", "row", "ragged", "trailing", "blank"]))
+            if kind == "blank":
+                lines.append(draw(st.sampled_from(["", " ", "\t"])))
+                continue
+            width = draw(st.integers(1, 4)) if kind == "ragged" else k
+            fields = draw(st.lists(_CSV_TOKENS, min_size=width, max_size=width))
+            lines.append(",".join(fields) + ("," if kind == "trailing" else ""))
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["a", "a,b", "a,b,c", '"a,b",c', "#,x", ""])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(read):
+    try:
+        a = read()
+    except Exception as exc:  # the kind of failure is compared too
+        return type(exc), str(exc)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+class TestReaderMatchesReference:
+    """``read_csv_data`` and ``read_csv_matrix`` against the csv-module
+    reader they replaced: the same bits, or the same error message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_csv_texts(), header=st.booleans())
+    @example(text=" 1e3, 2.5 \nINF,-inf\n", header=False)
+    @example(text="1,2\r\n3,nan\r\n", header=False)
+    @example(text='"1",2\n2,"3"\n', header=False)
+    @example(text="1,2\n  \n2,1\n", header=False)
+    @example(text="1,2\n\n2,1\n", header=False)
+    @example(text="#,1\n1,2\n", header=False)
+    @example(text="a,b\n1,2\n2,1\n", header=True)
+    @example(text="a\n1,2\n2,1\n", header=True)
+    @example(text='"a,\nb",c\n1,2\n2,1\n', header=True)
+    @example(text="1,2\n3\n", header=False)
+    @example(text="1,2,\n2,1,\n", header=False)
+    @example(text="", header=False)
+    @example(text="", header=True)
+    @example(text="a,b\n", header=True)
+    def test_same_bits_or_message(self, text, header):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.csv"
+            path.write_bytes(text.encode())
+            reads = [lambda: dio.read_csv_data(path, header=header)]
+            reads += [lambda allow=allow: dio.read_csv_matrix(path, header=header,
+                                                              allow_inf=allow)
+                      for allow in (True, False)]
+            for read in reads:
+                with mock.patch.object(dio, "_read_csv", reference_read_csv):
+                    want = _outcome(read)
+                assert _outcome(read) == want
 
 
 class TestSampleCovariance:
@@ -186,6 +275,55 @@ class TestKendallMatchesLoop:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class TestKendallInput:
+    def test_nan_is_an_error_naming_its_row_and_column(self):
+        x = np.random.default_rng(23).standard_normal((8, 3))
+        x[5, 0] = x[3, 2] = np.nan
+        for f in (gz.kendall_tau_matrix, gz.skeptic_correlation):
+            with pytest.raises(ValueError, match=r"row 3, column 2 \(0-based\) is NaN"):
+                f(x)
+
+    @pytest.mark.parametrize("variant", ["a", "b"])
+    def test_infinities_are_ordered_and_equal_ones_tie(self, variant):
+        x = np.random.default_rng(24).standard_normal((30, 5))
+        x[[2, 7, 11], 0] = np.inf
+        x[[5, 9], 1] = -np.inf
+        x[[3, 4], 2] = np.inf, -np.inf
+        x[:, 3] = np.inf  # a constant column of infinities
+        x[[0, 1], 4] = np.inf
+        x[[6, 8, 10], 4] = -np.inf
+        finite = np.where(x == np.inf, 1e6, np.where(x == -np.inf, -1e6, x))
+        want = loop_kendall_tau(finite, variant=variant)
+        assert np.array_equal(gz.kendall_tau_matrix(x, variant=variant), want)
+        assert np.array_equal(gz.skeptic_correlation(x, variant=variant),
+                              gz.skeptic_correlation(finite, variant=variant))
+
+    def test_rows_past_the_float32_bound_rejected(self):
+        x = np.broadcast_to(0.0, (2**24 + 1, 1))  # a view: nothing is allocated
+        with pytest.raises(ValueError, match=r"at most 2\*\*24 = 16777216 observations, "
+                                             r"got 16777217"):
+            gz.kendall_tau_matrix(x)
+
+    def test_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # The library call keeps the process's BLAS threads, so a threaded
+        # sgemm must still give integer-exact partial sums.
+        x = np.random.default_rng(25).standard_normal((3000, 60))
+        x[:, 7] = np.round(x[:, 7])
+        path = tmp_path / "x.npy"
+        np.save(path, x)
+        probe = ("import sys, hashlib, numpy as np, golazo as gz; "
+                 "x = np.load(sys.argv[1]); "
+                 "print(hashlib.sha256(gz.kendall_tau_matrix(x).tobytes()).hexdigest())")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
+            done = subprocess.run([sys.executable, "-c", probe, str(path)], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 class TestGenerators:
