@@ -1,9 +1,11 @@
 """Box-constrained quadratic program  min y' A^{-1} y  s.t.  l <= y <= u.
 
 A is positive definite and is given itself, never its inverse: in the dual
-sweep it is the principal submatrix Sigma_{-j,-j} of the current iterate,
-passed as Sigma together with the index set -j so that it is never copied.
-Box ends may be infinite (absent constraints).
+sweep it is the block of the current iterate on row j's connected component,
+j included, and coordinate j has the box (-inf, inf).  Minimizing over a
+free coordinate leaves the QP on A_{-j,-j} (its Schur complement), so the
+other coordinates get the optimum of the row's QP on Sigma_{-j,-j}, with the
+same pivoting decisions.  Box ends may be infinite (absent constraints).
 
 On the face where the coordinates C sit at their bounds and the others F are
 free, the optimum is y_F = A_FC z with z = A_CC^{-1} y_C, and the gradient
@@ -39,15 +41,11 @@ _BACKUP_ROUNDS = 3
 
 @dataclass(frozen=True)
 class BoxQP:
-    """The QP on A = a, or, when ``index`` is given, on the principal
-    submatrix A = a[index][:, index] of a larger symmetric matrix ``a``,
-    which is read in place.  ``index`` holds distinct row numbers of ``a``,
-    one per box coordinate."""
+    """The QP on A = a, which is read in place."""
 
     a: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    index: np.ndarray = None
     # lower != upper: the coordinates pivoting may release.  Set once here,
     # since the solver builds each row's problem once per fit.
     movable: np.ndarray = field(init=False, repr=False, compare=False)
@@ -57,27 +55,15 @@ class BoxQP:
         lower = np.asarray(self.lower, dtype=float).ravel()
         upper = np.asarray(self.upper, dtype=float).ravel()
         n = lower.size
-        if self.index is None:
-            fits = a.shape == (n, n)
-            index = np.arange(n)
-        else:
-            index = np.asarray(self.index, dtype=np.intp).ravel()
-            fits = (a.ndim == 2 and a.shape[0] == a.shape[1] and index.size == n
-                    and (n == 0 or (index.min() >= 0 and index.max() < a.shape[0])))
-        if not fits or upper.size != n:
+        if a.shape != (n, n) or upper.size != n:
             raise ValueError("dimension mismatch between A and the box")
-        seen = np.zeros(a.shape[0], dtype=bool)
-        seen[index] = True
-        if np.count_nonzero(seen) < n:
-            raise ValueError("repeated entry in index: A would be singular")
-        if np.isnan(lower).any() or np.isnan(upper).any():
-            raise ValueError("NaN box end")
-        if (lower > upper).any():
+        if np.count_nonzero(lower <= upper) < n:  # false at a NaN end, too
+            if np.isnan(lower).any() or np.isnan(upper).any():
+                raise ValueError("NaN box end")
             raise ValueError("empty box: some l_i > u_i")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "index", index)
         object.__setattr__(self, "movable", lower != upper)
 
 
@@ -97,23 +83,22 @@ def _feasible_seed(problem, y0):
     return y
 
 
-def _solve_face(problem, state, fixed):
-    """Minimizer y of y'A^{-1}y with the coordinates ``fixed`` pinned at the
-    bounds their ``state`` names, and z with gradient 2 A^{-1} y = 2 z on
-    them (0 elsewhere)."""
+def _solve_face(problem, y, fixed):
+    """Minimizer of y'A^{-1}y with the coordinates ``fixed`` pinned at their
+    values in ``y``, which sit on the bounds their state names, and z with
+    gradient 2 A^{-1} y = 2 z on them (0 elsewhere)."""
     if not fixed.size:
-        return np.zeros(state.size), np.zeros(0)
-    a, index = problem.a, problem.index
-    y_c = np.where(state[fixed] == AT_LOWER, problem.lower[fixed], problem.upper[fixed])
-    # Columns first, then rows: a C-contiguous n x |C| block, read in place.
-    a_fc = a.take(index[fixed], axis=1).take(index, axis=0)
+        return np.zeros(y.size), np.zeros(0)
+    a = problem.a
+    y_c = y[fixed]
+    a_fc = a.take(fixed, axis=1)  # a C-contiguous n x |C| block
     acc = a_fc.take(fixed, axis=0)
     try:
         z = linalg.solve_pd(acc, y_c)
     except NotPositiveDefiniteError:
         # Ridge fail-over for (near-)singular principal blocks, at 1e-10
         # times the mean diagonal entry of A.
-        diag = a.diagonal()[index]
+        diag = a.diagonal()
         ridge = 1e-10 * float(diag.sum()) / diag.size
         z = linalg.solve_pd(acc + ridge * np.eye(fixed.size), y_c)
     y = a_fc @ z
@@ -142,16 +127,18 @@ def solve_boxqp(problem, tol=1e-10, y0=None, max_iter=None):
     best, stalled = n + 1, 0
     for _ in range(max_iter):
         fixed = state.nonzero()[0]
-        y, z = _solve_face(problem, state, fixed)
+        y, z = _solve_face(problem, y, fixed)
         # y sits on its end at every fixed coordinate, so only free ones can
         # be below or above the box; a fixed one is released when its
-        # multiplier has the wrong sign.
+        # multiplier 2 z has the wrong sign.
         below = y < lower
         above = y > upper
-        release = (2.0 * z * state[fixed] > tol) & movable[fixed]
+        release = (z * state[fixed] > tol / 2) & movable[fixed]
         count = np.count_nonzero(below) + np.count_nonzero(above) + np.count_nonzero(release)
         if not count:
             return y
+        # Each coordinate the exchange below fixes then sits on its end.
+        y.clip(lower, upper, out=y)
         if count < best:
             best, stalled = count, 0
         else:

@@ -332,19 +332,22 @@ def _scan_csv(path, header, what, allow_inf):
     """``_read_csv`` one csv-module row at a time, in Python."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        names = next(reader, None) if header else None
         rows, lines = [], []
-        for row in filter(None, reader):
-            where = f"{path}, line {reader.line_num}"  # the header row counts
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(f"{where}: expected {len(rows[0])} values, got {len(row)}")
-            rows.append([])
-            lines.append(reader.line_num)
-            for col, token in enumerate(row, 1):
-                try:  # float reads 'inf', '+inf' and '-inf' in any case, blanks around them
-                    rows[-1].append(float(token))
-                except ValueError as exc:
-                    raise ValueError(f"{where}, column {col}: {exc}") from None
+        try:  # the csv module's own errors, such as a field over its size limit
+            names = next(reader, None) if header else None
+            for row in filter(None, reader):
+                where = f"{path}, line {reader.line_num}"  # the header row counts
+                if rows and len(row) != len(rows[0]):
+                    raise ValueError(f"{where}: expected {len(rows[0])} values, got {len(row)}")
+                rows.append([])
+                lines.append(reader.line_num)
+                for col, token in enumerate(row, 1):
+                    try:  # float reads 'inf', '+inf' and '-inf' in any case, blanks around them
+                        rows[-1].append(float(token))
+                    except ValueError as exc:
+                        raise ValueError(f"{where}, column {col}: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     a = np.array(rows)
     if names is not None and a.ndim == 2 and len(names) != a.shape[1]:
         raise ValueError(f"header has {len(names)} names for {a.shape[1]} columns")

@@ -93,8 +93,15 @@ def solve_pd(a, b):
     """
     a = np.asarray(a, dtype=float)
     factor, x, info = scipy.linalg.lapack.dposv(a, b, lower=True)
-    piv = factor.diagonal()
-    if info or np.count_nonzero(piv * piv > _pivot_tolerance(a)) < piv.size:
+    if not info:
+        # The pivot test of ``cholesky_logdet`` on lists: the row QPs' faces
+        # are a few coordinates wide, where Python's reductions beat numpy's.
+        # A NaN pivot fails it; a NaN diagonal entry, which max skips, makes
+        # its pivot NaN.
+        tol = PIVOT_RTOL * max(1.0e-300, *map(abs, a.diagonal().tolist()))
+        piv = factor.diagonal().tolist()
+        info = sum(p * p > tol for p in piv) < len(piv)
+    if info:
         cholesky_logdet(a)  # raises: dpotrf gives it the same factor
     return x
 

@@ -8,9 +8,12 @@ whose dual is
 
     maximize  log det Sigma + d     subject to  S + L <= Sigma <= S + U.
 
-The solver keeps a dually feasible Sigma, sweeps its rows cyclically, and
-for each row solves a box-constrained QP in the off-diagonal entries.  The
-duality gap tr(S K) - d + |K|_LU (with K = Sigma^{-1}) certifies optimality.
+The solver keeps a dually feasible Sigma and sweeps the rows of each
+connected component cyclically, on a contiguous copy of the component's block
+that goes back into Sigma after each sweep.  Row j's box QP spans its whole
+block row with entry j free, which leaves the QP in the off-diagonal entries;
+Sigma_jj is put back after the solve.  The duality gap tr(S K) - d + |K|_LU
+(with K = Sigma^{-1}) certifies optimality.
 """
 from dataclasses import dataclass
 
@@ -222,10 +225,11 @@ def fit(s, bounds, config=None, sigma0=None, screen=True):
 
     ``sigma0`` optionally supplies a dually feasible starting point; when
     omitted one is constructed by ``_default_start``.
-    Rows are solved only against the other members of their connected
-    component (see ``_components``); rows alone in theirs are never
-    touched and are reported as ``isolated_rows``.  ``screen=False`` treats
-    all rows as one component (used in tests as the reference).
+    Each connected component (see ``_components``) is swept on its own
+    copied block of Sigma, written back after every sweep; rows alone in
+    theirs are never touched and are reported as ``isolated_rows``.
+    ``screen=False`` treats all rows as one component (used in tests as the
+    reference).
     """
     config = config or SolverConfig()
     s = linalg.check_square_symmetric(s)
@@ -250,17 +254,15 @@ def fit(s, bounds, config=None, sigma0=None, screen=True):
     sigma = np.where(label[:, None] == label, sigma, 0.0)
     comps = [np.flatnonzero(label == c) for c in range(label.max() + 1)]
 
-    # One box QP per row, built once: its matrix is Sigma itself, read in
-    # place, so every solve sees the current iterate and nothing is copied.
-    lo = s + clipped.lower
-    hi = s + clipped.upper
-    rows = []
+    # One full-width box QP per row of each block, built once.
+    blocks = []
     for members in comps:
-        if members.size == 1:
-            continue
-        for j in members:
-            keep = members[members != j]
-            rows.append((j, keep, BoxQP(sigma, lo[j, keep], hi[j, keep], index=keep)))
+        if members.size > 1:
+            ix = np.ix_(members, members)
+            a, lower, upper = sigma[ix], s[ix] + clipped.lower[ix], s[ix] + clipped.upper[ix]
+            np.fill_diagonal(lower, -np.inf)
+            np.fill_diagonal(upper, np.inf)
+            blocks.append((ix, a, [BoxQP(a, lower[j], upper[j]) for j in range(members.size)]))
 
     gap_trace = []
     sweeps = 0
@@ -270,12 +272,13 @@ def fit(s, bounds, config=None, sigma0=None, screen=True):
     certified = _certified(s, k, sigma, clipped, gap, config.dual_gap_tol)
 
     while not certified and sweeps < config.max_sweeps:
-        for j, keep, problem in rows:
-            # sigma[j] and sigma[:, j] are views: indexing them is cheaper
-            # than sigma[j, keep] and moves the same entries.
-            y = solve_boxqp(problem, tol=QP_TOL, y0=sigma[j][keep])
-            sigma[j][keep] = y
-            sigma[:, j][keep] = y
+        for ix, a, problems in blocks:
+            for j, problem in enumerate(problems):
+                y = solve_boxqp(problem, tol=QP_TOL, y0=a[j])
+                y[j] = a[j, j]
+                a[j] = y
+                a[:, j] = y
+            sigma[ix] = a
         sweeps += 1
         k = linalg.invert_pd(sigma)
         gap = duality_gap(s, k, clipped)

@@ -135,14 +135,14 @@ def _reference_feasible_seed(problem, y0):
 def _reference_solve_face(problem, state, fixed):
     if not fixed.size:
         return np.zeros(state.size), np.zeros(0)
-    a, index = problem.a, problem.index
+    a = problem.a
     y_c = np.where(state[fixed] == -1, problem.lower[fixed], problem.upper[fixed])
-    a_fc = a[:, index[fixed]][index]
+    a_fc = np.ascontiguousarray(a[:, fixed])  # a[:, fixed] alone is F-ordered
     acc = a_fc[fixed]
     try:
         z = _reference_solve_pd(acc, y_c)
     except NotPositiveDefiniteError:
-        diag = a.diagonal()[index]
+        diag = a.diagonal()
         ridge = 1e-10 * float(diag.sum()) / diag.size
         z = _reference_solve_pd(acc + ridge * np.eye(fixed.size), y_c)
     y = a_fc @ z
@@ -325,6 +325,27 @@ def chain_er_correlation(rng, d, n, p=0.05):
     k[iu[pick], ju[pick]] = -rng.uniform(0.1, 0.3, int(pick.sum()))
     k = k + k.T
     np.fill_diagonal(k, np.abs(k).sum(axis=1) + 0.1)
+    x = rng.standard_normal((n, d)) @ np.linalg.cholesky(np.linalg.inv(k)).T
+    r = np.corrcoef(x, rowvar=False)
+    r = (r + r.T) / 2.0
+    np.fill_diagonal(r, 1.0)
+    return r
+
+
+def block_chain_correlation(rng, blocks, size, n, chords=5):
+    """Sample correlation of n draws from N(0, K^{-1}), where K is block
+    diagonal with ``blocks`` chains of ``size`` (partial correlation -0.4)
+    plus ``chords`` chords each (-0.1), its smallest eigenvalue raised to
+    0.1: the truth of the block-path benchmark workload."""
+    d = blocks * size
+    k = np.eye(d)
+    iu, ju = np.triu_indices(size, 2)
+    for base in range(0, d, size):
+        k[base + np.arange(size - 1), base + np.arange(1, size)] = 0.4
+        pick = rng.choice(iu.size, size=chords, replace=False)
+        k[base + iu[pick], base + ju[pick]] = 0.1
+    k = np.triu(k) + np.triu(k, 1).T
+    k += max(0.1 - float(np.linalg.eigvalsh(k)[0]), 0.0) * np.eye(d)
     x = rng.standard_normal((n, d)) @ np.linalg.cholesky(np.linalg.inv(k)).T
     r = np.corrcoef(x, rowvar=False)
     r = (r + r.T) / 2.0

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golazo import boxqp, linalg
-from golazo.boxqp import AT_LOWER, FREE, BoxQP, solve_boxqp
+from golazo.boxqp import AT_LOWER, AT_UPPER, FREE, BoxQP, solve_boxqp
 from golazo.errors import MaxIterationsExceededError, NotPositiveDefiniteError
 
 from oracles import active_set_boxqp, projected_gradient_boxqp, random_pd, reference_boxqp
@@ -153,29 +153,11 @@ def test_nan_box_end_rejected():
             BoxQP(np.eye(3), lower, upper)
 
 
-def test_repeated_index_rejected():
-    # A repeated row of a makes A = a[index][:, index] singular.
-    with pytest.raises(ValueError, match="repeated"):
-        BoxQP(np.eye(3) + 0.1, [0.5, 0.5], [1.0, 1.0], index=[1, 1])
-
-
 def test_y0_size_must_match_the_box():
     problem = qp(np.eye(3), [-1.0] * 3, [1.0] * 3)
     for y0 in ([0.5], [0.5, 0.5], np.zeros(4), np.zeros((2, 2))):
         with pytest.raises(ValueError, match=f"y0 has {np.size(y0)} entries but the box has 3"):
             solve_boxqp(problem, y0=y0)
-
-
-def test_dimension_mismatch_rejected_with_index():
-    big = np.eye(4)
-    with pytest.raises(ValueError):
-        BoxQP(big, [0.0, 0.0], [1.0, 1.0], index=[0, 1, 2])
-    with pytest.raises(ValueError):
-        BoxQP(big, [0.0, 0.0], [1.0, 1.0], index=[0, 4])
-    with pytest.raises(ValueError):
-        BoxQP(big, [0.0, 0.0], [1.0, 1.0], index=[-1, 2])
-    with pytest.raises(ValueError):
-        BoxQP(np.ones((4, 3)), [0.0, 0.0], [1.0, 1.0], index=[0, 1])
 
 
 def kkt_holds(w, y, lower, upper, tol=1e-8):
@@ -190,17 +172,33 @@ def kkt_holds(w, y, lower, upper, tol=1e-8):
             and np.all(np.abs(g[free]) <= tol))
 
 
-def test_index_form_matches_copied_block():
-    # The QP on big[idx][:, idx] given as (big, index) or as the copied
-    # block: infinite ends, pinned coordinates, cold and warm starts.
+def full_width(lower, upper, j, value=0.0):
+    """The box with a free coordinate (-inf, inf) inserted at j, and a
+    function that inserts ``value`` at j into a vector of the other ones."""
+    def insert(v):
+        return None if v is None else np.insert(np.asarray(v, dtype=float), j, value)
+    return np.insert(lower, j, -np.inf), np.insert(upper, j, np.inf), insert
+
+
+def test_full_width_matches_copied_block(monkeypatch):
+    # The QP on big with coordinate j free is the QP on the copied block
+    # big_{-j,-j}: the same optimum off j after the same face solves, with
+    # infinite ends, pinned coordinates, cold and warm starts.
+    calls = []
+    original = boxqp._solve_face
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(boxqp, "_solve_face", counting)
     rng = np.random.default_rng(31)
     for trial in range(320):
         m = int(rng.integers(2, 14))
-        n = int(rng.integers(1, m + 1))
         big = random_pd(rng, m, 0.05)
-        idx = rng.choice(m, n, replace=False)
-        if trial % 2:
-            idx = np.sort(idx)
+        j = int(rng.integers(m))
+        keep = np.delete(np.arange(m), j)
+        n = m - 1
         lower = np.where(rng.random(n) < 0.25, -np.inf, -rng.random(n))
         upper = np.where(rng.random(n) < 0.25, np.inf, rng.random(n))
         shift = rng.standard_normal(n) * 0.5 * (rng.random() < 0.5)
@@ -209,11 +207,17 @@ def test_index_form_matches_copied_block():
         lower[pin] = upper[pin] = np.where(np.isfinite(lower[pin]), lower[pin], 0.3)
         y0 = [None, np.where(np.isfinite(lower), lower, 0.0),
               np.where(np.isfinite(upper), upper, 0.0)][trial % 3]
-        copied = solve_boxqp(BoxQP(big[np.ix_(idx, idx)], lower, upper), y0=y0)
-        indexed = solve_boxqp(BoxQP(big, lower, upper, index=idx), y0=y0)
-        assert np.max(np.abs(copied - indexed), initial=0.0) <= 1e-12
-        assert np.array_equal(indexed[pin], lower[pin])
-        assert kkt_holds(np.linalg.inv(big[np.ix_(idx, idx)]), indexed, lower, upper)
+        calls.clear()
+        copied = solve_boxqp(BoxQP(big[np.ix_(keep, keep)], lower, upper), y0=y0)
+        copied_faces = len(calls)
+        wide_lower, wide_upper, insert = full_width(lower, upper, j, big[j, j])
+        calls.clear()
+        wide = solve_boxqp(BoxQP(big, wide_lower, wide_upper), y0=insert(y0))
+        assert len(calls) == copied_faces
+        assert np.max(np.abs(copied - wide[keep]), initial=0.0) <= 1e-12
+        assert np.array_equal(wide[keep][pin], lower[pin])
+        assert kkt_holds(np.linalg.inv(big[np.ix_(keep, keep)]), wide[keep], lower, upper)
+        assert kkt_holds(np.linalg.inv(big), wide, wide_lower, wide_upper)
 
 
 def test_ridge_fallback_on_singular_active_block(monkeypatch):
@@ -223,9 +227,11 @@ def test_ridge_fallback_on_singular_active_block(monkeypatch):
     base = np.array([[1.0, 1.0, 0.3], [1.0, 1.0, 0.3], [0.3, 0.3, 1.0]])
     lower = np.array([0.5, 0.5, -np.inf])
     upper = np.array([1.0, 1.0, np.inf])
-    big = np.eye(5)
-    idx = np.array([3, 1, 4])
-    big[np.ix_(idx, idx)] = base
+    # The same QP in full-width form, with a free coordinate at 2.
+    big = np.eye(4)
+    keep = np.array([0, 1, 3])
+    big[np.ix_(keep, keep)] = base
+    wide_lower, wide_upper, insert = full_width(lower, upper, 2)
     failures = []
     original = linalg.cholesky_logdet
 
@@ -238,9 +244,10 @@ def test_ridge_fallback_on_singular_active_block(monkeypatch):
 
     monkeypatch.setattr(linalg, "cholesky_logdet", counting)
     results = []
-    for problem in (BoxQP(base, lower, upper), BoxQP(big, lower, upper, index=idx)):
+    for problem, y0, take in ((BoxQP(base, lower, upper), lower, np.arange(3)),
+                              (BoxQP(big, wide_lower, wide_upper), insert(lower), keep)):
         failures.clear()
-        y = solve_boxqp(problem, y0=lower)
+        y = solve_boxqp(problem, y0=y0)[take]
         assert failures == [2]
         assert np.all(y >= lower) and np.all(y <= upper)
         assert np.array_equal(y[:2], lower[:2])
@@ -253,8 +260,8 @@ def test_ridge_fallback_on_singular_active_block(monkeypatch):
 @given(st.integers(0, 2 ** 31 - 1))
 def test_matches_active_set_oracle(seed):
     # Block pivoting and the primal active-set method reach the same
-    # optimum on index-form problems with infinite ends, pinned coordinates,
-    # cold and warm starts.
+    # optimum on principal blocks of a larger matrix, with infinite ends,
+    # pinned coordinates, cold and warm starts.
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 30))
     n = int(rng.integers(1, m + 1))
@@ -268,7 +275,7 @@ def test_matches_active_set_oracle(seed):
     lower[pin] = upper[pin] = np.where(np.isfinite(lower[pin]), lower[pin], 0.3)
     y0 = [None, np.where(np.isfinite(lower), lower, 0.0),
           np.where(np.isfinite(upper), upper, 0.0)][int(rng.integers(3))]
-    y = solve_boxqp(BoxQP(big, lower, upper, index=idx), y0=y0)
+    y = solve_boxqp(BoxQP(big[np.ix_(idx, idx)], lower, upper), y0=y0)
     ref, _ = active_set_boxqp(big[np.ix_(idx, idx)], lower, upper, y0=y0)
     assert np.max(np.abs(y - ref)) <= 1e-12
     assert np.array_equal(y[pin], lower[pin])
@@ -279,25 +286,29 @@ def test_matches_active_set_oracle(seed):
 
 
 def test_murty_single_exchange_when_the_count_stalls(monkeypatch):
-    # The first row QP of a glasso fit, from Sigma = S, on which full
-    # exchanges stop reducing the infeasible count: pivoting then exchanges
-    # only the largest infeasible index.
+    # The first row QP of a glasso fit, from Sigma = S, in the full-width
+    # form the solver builds, on which full exchanges stop reducing the
+    # infeasible count: pivoting then exchanges only the largest infeasible
+    # index.
     rng = np.random.default_rng(86)
     mix = np.eye(8) + rng.standard_normal((8, 8)) * rng.uniform(0.1, 0.5)
     s = np.corrcoef(rng.standard_normal((16, 8)) @ mix, rowvar=False)
     rho = rng.choice([0.05, 0.1, 0.3])
-    lower, upper = s[0, 1:] - rho, s[0, 1:] + rho
-    problem = BoxQP(s, lower, upper, index=np.arange(1, 8))
+    lower, upper = np.r_[-np.inf, s[0, 1:] - rho], np.r_[np.inf, s[0, 1:] + rho]
+    problem = BoxQP(s, lower, upper)
     faces = []
     original = boxqp._solve_face
 
-    def recording(problem, state, fixed):
-        y, z = original(problem, state, fixed)
-        faces.append((state.copy(), y, fixed, z))
-        return y, z
+    def recording(problem, y, fixed):
+        # The fixed coordinates sit on the ends their state names.
+        state = np.zeros(y.size, dtype=np.int8)
+        state[fixed] = np.where(y[fixed] == lower[fixed], AT_LOWER, AT_UPPER)
+        target, z = original(problem, y, fixed)
+        faces.append((state, target, fixed, z))
+        return target, z
 
     monkeypatch.setattr(boxqp, "_solve_face", recording)
-    y = solve_boxqp(problem, y0=s[0, 1:])
+    y = solve_boxqp(problem, y0=s[0])
     assert len(faces) <= 10
     single = 0
     for (state, target, fixed, z), (after, *_) in zip(faces, faces[1:]):
@@ -308,9 +319,9 @@ def test_murty_single_exchange_when_the_count_stalls(monkeypatch):
             assert changed[0] == infeasible.nonzero()[0][-1]
             single += 1
     assert single >= 1
-    assert kkt_holds(np.linalg.inv(s[1:, 1:]), y, lower, upper)
-    ref, _ = active_set_boxqp(s[1:, 1:], lower, upper, y0=s[0, 1:])
-    assert np.max(np.abs(ref - y)) <= 1e-12
+    assert kkt_holds(np.linalg.inv(s[1:, 1:]), y[1:], lower[1:], upper[1:])
+    ref, _ = active_set_boxqp(s[1:, 1:], lower[1:], upper[1:], y0=s[0, 1:])
+    assert np.max(np.abs(ref - y[1:])) <= 1e-12
 
 
 def test_pivot_rounds_count_against_max_iter():
@@ -337,9 +348,10 @@ def bit_identical(problem, **kwargs):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_bits_match_the_reference_pivoting(seed):
-    # Index-form problems with infinite ends, pinned coordinates, cold and
-    # warm starts, seeds on and off the box, and tight boxes that hold many
-    # coordinates at a bound.
+    # Principal blocks of a larger matrix, half of them in full-width form
+    # with a free coordinate, with infinite ends, pinned coordinates, cold
+    # and warm starts, seeds on and off the box, and tight boxes that hold
+    # many coordinates at a bound.
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 40))
     n = int(rng.integers(1, m + 1))
@@ -356,29 +368,35 @@ def test_bits_match_the_reference_pivoting(seed):
           np.where(np.isfinite(upper), upper, 0.0),
           big[idx[0], idx] * rng.random(),
           np.where(rng.random(n) < 0.3, np.inf * rng.choice([-1, 1], n), 0.0)][int(rng.integers(5))]
-    assert bit_identical(BoxQP(big, lower, upper, index=idx), y0=y0)
+    if rng.random() < 0.5:
+        j = int(rng.integers(n))
+        lower[j], upper[j] = -np.inf, np.inf
+    assert bit_identical(BoxQP(big[np.ix_(idx, idx)], lower, upper), y0=y0)
 
 
 def test_bits_match_the_reference_on_a_ridged_face():
     # A singular A_CC: both codes take the ridge on the same face.
     base = np.array([[1.0, 1.0, 0.3], [1.0, 1.0, 0.3], [0.3, 0.3, 1.0]])
-    big = np.eye(5)
-    idx = np.array([3, 1, 4])
-    big[np.ix_(idx, idx)] = base
+    big = np.eye(4)
+    keep = np.array([0, 1, 3])
+    big[np.ix_(keep, keep)] = base
     lower = np.array([0.5, 0.5, -np.inf])
     upper = np.array([1.0, 1.0, np.inf])
-    for problem in (BoxQP(base, lower, upper), BoxQP(big, lower, upper, index=idx)):
-        for y0 in (lower, None, [1.0, 0.5, 3.0]):
-            assert bit_identical(problem, y0=y0)
+    wide_lower, wide_upper, insert = full_width(lower, upper, 2, 1.0)
+    for y0 in (lower, None, [1.0, 0.5, 3.0]):
+        assert bit_identical(BoxQP(base, lower, upper), y0=y0)
+        assert bit_identical(BoxQP(big, wide_lower, wide_upper), y0=insert(y0))
 
 
 def first_glasso_row(rng, d):
     """The first row QP of a glasso fit from Sigma = S, on a sample
-    correlation S of 2d draws, and its warm start."""
+    correlation S of 2d draws, in the full-width form the solver builds
+    (coordinate 0 free), and its warm start."""
     mix = np.eye(d) + rng.standard_normal((d, d)) * rng.uniform(0.1, 0.5)
     s = np.corrcoef(rng.standard_normal((2 * d, d)) @ mix, rowvar=False)
     rho = rng.choice([0.05, 0.1, 0.3])
-    return BoxQP(s, s[0, 1:] - rho, s[0, 1:] + rho, index=np.arange(1, d)), s[0, 1:]
+    lower, upper, _ = full_width(s[0, 1:] - rho, s[0, 1:] + rho, 0)
+    return BoxQP(s, lower, upper), s[0]
 
 
 @pytest.mark.parametrize("seed", [86, 24, 83, 89])

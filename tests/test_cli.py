@@ -402,6 +402,17 @@ class TestExitCodes:
         assert f"input error: {path}, {where}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_csv_field_over_the_size_limit_is_an_input_error(self, tmp_path, capsys):
+        # The quoted second field makes np.loadtxt fail, so the csv module
+        # reads the file and meets the 200001-digit first field.
+        path = tmp_path / "X.csv"
+        path.write_text("1" * 200001 + ',"2"\n')
+        out = tmp_path / "o"
+        assert run(["skeptic", "--input", path, "--out", out]) == cli.EXIT_USAGE
+        assert (f"input error: {path}, line 1: field larger than field limit (131072)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_bad_bounds_csv_names_that_file(self, cov_csv, tmp_path, capsys):
         path, _ = cov_csv
         lo_f, hi_f = tmp_path / "L.csv", tmp_path / "U.csv"

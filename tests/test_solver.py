@@ -19,9 +19,11 @@ from golazo.errors import (
     NoFeasibleStartError,
     NotUnitDiagonalError,
 )
+from golazo.selection import default_grid
 
 from oracles import (
     active_set_boxqp,
+    block_chain_correlation,
     chain_er_correlation,
     forced_pair_bounds,
     glasso_kkt_residual,
@@ -307,6 +309,26 @@ class TestScreeningAndLimits:
             assert np.array_equal(a.sign_pattern, b.sign_pattern)
             assert np.max(np.abs(a.khat - b.khat)) < 1e-6
 
+    def test_screen_matches_unscreened_at_benchmark_size(self):
+        # The block-path workload's size and grid: d = 100 in 5 chains of
+        # 20, n = 200, glasso at the 8 points of log:0.1:0.6:8.  The
+        # screened fits sweep many blocks at once and write each back.
+        s = block_chain_correlation(np.random.default_rng(100), 5, 20, 200)
+        blocks, isolated = [], []
+        for rho in default_grid(0.1, 0.6, 8):
+            bounds = gz.glasso_bounds(rho, 100)
+            a = gz.fit(s, bounds, screen=True)
+            b = gz.fit(s, bounds, screen=False)
+            assert np.array_equal(a.sign_pattern, b.sign_pattern)
+            # Exact for glasso: a row is alone in its component if and only
+            # if it has no edge at the optimum.
+            assert a.isolated_rows == tuple(np.flatnonzero(~b.sign_pattern.any(axis=1)))
+            assert np.max(np.abs(a.khat - b.khat)) <= 1e-6
+            label = solver._components(s, a.clipped_bounds)
+            blocks.append(int(np.count_nonzero(np.bincount(label) > 1)))
+            isolated.append(len(a.isolated_rows))
+        assert max(blocks) >= 10 and max(isolated) >= 50
+
     def test_forced_zero_pairs_are_zero(self):
         rng = np.random.default_rng(13)
         s = random_correlation(rng, 8)
@@ -506,23 +528,35 @@ class TestAtScale:
         assert sizes == [self.D] * (res.sweeps + 1)
 
     def test_row_qps_read_the_iterate_in_place(self, monkeypatch):
-        # Every row's box QP gets the d x d iterate itself plus an index,
-        # never a copied (d - 1) x (d - 1) block.
+        # Every row's box QP gets its component's block of the iterate, one
+        # array shared by all rows of the component and updated in place,
+        # with the row's own coordinate free.
         seen = []
         original = solver.solve_boxqp
 
         def recording(problem, **kwargs):
-            seen.append((problem.a, problem.index))
+            seen.append((problem.a, problem.lower, problem.upper))
             return original(problem, **kwargs)
 
         monkeypatch.setattr(solver, "solve_boxqp", recording)
-        s = random_correlation(np.random.default_rng(60), self.D)
-        res = gz.fit(s, gz.glasso_bounds(0.1, self.D))
-        assert len(seen) == res.sweeps * self.D
-        for a, index in seen:
-            assert a.shape == (self.D, self.D)
-            assert np.shares_memory(a, res.sigma_hat)
-            assert index.size == self.D - 1
+        s = block_chain_correlation(np.random.default_rng(60), 3, 20, 120)
+        res = gz.fit(s, gz.glasso_bounds(0.3, self.D))
+        label = solver._components(s, res.clipped_bounds)
+        comps = [np.flatnonzero(label == c) for c in range(label.max() + 1)]
+        comps = [m for m in comps if m.size > 1]
+        assert len(comps) >= 3 and len(res.isolated_rows) < self.D - 6
+        rows = [(m, j) for m in comps for j in range(m.size)]
+        assert res.sweeps > 1 and len(seen) == res.sweeps * len(rows)
+        blocks = {}
+        for (a, lower, upper), (members, j) in zip(seen, rows * res.sweeps):
+            assert blocks.setdefault(members[0], a) is a
+            assert a.shape == (members.size, members.size)
+            assert (lower[j], upper[j]) == (-np.inf, np.inf)
+            assert np.array_equal(np.delete(lower, j), np.delete(
+                s[members[j], members] + res.clipped_bounds.lower[members[j], members], j))
+        assert len(blocks) == len(comps)
+        for members in comps:
+            assert np.array_equal(blocks[members[0]], res.sigma_hat[np.ix_(members, members)])
 
     def test_glasso_matches_prox_gradient_oracle(self):
         rho = 0.1
@@ -552,9 +586,7 @@ class TestAtScale:
         oracle_calls = []
 
         def active_set(problem, tol, y0):
-            idx = problem.index
-            y, faces = active_set_boxqp(problem.a[np.ix_(idx, idx)], problem.lower,
-                                        problem.upper, tol=tol, y0=y0)
+            y, faces = active_set_boxqp(problem.a, problem.lower, problem.upper, tol=tol, y0=y0)
             oracle_calls.append(faces)
             return y
 
