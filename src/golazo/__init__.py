@@ -23,7 +23,6 @@ from .solver import (
     duality_gap,
     fit,
     kkt_residuals,
-    single_linkage_matrix,
 )
 from .estimators import (
     GraphSpec,
@@ -33,10 +32,9 @@ from .estimators import (
     ggm_mle,
     is_locally_associated,
     is_markov,
-    kl_gaussian,
     mde,
 )
-from .selection import EbicConfig, PathResult, ebic, edge_count, fit_path
+from .selection import EbicConfig, PathResult, ebic, fit_path
 from .data import (
     DagSpec,
     dag_covariance,

@@ -39,7 +39,7 @@ AT_UPPER = 1
 _BACKUP_ROUNDS = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxQP:
     """The QP on A = a, which is read in place."""
 
@@ -48,7 +48,7 @@ class BoxQP:
     upper: np.ndarray
     # lower != upper: the coordinates pivoting may release.  Set once here,
     # since the solver builds each row's problem once per fit.
-    movable: np.ndarray = field(init=False, repr=False, compare=False)
+    movable: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)

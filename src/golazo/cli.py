@@ -122,9 +122,6 @@ def _build_parser():
     p_sk.add_argument("--input", required=True)
     p_sk.add_argument("--header", action="store_true")
     p_sk.add_argument("--out", required=True)
-
-    for p in (p_fit, p_path, p_mde, p_sk):
-        p.add_argument("--seed", type=int, default=0)
     return parser
 
 

@@ -26,13 +26,11 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def sample_covariance(x, centered=True):
-    """X'X / n, after subtracting column means when ``centered``."""
+def sample_covariance(x):
+    """X'X / n after subtracting the column means."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    if centered:
-        x = x - x.mean(axis=0)
-    s = linalg.sym(x.T @ x / n)
+    x = x - x.mean(axis=0)
+    s = linalg.sym(x.T @ x / x.shape[0])
     const = np.nonzero(np.diag(s) <= 0)[0]
     for i in const:
         warnings.warn(f"column {i} is constant (zero variance)", ConstantColumnWarning)
@@ -153,17 +151,21 @@ def skeptic_correlation(x, variant="a"):
     return linalg.sym(r)
 
 
-def nearest_correlation(r, eig_floor=1e-6):
+# Smallest eigenvalue that ``nearest_correlation`` leaves before rescaling.
+_EIG_FLOOR = 1e-6
+
+
+def nearest_correlation(r):
     """Project to the nearest correlation matrix by clipping eigenvalues at
-    ``eig_floor`` and rescaling to unit diagonal."""
+    1e-6 and rescaling to unit diagonal."""
     r = linalg.sym(r)
     vals, vecs = np.linalg.eigh(r)
-    vals = np.maximum(vals, eig_floor)
+    vals = np.maximum(vals, _EIG_FLOOR)
     fixed = (vecs * vals) @ vecs.T
     return to_correlation(linalg.sym(fixed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DagSpec:
     """DAG on vertices 0..d-1 whose index order is a topological order:
     every edge (parent, child) has parent < child."""
@@ -197,15 +199,14 @@ def dag_covariance(spec):
     return linalg.sym(a @ np.diag(spec.noise_vars) @ a.T)
 
 
-def sample_positive_dag(spec, n, seed, require_nonnegative=True):
+def sample_positive_dag(spec, n, seed):
     """Draw n rows from the zero-mean Gaussian of the structural model.
 
-    With nonnegative loadings the covariance is entrywise nonnegative and
-    the distribution is associated; ``require_nonnegative`` enforces that
-    generator mode.
+    The loadings must be nonnegative, so that the covariance is entrywise
+    nonnegative and the distribution is associated.
     """
-    if require_nonnegative and any(v < 0 for v in spec.loadings.values()):
-        raise ValueError("negative loading in nonnegative-generator mode")
+    if any(v < 0 for v in spec.loadings.values()):
+        raise ValueError("negative loading: the generator needs nonnegative loadings")
     rng = _rng(seed)
     eps = rng.standard_normal((n, spec.d)) * np.sqrt(spec.noise_vars)
     lam = spec.loading_matrix()

@@ -31,10 +31,6 @@ class NonpositiveDiagonalError(GolazoError):
         self.index = index
 
 
-class NotUnitDiagonalError(GolazoError):
-    pass
-
-
 class NoFeasibleStartError(GolazoError):
     """No dually feasible, positive definite start: a supplied ``sigma0``
     is not one, or S is not positive definite and neither of its blends,

@@ -1,6 +1,6 @@
 """Graph-aware estimators: graph-constrained MLE, the edge-positivity dual
 step, the two-step estimator for locally associated models, and the
-membership checks and divergences used to certify them.
+membership checks and the likelihood used to certify them.
 """
 from dataclasses import dataclass
 
@@ -96,7 +96,7 @@ class GraphSpec:
         return GraphSpec._from_upper(~self.adjacency)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MdeResult:
     khat: np.ndarray          # step-1 precision estimate (graph MLE)
     sigma_hat: np.ndarray     # its inverse
@@ -112,19 +112,6 @@ def gaussian_neg_loglik(s, k):
     """-(1/2) log det K + (1/2) tr(S K); per-observation negative likelihood."""
     _, logdet = linalg.cholesky_logdet(k)
     return -0.5 * logdet + 0.5 * float(np.sum(np.asarray(s) * np.asarray(k)))
-
-
-def kl_gaussian(sigma1, k2):
-    """KL divergence between centered Gaussians, first given by covariance
-    sigma1 and second by precision k2:  (1/2) tr(sigma1 k2 - I) -
-    (1/2) log det(sigma1 k2)."""
-    sigma1 = np.asarray(sigma1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
-    d = sigma1.shape[0]
-    _, ld1 = linalg.cholesky_logdet(sigma1)
-    _, ld2 = linalg.cholesky_logdet(k2)
-    trace = float(np.sum(sigma1 * k2))
-    return 0.5 * (trace - d) - 0.5 * (ld1 + ld2)
 
 
 def is_locally_associated(sigma, graph, tol=0.0):
@@ -158,7 +145,6 @@ def dual_mle_edge_positivity(khat, graph, config=None):
     matrix is khat and the variable plays the role of Sigma.  Returns the
     optimal Sigma (the primal optimizer of the swapped problem).
     """
-    khat = linalg.check_square_symmetric(khat)
     bounds = dual_positivity_bounds(graph)
     result = fit(khat, bounds, config=config)
     return result.khat  # primal variable of the swapped problem = Sigma-check

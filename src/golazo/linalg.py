@@ -43,8 +43,16 @@ def check_square_symmetric(a, atol=1e-9):
     return sym(a)
 
 
-def _pivot_tolerance(a):
-    return PIVOT_RTOL * np.abs(a.diagonal()).max(initial=1.0e-300)
+def _first_bad_pivot(a, factor, count=None):
+    """Index of the first pivot p among the first ``count`` (default: all) of
+    ``factor``, the lower Cholesky factor of ``a``, with not p * p > PIVOT_RTOL
+    * max |a_ii|, or None.  On lists, which beat numpy on a row QP's faces of a
+    few coordinates.  A NaN a_ii, which max skips, makes its pivot NaN: it fails."""
+    tol = PIVOT_RTOL * max([1.0e-300, *map(abs, a.diagonal().tolist())])
+    for i, p in enumerate(factor.diagonal().tolist()[:count]):
+        if not p * p > tol:
+            return i
+    return None
 
 
 def cholesky_logdet(a):
@@ -54,17 +62,13 @@ def cholesky_logdet(a):
     matrix is not positive definite at the relative pivot tolerance.
     """
     a = np.asarray(a, dtype=float)
-    tol = _pivot_tolerance(a)
     factor, info = scipy.linalg.lapack.dpotrf(a, lower=True)
     # On failure LAPACK reports the first nonpositive pivot as info (1-based)
     # and leaves the pivots before it computed.
-    piv = factor.diagonal()[:info - 1 if info > 0 else None]
-    bad = (~(piv * piv > tol)).nonzero()[0]  # NaN pivots count as bad
-    if bad.size:
-        raise NotPositiveDefiniteError(pivot_index=int(bad[0]))
-    if info > 0:
-        raise NotPositiveDefiniteError(pivot_index=info - 1)
-    logdet = 2.0 * float(np.log(piv).sum())
+    bad = _first_bad_pivot(a, factor, info - 1 if info > 0 else None)
+    if bad is not None or info > 0:
+        raise NotPositiveDefiniteError(pivot_index=info - 1 if bad is None else bad)
+    logdet = 2.0 * float(np.log(factor.diagonal()).sum())
     return factor, logdet
 
 
@@ -93,15 +97,7 @@ def solve_pd(a, b):
     """
     a = np.asarray(a, dtype=float)
     factor, x, info = scipy.linalg.lapack.dposv(a, b, lower=True)
-    if not info:
-        # The pivot test of ``cholesky_logdet`` on lists: the row QPs' faces
-        # are a few coordinates wide, where Python's reductions beat numpy's.
-        # A NaN pivot fails it; a NaN diagonal entry, which max skips, makes
-        # its pivot NaN.
-        tol = PIVOT_RTOL * max(1.0e-300, *map(abs, a.diagonal().tolist()))
-        piv = factor.diagonal().tolist()
-        info = sum(p * p > tol for p in piv) < len(piv)
-    if info:
+    if info or _first_bad_pivot(a, factor) is not None:
         cholesky_logdet(a)  # raises: dpotrf gives it the same factor
     return x
 

@@ -18,7 +18,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PenaltyBounds:
     """Symmetric lower/upper penalty matrices with L <= 0 <= U off-diagonal."""
 
@@ -45,9 +45,6 @@ class PenaltyBounds:
     @property
     def dim(self):
         return self.lower.shape[0]
-
-    def is_finite(self):
-        return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
 
     def scaled(self, rho):
         """Bounds (rho * L, rho * U); valid for any finite rho > 0."""

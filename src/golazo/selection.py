@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import AllFitsFailedError, GolazoError
 from .estimators import gaussian_neg_loglik
-from .solver import EDGE_THRESHOLD, SolverConfig, fit
+from .solver import SolverConfig, fit
 
 
 def default_grid(lo=0.01, hi=1.0, num=20):
@@ -34,7 +34,7 @@ class EbicConfig:
         object.__setattr__(self, "grid", grid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathResult:
     fits: list            # FitResult or None per grid point
     ebic_scores: list     # float or None per grid point
@@ -47,16 +47,11 @@ class PathResult:
         return self.fits[self.selected_index]
 
 
-def edge_count(khat):
-    k = np.asarray(khat)
-    return int(np.count_nonzero(np.abs(np.triu(k, 1)) > EDGE_THRESHOLD))
-
-
 def ebic(s, fit_result, n, gamma):
     """n * negloglik + |E| * (log n + 4 gamma log d); gamma = 0 is plain BIC."""
     k = fit_result.khat
     d = k.shape[0]
-    edges = edge_count(k)
+    edges = fit_result.edge_count
     return float(n * gaussian_neg_loglik(s, k) + edges * (np.log(n) + 4.0 * gamma * np.log(d)))
 
 

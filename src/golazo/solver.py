@@ -26,7 +26,6 @@ from .errors import (
     InvalidBoundsError,
     MaxSweepsExceededError,
     NoFeasibleStartError,
-    NotUnitDiagonalError,
 )
 from .penalty import PenaltyBounds, clip_to_finite, golazo_norm
 
@@ -52,7 +51,7 @@ class SolverConfig:
             raise ValueError("max_sweeps must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     khat: np.ndarray
     sigma_hat: np.ndarray
@@ -106,7 +105,7 @@ def _pair_residuals(s, k, sigma, clipped):
     return res
 
 
-def single_linkage_matrix(r):
+def _single_linkage(r):
     """Max-min path closure of the positive part of a unit-diagonal matrix.
 
     Z_ij is the best bottleneck over all paths that only use strictly
@@ -114,16 +113,11 @@ def single_linkage_matrix(r):
     Computed by a Floyd-Warshall-style closure, which is exact (entries of
     the result are entries of r, only comparisons are performed).
     """
-    r = np.asarray(r, dtype=float)
-    if np.any(np.diag(r) != 1.0):
-        raise NotUnitDiagonalError("input must have unit diagonal")
     z = np.where(r > 0.0, r, 0.0)
-    np.fill_diagonal(z, 1.0)
     d = r.shape[0]
     for k in range(d):
         via_k = np.minimum.outer(z[:, k], z[k, :])
         z = np.maximum(z, via_k)
-    np.fill_diagonal(z, 1.0)
     return z
 
 
@@ -165,7 +159,7 @@ def _default_start(s, bounds):
     np.fill_diagonal(r, 1.0)
     # Rounding can leave a Z_ij an ulp below S_ij, which would block the
     # blend wherever L_ij = 0.
-    z = np.maximum(single_linkage_matrix(r) * scale, s)
+    z = np.maximum(_single_linkage(r) * scale, s)
     np.fill_diagonal(z, diag)
     sigma = _blend(s, z, bounds)
     if sigma is None:

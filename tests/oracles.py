@@ -25,7 +25,7 @@ from golazo.errors import (
 from golazo.estimators import GraphSpec, ggm_mle
 from golazo.linalg import PIVOT_RTOL
 from golazo.penalty import PenaltyBounds
-from golazo.solver import fit, single_linkage_matrix
+from golazo.solver import _single_linkage, fit
 
 
 def bruteforce_det(a):
@@ -508,7 +508,7 @@ def single_linkage_matrix_cov(s):
     scale = np.sqrt(np.diag(s))
     r = s / np.outer(scale, scale)
     np.fill_diagonal(r, 1.0)
-    return single_linkage_matrix(r) * np.outer(scale, scale)
+    return _single_linkage(r) * np.outer(scale, scale)
 
 
 def starting_point_interior(s, bounds):

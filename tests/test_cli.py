@@ -161,6 +161,15 @@ class TestExitCodes:
     def test_usage_bad_flag(self):
         assert run(["fit", "--nope"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["fit", "path", "mde", "skeptic"])
+    def test_seed_is_not_an_option(self, tmp_path, capsys, command):
+        # No command draws a random number, so none takes a seed.
+        kind = [] if command == "skeptic" else ["--input-kind", "data"]
+        code = run([command, "--input", tmp_path / "X.csv", *kind, "--out", tmp_path / "o",
+                    "--seed", "0"])
+        assert code == cli.EXIT_USAGE
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("preset, given, missing", [
         ("glasso", [], "--rho"),
         ("asymmetric", ["--rho-neg", "0.1"], "--rho-pos"),
@@ -570,7 +579,7 @@ class TestDeterminism:
             out = tmp_path / name
             assert run(["fit", "--input", path, "--input-kind", "covariance",
                         "--out", out, "--preset", "glasso", "--rho", "0.1",
-                        "--n", "50", "--seed", "0"]) == 0
+                        "--n", "50"]) == 0
             outs.append(out)
         for fname in ("Khat.csv", "Sigma.csv", "edges.txt", "summary.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()

@@ -148,11 +148,6 @@ class TestSampleCovariance:
         centered = x - x.mean(axis=0)
         assert np.allclose(s, centered.T @ centered / 40, atol=1e-14)
 
-    def test_uncentered(self):
-        x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        s = gz.sample_covariance(x, centered=False)
-        assert np.allclose(s, np.eye(2) / 2, atol=1e-15)
-
     def test_constant_column_warns(self):
         x = np.column_stack([np.ones(10), np.arange(10.0)])
         with pytest.warns(ConstantColumnWarning):

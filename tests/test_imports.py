@@ -56,3 +56,50 @@ def test_declared_dependencies_are_numpy_and_scipy():
     names = {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower()
              for spec in re.findall(r'"([^"]+)"', block)}
     assert names == RUNTIME
+
+
+def test_modules_use_every_name_they_import():
+    # __init__ imports to re-export, so it is left out.  A name counts as
+    # used when it is read anywhere in the module, annotations included.
+    unused = []
+    for path in sorted((ROOT / "src" / "golazo").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unused == []
+
+
+PUBLIC_NAMES = [
+    "BoxQP", "DagSpec", "EDGE_THRESHOLD", "EbicConfig", "FitResult", "GraphSpec",
+    "MdeResult", "PathResult", "PenaltyBounds", "SolverConfig", "asymmetric_bounds",
+    "boxqp", "cholesky_logdet", "clip_to_finite", "dag_covariance", "data",
+    "dual_mle_edge_positivity", "dual_positivity_bounds", "duality_gap", "ebic",
+    "errors", "estimators", "fit", "fit_path", "gaussian_neg_loglik", "ggm_bounds",
+    "ggm_mle", "glasso_bounds", "golazo_norm", "invert_pd", "is_locally_associated",
+    "is_m_matrix", "is_markov", "kendall_tau_matrix", "kkt_residuals", "linalg", "mde",
+    "mtp2_bounds", "nearest_correlation", "penalty", "positive_glasso_bounds",
+    "sample_covariance", "sample_locally_associated", "sample_positive_dag", "selection",
+    "skeptic_correlation", "solve_boxqp", "solver", "to_correlation",
+]
+
+
+def test_public_names_are_pinned():
+    # A fresh interpreter: importing golazo.cli elsewhere in the test run
+    # would add ``cli``.  Adding or removing a public name means editing
+    # this list, so the change shows up in review.
+    probe = ("import golazo; "
+             "print(' '.join(sorted(n for n in vars(golazo) if not n.startswith('_'))))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == PUBLIC_NAMES

@@ -23,12 +23,12 @@ class TestPenaltyBounds:
         lower, upper = off_fill(3, -0.5, 0.2)
         b = penalty.PenaltyBounds(lower, upper)
         assert b.dim == 3
-        assert b.is_finite()
+        assert np.isfinite(b.lower).all() and np.isfinite(b.upper).all()
 
     def test_infinite_entries_allowed(self):
         lower, upper = off_fill(3, -np.inf, np.inf)
         b = penalty.PenaltyBounds(lower, upper)
-        assert not b.is_finite()
+        assert not (np.isfinite(b.lower).all() and np.isfinite(b.upper).all())
 
     def test_nonzero_diag_rejected(self):
         lower, upper = off_fill(2, -0.1, 0.1)
@@ -144,7 +144,7 @@ class TestClipToFinite:
         rng = np.random.default_rng(1)
         s = random_correlation(rng, 4)
         clipped = penalty.clip_to_finite(penalty.mtp2_bounds(4), s)
-        assert clipped.is_finite()
+        assert np.isfinite(clipped.lower).all() and np.isfinite(clipped.upper).all()
         # U_ij becomes sqrt(S_ii S_jj) - S_ij = 1 - S_ij on correlation scale.
         assert clipped.upper[0, 1] == pytest.approx(1.0 - s[0, 1])
         assert np.all(clipped.lower[~np.eye(4, dtype=bool)] == 0.0)

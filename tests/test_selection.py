@@ -5,13 +5,16 @@ import pytest
 
 import golazo as gz
 from golazo.errors import AllFitsFailedError
-from golazo.selection import default_grid, edge_count, fit_path
+from golazo.selection import default_grid, fit_path
 
 from oracles import random_correlation
 
 
 def stub_fit(k):
-    return types.SimpleNamespace(khat=np.asarray(k, dtype=float))
+    """What ``ebic`` reads of a fit: K and its edge count at EDGE_THRESHOLD."""
+    k = np.asarray(k, dtype=float)
+    edges = int(np.count_nonzero(np.abs(np.triu(k, 1)) > gz.EDGE_THRESHOLD))
+    return types.SimpleNamespace(khat=k, edge_count=edges)
 
 
 class TestEbic:
@@ -26,7 +29,9 @@ class TestEbic:
         s = c * np.linalg.inv(k)
         s = (s + s.T) / 2
         assert gz.gaussian_neg_loglik(s, k) == pytest.approx(2.0, abs=1e-12)
-        got = gz.ebic(s, stub_fit(k), n=100, gamma=0.5)
+        stub = stub_fit(k)
+        assert stub.edge_count == 3
+        got = gz.ebic(s, stub, n=100, gamma=0.5)
         expected = 200.0 + 3.0 * (np.log(100.0) + 2.0 * np.log(5.0))
         assert got == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(223.4721, abs=1e-4)
@@ -35,9 +40,9 @@ class TestEbic:
         rng = np.random.default_rng(0)
         s = random_correlation(rng, 4)
         k = np.linalg.inv(s)
-        edges = edge_count(k)
-        got = gz.ebic(s, stub_fit(k), n=50, gamma=0.0)
-        bic = 50 * gz.gaussian_neg_loglik(s, k) + edges * np.log(50)
+        stub = stub_fit(k)
+        got = gz.ebic(s, stub, n=50, gamma=0.0)
+        bic = 50 * gz.gaussian_neg_loglik(s, k) + stub.edge_count * np.log(50)
         assert got == bic
 
     def test_diagonal_k_has_no_penalty(self):

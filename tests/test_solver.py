@@ -1,3 +1,4 @@
+import copy
 import os
 import re
 import subprocess
@@ -17,7 +18,6 @@ from golazo.errors import (
     InvalidBoundsError,
     MaxSweepsExceededError,
     NoFeasibleStartError,
-    NotUnitDiagonalError,
 )
 from golazo.selection import default_grid
 
@@ -134,25 +134,21 @@ class TestSingleLinkage:
         r = np.array([[1.0, 0.8, 0.0],
                       [0.8, 1.0, 0.5],
                       [0.0, 0.5, 1.0]])
-        z = gz.single_linkage_matrix(r)
+        z = solver._single_linkage(r)
         assert z[0, 2] == 0.5  # bottleneck of the path 0-1-2
         assert z[0, 1] == 0.8 and z[1, 2] == 0.5
 
     def test_negative_entries_dropped(self):
         r = np.array([[1.0, -0.9], [-0.9, 1.0]])
-        z = gz.single_linkage_matrix(r)
+        z = solver._single_linkage(r)
         assert z[0, 1] == 0.0
 
     def test_dominates_input(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             r = random_correlation(rng, 6)
-            z = gz.single_linkage_matrix(r)
+            z = solver._single_linkage(r)
             assert np.all(z >= np.where(r > 0, r, 0.0) - 1e-15)
-
-    def test_requires_unit_diagonal(self):
-        with pytest.raises(NotUnitDiagonalError):
-            gz.single_linkage_matrix(np.diag([2.0, 1.0]))
 
     def test_cov_scale_consistent(self):
         # Under mtp2 bounds (L = 0, U = inf) a rank-deficient S with a
@@ -704,6 +700,31 @@ class TestFitResultApi:
         assert res.edge_count == len(edges)
         for i, j in edges:
             assert abs(res.khat[i, j]) > gz.EDGE_THRESHOLD
+
+
+def _result_type_instances():
+    s = random_correlation(np.random.default_rng(3), 3)
+    return {
+        "PenaltyBounds": lambda: gz.glasso_bounds(0.1, 3),
+        "FitResult": lambda: gz.fit(s, gz.glasso_bounds(0.1, 3)),
+        "MdeResult": lambda: gz.mde(s, gz.GraphSpec.chain(3)),
+        "PathResult": lambda: gz.fit_path(s, gz.glasso_bounds(1.0, 3),
+                                          gz.EbicConfig(n=50, grid=(0.1, 0.5))),
+        "BoxQP": lambda: gz.BoxQP(np.eye(2), [-1.0, -1.0], [1.0, 1.0]),
+        "DagSpec": lambda: gz.DagSpec(3, {(0, 1): 0.5}, np.ones(3)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_result_type_instances()))
+def test_array_holding_types_compare_by_identity(name):
+    # Comparing their ndarray fields would be ambiguous, so == is identity
+    # and every instance is hashable.
+    x = _result_type_instances()[name]()
+    other = copy.copy(x)
+    assert x == x
+    assert x != other
+    assert x not in [other]
+    assert isinstance(hash(x), int)
 
 
 def blas_thread_counts():
