@@ -27,7 +27,7 @@ best = path.selected_index
 print("grid point scores (edge count / score):")
 for i, rho in enumerate(config.grid):
     tag = " <- selected" if i == best else ""
-    print(f"  rho = {rho:.3f}: {path.edge_counts[i]:2d} edges, "
+    print(f"  rho = {rho:.3f}: {path.fits[i].edge_count:2d} edges, "
           f"score {path.ebic_scores[i]:9.2f}{tag}")
 
 true_edges = {(i, (i + 1) % d) for i in range(d)}

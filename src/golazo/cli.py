@@ -209,7 +209,8 @@ def _write_fit_artifacts(outdir, s, result, ebic_config, **extra):
 def cmd_fit(args):
     s, n = _load_input(args)
     bounds = _load_bounds(args, s.shape[0])
-    ebic_config = None if n is None else EbicConfig(n=n, gamma=args.gamma)
+    # Built without --n too, so that a bad --gamma is always an input error.
+    ebic_config = EbicConfig(n=1 if n is None else n, gamma=args.gamma)
     config = SolverConfig(dual_gap_tol=args.tol, max_sweeps=args.max_sweeps)
     result = fit(s, bounds, config=config)
     outdir = Path(args.out)
@@ -217,7 +218,7 @@ def cmd_fit(args):
     extra = {}
     if args.preset == "mtp2":
         extra["mMatrix"] = bool(is_m_matrix(result.khat, tol=1e-8))
-    _write_fit_artifacts(outdir, s, result, ebic_config, **extra)
+    _write_fit_artifacts(outdir, s, result, None if n is None else ebic_config, **extra)
     if args.graphml:
         dio.write_graphml(outdir / "graph.graphml", result.khat)
     return EXIT_OK
@@ -240,7 +241,7 @@ def cmd_path(args):
             entry["error"] = path_result.failures[i]
         else:
             entry.update(ebic=path_result.ebic_scores[i],
-                         edgeCount=path_result.edge_counts[i],
+                         edgeCount=path_result.fits[i].edge_count,
                          dualGap=path_result.fits[i].dual_gap)
         per_point.append(entry)
     _write_json(outdir / "path.json", {

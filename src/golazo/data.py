@@ -105,19 +105,16 @@ def _sign_gram(x):
     return gram
 
 
-def kendall_tau_matrix(x, variant="a"):
-    """Pairwise Kendall correlation, exact, from one blocked Gram product of
-    the signs of rank differences: O(d^2 n^2) flops in single-precision
-    BLAS and O(n d) working memory.
+def kendall_tau_matrix(x):
+    """Pairwise Kendall's tau-a, exact, from one blocked Gram product of the
+    signs of rank differences: O(d^2 n^2) flops in single-precision BLAS and
+    O(n d) working memory.
 
-    ``variant='a'`` divides the concordant-discordant balance by n(n-1)/2,
-    counting tied pairs as zero; ``variant='b'`` divides by the geometric
-    mean of the untied pair counts in each column.  Infinities are ordered
+    The concordant-discordant balance is divided by n(n-1)/2, every pair of
+    observations, so a tied pair counts as zero.  Infinities are ordered
     values, so equal ones tie; a NaN is an error, and so is n > 2**24, past
     which float32 ranks are no longer exact.
     """
-    if variant not in ("a", "b"):
-        raise ValueError("variant must be 'a' or 'b'")
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     if n < 2:
@@ -130,22 +127,16 @@ def kendall_tau_matrix(x, variant="a"):
         r, c = np.argwhere(nan)[0]
         raise ValueError(f"Kendall correlation needs data without NaN; "
                          f"row {r}, column {c} (0-based) is NaN")
-    gram = _sign_gram(x)  # concordant - discordant; untied pairs on the diagonal
-    if variant == "a":
-        denom = n * (n - 1)
-    else:
-        untied = 2.0 * np.diag(gram)
-        denom = np.sqrt(np.outer(untied, untied))
-        denom[denom == 0.0] = np.inf
-    tau = 2.0 * gram / denom
+    tau = 2.0 * _sign_gram(x) / (n * (n - 1))  # concordant - discordant pairs
     np.fill_diagonal(tau, 1.0)
     return tau
 
 
-def skeptic_correlation(x, variant="a"):
-    """Rank-based correlation estimate sin(pi/2 * tau); entries in [-1, 1],
-    unit diagonal.  The result need not be positive semidefinite."""
-    tau = kendall_tau_matrix(x, variant=variant)
+def skeptic_correlation(x):
+    """Rank-based correlation estimate sin(pi/2 * tau), with Kendall's tau-a;
+    entries in [-1, 1], unit diagonal.  The result need not be positive
+    semidefinite."""
+    tau = kendall_tau_matrix(x)
     r = np.sin(0.5 * np.pi * tau)
     np.fill_diagonal(r, 1.0)
     return linalg.sym(r)
@@ -176,7 +167,7 @@ class DagSpec:
 
     def __post_init__(self):
         noise = np.asarray(self.noise_vars, dtype=float).ravel()
-        if noise.size != self.d or np.any(noise <= 0):
+        if noise.size != self.d or not np.all((noise > 0) & np.isfinite(noise)):
             raise ValueError("noise variances must be d positive reals")
         for (p, c) in self.loadings:
             if not (0 <= p < c < self.d):
@@ -270,7 +261,13 @@ def _perfect_elimination_ordering(adjacency):
     return order if len(order) == adj.shape[0] else None
 
 
-def sample_locally_associated(graph, seed, max_tries=1000, tol=1e-9):
+# Random covariances ``sample_locally_associated`` draws for a graph that is
+# not chordal before it gives up, and the tolerance of its membership checks.
+_MAX_TRIES = 1000
+_MEMBERSHIP_TOL = 1e-9
+
+
+def sample_locally_associated(graph, seed):
     """Random PD covariance that is Markov to the graph and has nonnegative
     covariance on its edges.
 
@@ -281,10 +278,10 @@ def sample_locally_associated(graph, seed, max_tries=1000, tol=1e-9):
     """
     rng = _rng(seed)
     cov = _perfect_elimination_dag(graph, rng)
-    if cov is not None and is_locally_associated(cov, graph, tol=tol):
+    if cov is not None and is_locally_associated(cov, graph, tol=_MEMBERSHIP_TOL):
         return cov
     d = graph.d
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         a = rng.standard_normal((d, 2 * d))
         raw = a @ a.T / (2 * d) + 0.1 * np.eye(d)
         # Bias towards positive dependence to make acceptance likely.
@@ -296,11 +293,11 @@ def sample_locally_associated(graph, seed, max_tries=1000, tol=1e-9):
             sigma = ggm_mle(raw, graph).sigma_hat
         except (GolazoError, np.linalg.LinAlgError):
             continue
-        if is_locally_associated(sigma, graph, tol=tol) and is_markov(
-                np.linalg.inv(sigma), graph, tol=tol):
+        if is_locally_associated(sigma, graph, tol=_MEMBERSHIP_TOL) and is_markov(
+                np.linalg.inv(sigma), graph, tol=_MEMBERSHIP_TOL):
             return sigma
     raise GenerationFailedError(
-        f"no valid instance for the given graph after {max_tries} tries")
+        f"no valid instance for the given graph after {_MAX_TRIES} tries")
 
 
 # --- file formats -----------------------------------------------------------

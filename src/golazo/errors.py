@@ -8,12 +8,11 @@ class GolazoError(Exception):
 class NotPositiveDefiniteError(GolazoError):
     """A matrix required to be positive definite is not.
 
-    ``pivot_index`` is the (0-based) index of the first failing Cholesky
-    pivot, or None when the failure was detected another way.
+    ``pivot_index`` is the (0-based) index of the first failing Cholesky pivot.
     """
 
-    def __init__(self, message="matrix is not positive definite", pivot_index=None):
-        super().__init__(message)
+    def __init__(self, pivot_index):
+        super().__init__("matrix is not positive definite")
         self.pivot_index = pivot_index
 
 
@@ -32,9 +31,9 @@ class NonpositiveDiagonalError(GolazoError):
 
 
 class NoFeasibleStartError(GolazoError):
-    """No dually feasible, positive definite start: a supplied ``sigma0``
-    is not one, or S is not positive definite and neither of its blends,
-    toward diag(S) or toward its single-linkage matrix, gives one."""
+    """No dually feasible, positive definite start: S is not positive
+    definite, and neither of its blends, toward diag(S) or toward its
+    single-linkage matrix, gives one."""
 
 
 class DegenerateCorrelationError(NoFeasibleStartError):

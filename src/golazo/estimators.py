@@ -69,14 +69,6 @@ class GraphSpec:
         return hash(self.adjacency.tobytes())
 
     @classmethod
-    def complete(cls, d):
-        return cls._from_upper(np.ones((d, d), dtype=bool))
-
-    @classmethod
-    def empty(cls, d):
-        return cls(d, [])
-
-    @classmethod
     def chain(cls, d):
         return cls(d, [(i, i + 1) for i in range(d - 1)])
 
@@ -104,9 +96,6 @@ class MdeResult:
     kcheck: np.ndarray        # its inverse
     conditions_report: dict   # residual per optimality condition
 
-    def max_residual(self):
-        return max(self.conditions_report.values())
-
 
 def gaussian_neg_loglik(s, k):
     """-(1/2) log det K + (1/2) tr(S K); per-observation negative likelihood."""
@@ -128,14 +117,14 @@ def is_markov(k, graph, tol=0.0):
     return not np.any(np.abs(k[np.triu(~graph.adjacency, 1)]) > tol)
 
 
-def ggm_mle(s, graph, config=None, sigma0=None):
+def ggm_mle(s, graph, config=None):
     """MLE of the precision matrix under zero constraints off the graph.
 
     At the optimum Sigma matches S on the diagonal and the edges, and K
     vanishes off the graph.
     """
     bounds = ggm_bounds(graph)
-    return fit(s, bounds, config=config, sigma0=sigma0)
+    return fit(s, bounds, config=config)
 
 
 def dual_mle_edge_positivity(khat, graph, config=None):

@@ -39,7 +39,6 @@ class PathResult:
     fits: list            # FitResult or None per grid point
     ebic_scores: list     # float or None per grid point
     selected_index: int
-    edge_counts: list
     failures: dict        # grid index -> error message
 
     @property
@@ -69,10 +68,9 @@ def fit_path(s, base_bounds, config, solver_config=None):
             failures[i] = f"{type(exc).__name__}: {exc}"
 
     scores = [None if f is None else ebic(s, f, config.n, config.gamma) for f in fits]
-    counts = [None if f is None else f.edge_count for f in fits]
     valid = [i for i, sc in enumerate(scores) if sc is not None]
     if not valid:
         raise AllFitsFailedError(failures)
     selected = min(valid, key=lambda i: (scores[i], i))
     return PathResult(fits=fits, ebic_scores=scores, selected_index=selected,
-                      edge_counts=counts, failures=failures)
+                      failures=failures)

@@ -204,24 +204,18 @@ def _certified(s, k, sigma, clipped, gap, gap_tol):
             and float(np.max(_pair_residuals(s, k, sigma, clipped))) <= KKT_TOL)
 
 
-def _check_feasible(sigma, s, clipped, slack=1e-9):
-    scale = 1.0 + float(np.max(np.abs(s)))
-    return (np.all(sigma - s >= clipped.lower - slack * scale)
-            and np.all(sigma - s <= clipped.upper + slack * scale))
-
-
 @linalg._one_blas_thread()  # entered anew on every call
-def fit(s, bounds, config=None, sigma0=None, screen=True):
+def fit(s, bounds, config=None, screen=True):
     """Run the block-coordinate dual ascent until the duality gap is within
     ``config.dual_gap_tol`` and every pair's KKT residual within KKT_TOL.
     BLAS and LAPACK run on one thread throughout (``linalg._one_blas_thread``),
     so K does not depend on the machine's core count.
 
-    ``sigma0`` optionally supplies a dually feasible starting point; when
-    omitted one is constructed by ``_default_start``.
-    Each connected component (see ``_components``) is swept on its own
-    copied block of Sigma, written back after every sweep; rows alone in
-    theirs are never touched and are reported as ``isolated_rows``.
+    Every fit starts from ``_default_start``: S when it is positive
+    definite, else S blended toward diag(S) or toward its single-linkage
+    matrix.  Each connected component (see ``_components``) is swept on
+    its own copied block of Sigma, written back after every sweep; rows
+    alone in theirs are never touched and are reported as ``isolated_rows``.
     ``screen=False`` treats all rows as one component (used in tests as the
     reference).
     """
@@ -233,19 +227,9 @@ def fit(s, bounds, config=None, sigma0=None, screen=True):
     clipped = clip_to_finite(bounds, s)
     label = _components(s, clipped) if screen else np.zeros(d, dtype=int)
 
-    if sigma0 is None:
-        sigma = _default_start(s, bounds)
-    else:
-        if np.shape(sigma0) != s.shape:
-            raise ValueError(f"sigma0 has shape {np.shape(sigma0)} but S has shape {s.shape}")
-        sigma = linalg.check_square_symmetric(sigma0)
-        if not _check_feasible(sigma, s, clipped):
-            raise NoFeasibleStartError("supplied sigma0 is not dually feasible")
-        if not linalg.is_positive_definite(sigma):
-            raise NoFeasibleStartError("supplied sigma0 is not positive definite")
     # A block diagonal of principal submatrices of a feasible PD start is
     # still feasible and PD.
-    sigma = np.where(label[:, None] == label, sigma, 0.0)
+    sigma = np.where(label[:, None] == label, _default_start(s, bounds), 0.0)
     comps = [np.flatnonzero(label == c) for c in range(label.max() + 1)]
 
     # One full-width box QP per row of each block, built once.

@@ -28,6 +28,11 @@ from golazo.penalty import PenaltyBounds
 from golazo.solver import _single_linkage, fit
 
 
+def complete_graph(d):
+    """GraphSpec of every pair i < j, from the explicit edge list."""
+    return GraphSpec(d, itertools.combinations(range(d), 2))
+
+
 def bruteforce_det(a):
     """Determinant by cofactor expansion along the first row."""
     a = np.asarray(a, dtype=float)
@@ -576,8 +581,8 @@ def reference_start(s, bounds):
     )
 
 
-def loop_kendall_tau(x, variant="a"):
-    """Kendall correlation by direct pair enumeration: one dense n x n sign
+def loop_kendall_tau(x):
+    """Kendall's tau-a by direct pair enumeration: one dense n x n sign
     matrix per column, and a sum of their products for every column pair."""
     x = np.asarray(x, dtype=float)
     n, d = x.shape
@@ -586,13 +591,7 @@ def loop_kendall_tau(x, variant="a"):
     for i in range(d):
         for j in range(i + 1, d):
             agree = float(np.sum(signs[i] * signs[j]))  # 2 * (concordant - discordant)
-            if variant == "a":
-                denom = n * (n - 1)
-            else:
-                ti = float(np.sum(np.abs(signs[i])))
-                tj = float(np.sum(np.abs(signs[j])))
-                denom = np.sqrt(ti * tj) if ti > 0 and tj > 0 else np.inf
-            tau[i, j] = tau[j, i] = agree / denom
+            tau[i, j] = tau[j, i] = agree / (n * (n - 1))
     return tau
 
 

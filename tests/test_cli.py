@@ -199,9 +199,12 @@ class TestExitCodes:
         (["--tol", "inf"], "dual_gap_tol must be positive and finite"),
         (["--n", "50", "--gamma", "nan"], "gamma must lie in [0, 1]"),
         (["--n", "50", "--gamma", "2"], "gamma must lie in [0, 1]"),
+        (["--gamma", "nan"], "gamma must lie in [0, 1]"),
+        (["--gamma", "2"], "gamma must lie in [0, 1]"),
         (["--n", "-5"], "sample size must be at least 1"),
         (["--n", "0"], "sample size must be at least 1"),
-    ], ids=["tol-nan", "tol-zero", "tol-inf", "gamma-nan", "gamma-2", "n-negative", "n-zero"])
+    ], ids=["tol-nan", "tol-zero", "tol-inf", "gamma-nan", "gamma-2", "gamma-nan-without-n",
+            "gamma-2-without-n", "n-negative", "n-zero"])
     def test_bad_solver_or_sample_setting_is_usage(self, cov_csv, tmp_path, capsys, setting,
                                                    message):
         path, _ = cov_csv

@@ -175,18 +175,6 @@ class TestKendallAndSkeptic:
         x = np.column_stack([[1.0, 2.0, 3.0], [1.0, 3.0, 2.0]])
         assert gz.kendall_tau_matrix(x)[0, 1] == pytest.approx(1.0 / 3.0)
 
-    def test_tau_b_handles_ties(self):
-        x = np.column_stack([[1.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]])
-        ta = gz.kendall_tau_matrix(x, variant="a")[0, 1]
-        tb = gz.kendall_tau_matrix(x, variant="b")[0, 1]
-        assert tb > ta  # variant b corrects the denominator for ties
-
-    def test_unknown_variant_rejected_before_any_work(self):
-        with pytest.raises(ValueError, match="variant"):
-            gz.kendall_tau_matrix(np.arange(5.0)[:, None], variant="zzz")
-        with pytest.raises(ValueError, match="variant"):
-            gz.kendall_tau_matrix(np.ones((1, 3)), variant="zzz")
-
     def test_skeptic_monotone_invariance(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(60)
@@ -230,35 +218,37 @@ def _kendall_cases():
             "ragged_blocks": ragged, "d1": one_column, "signed_zeros": signed_zeros}
 
 
+# Kendall's tau-a is the one variant; this one-value parametrization keeps
+# the "a" in the test ids, so they stay stable.
+TAU_A = pytest.mark.parametrize("tau", [gz.kendall_tau_matrix], ids=["a"])
+
+
 class TestKendallMatchesLoop:
     """The blocked sign-Gram product against pair enumeration, bit for bit."""
 
-    @pytest.mark.parametrize("variant", ["a", "b"])
+    @TAU_A
     @pytest.mark.parametrize("case", sorted(_kendall_cases()))
-    def test_seeded_cases(self, case, variant):
+    def test_seeded_cases(self, case, tau):
         x = _kendall_cases()[case]
-        assert np.array_equal(gz.kendall_tau_matrix(x, variant=variant),
-                              loop_kendall_tau(x, variant=variant))
+        assert np.array_equal(tau(x), loop_kendall_tau(x))
 
-    @pytest.mark.parametrize("variant", ["a", "b"])
-    def test_many_small_blocks(self, variant, monkeypatch):
+    @TAU_A
+    def test_many_small_blocks(self, tau, monkeypatch):
         # 60 rows per block: the long lags of n = 37 take a block each, the
         # short ones share one.
         monkeypatch.setattr(dio, "_SIGN_BLOCK_ENTRIES", 3 * 60)
         x = np.random.default_rng(21).integers(0, 5, size=(37, 3)).astype(float)
-        assert np.array_equal(gz.kendall_tau_matrix(x, variant=variant),
-                              loop_kendall_tau(x, variant=variant))
+        assert np.array_equal(tau(x), loop_kendall_tau(x))
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.integers(2, 60).flatmap(lambda n: st.integers(1, 8).flatmap(
                lambda d: hnp.arrays(np.float64, (n, d),
                                     elements=st.integers(-3, 3).map(float)))),
-           variant=st.sampled_from(["a", "b"]),
            block=st.sampled_from([dio._SIGN_BLOCK_ENTRIES, 24]))
-    def test_property_integer_data(self, x, variant, block):
+    def test_property_integer_data(self, x, block):
         with mock.patch.object(dio, "_SIGN_BLOCK_ENTRIES", block):
-            tau = gz.kendall_tau_matrix(x, variant=variant)
-        assert np.array_equal(tau, loop_kendall_tau(x, variant=variant))
+            tau = gz.kendall_tau_matrix(x)
+        assert np.array_equal(tau, loop_kendall_tau(x))
 
     def test_memory_stays_bounded(self):
         # Pair enumeration held d dense n x n sign matrices here: 128 MB.
@@ -280,8 +270,8 @@ class TestKendallInput:
             with pytest.raises(ValueError, match=r"row 3, column 2 \(0-based\) is NaN"):
                 f(x)
 
-    @pytest.mark.parametrize("variant", ["a", "b"])
-    def test_infinities_are_ordered_and_equal_ones_tie(self, variant):
+    @TAU_A
+    def test_infinities_are_ordered_and_equal_ones_tie(self, tau):
         x = np.random.default_rng(24).standard_normal((30, 5))
         x[[2, 7, 11], 0] = np.inf
         x[[5, 9], 1] = -np.inf
@@ -290,10 +280,8 @@ class TestKendallInput:
         x[[0, 1], 4] = np.inf
         x[[6, 8, 10], 4] = -np.inf
         finite = np.where(x == np.inf, 1e6, np.where(x == -np.inf, -1e6, x))
-        want = loop_kendall_tau(finite, variant=variant)
-        assert np.array_equal(gz.kendall_tau_matrix(x, variant=variant), want)
-        assert np.array_equal(gz.skeptic_correlation(x, variant=variant),
-                              gz.skeptic_correlation(finite, variant=variant))
+        assert np.array_equal(tau(x), loop_kendall_tau(finite))
+        assert np.array_equal(gz.skeptic_correlation(x), gz.skeptic_correlation(finite))
 
     def test_rows_past_the_float32_bound_rejected(self):
         x = np.broadcast_to(0.0, (2**24 + 1, 1))  # a view: nothing is allocated
@@ -337,8 +325,9 @@ class TestGenerators:
     def test_dag_spec_validation(self):
         with pytest.raises(ValueError):
             gz.DagSpec(3, {(2, 1): 0.5}, np.ones(3))
-        with pytest.raises(ValueError):
-            gz.DagSpec(3, {}, [1.0, -1.0, 1.0])
+        for noise in ([1.0, -1.0, 1.0], [1.0, np.nan, 1.0], [1.0, 1.0, np.inf]):
+            with pytest.raises(ValueError, match="noise variances must be d positive reals"):
+                gz.DagSpec(3, {}, noise)
 
     def test_sample_positive_dag_deterministic(self):
         spec = gz.DagSpec(3, {(0, 1): 0.4}, np.ones(3))
@@ -380,11 +369,12 @@ class TestGenerators:
 
     def test_sample_locally_associated_skips_failed_fits(self, monkeypatch):
         def failing(*args, **kwargs):
-            raise NotPositiveDefiniteError()
+            raise NotPositiveDefiniteError(0)
 
         monkeypatch.setattr(dio, "ggm_mle", failing)
-        with pytest.raises(GenerationFailedError):
-            gz.sample_locally_associated(gz.GraphSpec.cycle(4), seed=11, max_tries=3)
+        monkeypatch.setattr(dio, "_MAX_TRIES", 3)
+        with pytest.raises(GenerationFailedError, match="after 3 tries"):
+            gz.sample_locally_associated(gz.GraphSpec.cycle(4), seed=11)
 
     def test_sample_locally_associated_deterministic(self):
         g = gz.GraphSpec.chain(4)

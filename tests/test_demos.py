@@ -12,6 +12,6 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(script)], env=env, cwd=ROOT,
+    done = subprocess.run([sys.executable, "-W", "error", str(script)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

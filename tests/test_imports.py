@@ -2,6 +2,7 @@
 function that needs them runs.  The package itself imports only the
 standard library, numpy and scipy, and declares only numpy and scipy."""
 import ast
+import json
 import os
 import re
 import subprocess
@@ -92,14 +93,82 @@ PUBLIC_NAMES = [
 ]
 
 
+# Parameter names of every exported function, in order.
+PUBLIC_PARAMETERS = {
+    "asymmetric_bounds": ["rho_neg", "rho_pos", "d"],
+    "cholesky_logdet": ["a"],
+    "clip_to_finite": ["bounds", "s"],
+    "dag_covariance": ["spec"],
+    "dual_mle_edge_positivity": ["khat", "graph", "config"],
+    "dual_positivity_bounds": ["graph"],
+    "duality_gap": ["s", "k", "bounds"],
+    "ebic": ["s", "fit_result", "n", "gamma"],
+    "fit": ["s", "bounds", "config", "screen"],
+    "fit_path": ["s", "base_bounds", "config", "solver_config"],
+    "gaussian_neg_loglik": ["s", "k"],
+    "ggm_bounds": ["graph"],
+    "ggm_mle": ["s", "graph", "config"],
+    "glasso_bounds": ["rho", "d"],
+    "golazo_norm": ["k", "bounds"],
+    "invert_pd": ["a"],
+    "is_locally_associated": ["sigma", "graph", "tol"],
+    "is_m_matrix": ["k", "tol"],
+    "is_markov": ["k", "graph", "tol"],
+    "kendall_tau_matrix": ["x"],
+    "kkt_residuals": ["s", "result"],
+    "mde": ["s", "graph", "config"],
+    "mtp2_bounds": ["d"],
+    "nearest_correlation": ["r"],
+    "positive_glasso_bounds": ["rho", "d"],
+    "sample_covariance": ["x"],
+    "sample_locally_associated": ["graph", "seed"],
+    "sample_positive_dag": ["spec", "n", "seed"],
+    "skeptic_correlation": ["x"],
+    "solve_boxqp": ["problem", "tol", "y0", "max_iter"],
+    "to_correlation": ["s"],
+}
+
+# Public fields, methods and properties of every exported class, sorted.
+PUBLIC_ATTRIBUTES = {
+    "BoxQP": ["a", "lower", "movable", "upper"],
+    "DagSpec": ["d", "loading_matrix", "loadings", "noise_vars"],
+    "EbicConfig": ["gamma", "grid", "n"],
+    "FitResult": ["clipped_bounds", "dual_gap", "edge_count", "edges", "gap_trace",
+                  "isolated_rows", "khat", "sigma_hat", "sign_pattern", "sweeps"],
+    "GraphSpec": ["adjacency", "chain", "complement", "cycle", "d", "edges", "from_support",
+                  "sorted_edges"],
+    "MdeResult": ["conditions_report", "kcheck", "khat", "sigma_check", "sigma_hat"],
+    "PathResult": ["ebic_scores", "failures", "fits", "selected_fit", "selected_index"],
+    "PenaltyBounds": ["dim", "lower", "scaled", "upper"],
+    "SolverConfig": ["dual_gap_tol", "max_sweeps"],
+}
+
+_SURFACE_PROBE = """
+import dataclasses, inspect, json, golazo
+public = {n: v for n, v in vars(golazo).items() if not n.startswith("_")}
+def attributes(cls):
+    # Fields without a default are not class attributes, so dir() misses them.
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    return sorted(fields | {a for a in dir(cls) if not a.startswith("_")})
+print(json.dumps({
+    "names": sorted(public),
+    "parameters": {n: list(inspect.signature(v).parameters)
+                   for n, v in public.items() if inspect.isfunction(v)},
+    "attributes": {n: attributes(v) for n, v in public.items() if inspect.isclass(v)},
+}))
+"""
+
+
 def test_public_names_are_pinned():
     # A fresh interpreter: importing golazo.cli elsewhere in the test run
-    # would add ``cli``.  Adding or removing a public name means editing
-    # this list, so the change shows up in review.
-    probe = ("import golazo; "
-             "print(' '.join(sorted(n for n in vars(golazo) if not n.startswith('_'))))")
+    # would add ``cli``.  Adding or removing a public name, a parameter of
+    # an exported function or an attribute of an exported class means
+    # editing the lists above, so the change shows up in review.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
+    done = subprocess.run([sys.executable, "-c", _SURFACE_PROBE], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == PUBLIC_NAMES
+    surface = json.loads(done.stdout)
+    assert surface["names"] == PUBLIC_NAMES
+    assert surface["parameters"] == PUBLIC_PARAMETERS
+    assert surface["attributes"] == PUBLIC_ATTRIBUTES

@@ -7,7 +7,7 @@ import golazo as gz
 from golazo.errors import AllFitsFailedError
 from golazo.selection import default_grid, fit_path
 
-from oracles import random_correlation
+from oracles import complete_graph, random_correlation
 
 
 def stub_fit(k):
@@ -91,14 +91,14 @@ class TestFitPath:
         valid_scores = [x for x in res.ebic_scores if x is not None]
         assert res.ebic_scores[res.selected_index] == min(valid_scores)
         # Edge counts are non-increasing along an increasing penalty grid.
-        counts = res.edge_counts
+        counts = [f.edge_count for f in res.fits]
         assert all(b <= a for a, b in zip(counts, counts[1:]))
 
     def test_per_point_failure_recorded(self):
         # Singular S: the pure-equality scaled bounds never admit a start,
         # whatever the scale, so every grid point fails.
         s = np.array([[1.0, 1.0], [1.0, 1.0]])
-        bounds = gz.ggm_bounds(gz.GraphSpec.complete(2))
+        bounds = gz.ggm_bounds(complete_graph(2))
         cfg = gz.EbicConfig(n=10, grid=[0.5, 1.0])
         with pytest.raises(AllFitsFailedError):
             fit_path(s, bounds, cfg)

@@ -1,6 +1,5 @@
 import copy
 import os
-import re
 import subprocess
 import sys
 import threading
@@ -25,6 +24,7 @@ from oracles import (
     active_set_boxqp,
     block_chain_correlation,
     chain_er_correlation,
+    complete_graph,
     forced_pair_bounds,
     glasso_kkt_residual,
     loop_blend_weight,
@@ -253,7 +253,7 @@ class TestStartingPoints:
     def test_no_feasible_start_raised(self):
         # Singular S with pure zero-equality bounds admits no generic start.
         s = np.array([[1.0, 1.0], [1.0, 1.0]])
-        g = gz.GraphSpec.complete(2)
+        g = complete_graph(2)
         with pytest.raises(NoFeasibleStartError):
             gz.fit(s, gz.ggm_bounds(g))
 
@@ -344,28 +344,6 @@ class TestScreeningAndLimits:
         partial = exc.value.result
         assert partial.sweeps == 1
         assert np.all(np.linalg.eigvalsh(partial.sigma_hat) > 0)
-
-    def test_sigma0_must_be_feasible(self):
-        s = two_by_two(0.3)
-        with pytest.raises(NoFeasibleStartError):
-            gz.fit(s, gz.glasso_bounds(0.01, 2), sigma0=np.eye(2))
-
-    def test_sigma0_must_be_positive_definite(self):
-        # Every |Sigma_ij - S_ij| = 0.9 is inside the box, but the sign
-        # pattern makes sigma0 indefinite.
-        s = np.eye(3)
-        sigma0 = np.array([[1.0, 0.9, 0.9],
-                           [0.9, 1.0, -0.9],
-                           [0.9, -0.9, 1.0]])
-        assert np.min(np.linalg.eigvalsh(sigma0)) < 0
-        with pytest.raises(NoFeasibleStartError, match="positive definite"):
-            gz.fit(s, gz.glasso_bounds(1.0, 3), sigma0=sigma0)
-
-    @pytest.mark.parametrize("shape", [(3, 3), (1, 1), (2, 3), (2,)])
-    def test_sigma0_must_match_s(self, shape):
-        with pytest.raises(ValueError,
-                           match=re.escape(f"sigma0 has shape {shape} but S has shape (2, 2)")):
-            gz.fit(two_by_two(0.3), gz.glasso_bounds(0.1, 2), sigma0=np.ones(shape))
 
     def test_non_finite_input_rejected(self):
         s = two_by_two(0.3)
@@ -483,7 +461,7 @@ class TestScansMatchLoops:
             else:
                 TestStartingPoints.assert_valid_start(sigma0, s, bounds)
 
-    def test_blend_starts_reach_the_reference_optimum(self):
+    def test_blend_starts_reach_the_reference_optimum(self, monkeypatch):
         # Fits from the reference start and from the new one end at the
         # same edge set and the same K.
         compared = 0
@@ -495,7 +473,9 @@ class TestScansMatchLoops:
             except NoFeasibleStartError:
                 continue
             compared += 1
-            ref = gz.fit(s, bounds, sigma0=sigma0)
+            with monkeypatch.context() as patched:
+                patched.setattr(solver, "_default_start", lambda s, bounds: sigma0)
+                ref = gz.fit(s, bounds)
             res = gz.fit(s, bounds)
             assert res.edges() == ref.edges()
             assert np.max(np.abs(res.khat - ref.khat)) <= 1e-9
