@@ -1,7 +1,7 @@
 """Box-constrained quadratic program  min y' A^{-1} y  s.t.  l <= y <= u.
 
-A is positive definite and is given itself, never its inverse: in the dual
-sweep it is the block of the current iterate on row j's connected component,
+A is symmetric positive definite and is given itself, never its inverse: in
+the dual sweep it is the block of the current iterate on row j's component,
 j included, and coordinate j has the box (-inf, inf).  Minimizing over a
 free coordinate leaves the QP on A_{-j,-j} (its Schur complement), so the
 other coordinates get the optimum of the row's QP on Sigma_{-j,-j}, with the
@@ -10,7 +10,7 @@ same pivoting decisions.  Box ends may be infinite (absent constraints).
 On the face where the coordinates C sit at their bounds and the others F are
 free, the optimum is y_F = A_FC z with z = A_CC^{-1} y_C, and the gradient
 2 A^{-1} y is 0 on F and 2 z on C.  Each face solve is therefore |C| x |C|
-and reads only the |C| columns of A.
+and reads only the |C| rows of A (its columns, as A is symmetric).
 
 The solve is block principal pivoting (Judice & Pires 1994; Kim & Park
 2011): each round solves one face, then fixes every free coordinate whose
@@ -21,7 +21,8 @@ the largest infeasible index is exchanged (Murty's rule) until it falls
 again; with that backup rule the method terminates finitely.  A face with
 no infeasible coordinate is the optimum.  From a cold start this takes a few
 face solves where a one-bound-per-step active-set method takes about as many
-as there are active bounds.
+as there are active bounds.  The method is defined by a face, not a point,
+so a solve starts from a face, which the dual sweep carries between sweeps.
 """
 from dataclasses import dataclass, field
 
@@ -41,7 +42,7 @@ _BACKUP_ROUNDS = 3
 
 @dataclass(frozen=True, eq=False)
 class BoxQP:
-    """The QP on A = a, which is read in place."""
+    """The QP on A = a, which is symmetric and is read in place."""
 
     a: np.ndarray
     lower: np.ndarray
@@ -67,32 +68,16 @@ class BoxQP:
         object.__setattr__(self, "movable", lower != upper)
 
 
-def _feasible_seed(problem, y0):
-    lower, upper = problem.lower, problem.upper
-    if y0 is None:
-        y0 = np.zeros(lower.size)
-    y = np.asarray(y0, dtype=float).ravel()
-    if y.size != lower.size:
-        raise ValueError(f"y0 has {y.size} entries but the box has {lower.size}")
-    y = np.maximum(np.minimum(y, upper), lower)
-    if np.count_nonzero(np.isfinite(y)) < y.size:
-        # An infinite y0 entry survives the clip where its box end is
-        # infinite too; replace it by the lower end, or 0 if that is infinite.
-        y = np.where(np.isfinite(y), y, np.where(np.isfinite(lower), lower, 0.0))
-        y = np.maximum(np.minimum(y, upper), lower)
-    return y
-
-
-def _solve_face(problem, y, fixed):
-    """Minimizer of y'A^{-1}y with the coordinates ``fixed`` pinned at their
-    values in ``y``, which sit on the bounds their state names, and z with
-    gradient 2 A^{-1} y = 2 z on them (0 elsewhere)."""
+def _solve_face(problem, state, fixed):
+    """Minimizer of y'A^{-1}y with the coordinates ``fixed`` pinned at the
+    ends ``state`` names, and z with gradient 2 A^{-1} y = 2 z on them (0
+    elsewhere).  Gathers A's rows, which a C-ordered A holds contiguously."""
     if not fixed.size:
-        return np.zeros(y.size), np.zeros(0)
+        return np.zeros(state.size), np.zeros(0)
     a = problem.a
-    y_c = y[fixed]
-    a_fc = a.take(fixed, axis=1)  # a C-contiguous n x |C| block
-    acc = a_fc.take(fixed, axis=0)
+    y_c = np.where(state[fixed] > 0, problem.upper[fixed], problem.lower[fixed])
+    a_cf = a.take(fixed, axis=0)
+    acc = a_cf.take(fixed, axis=1)
     try:
         z = linalg.solve_pd(acc, y_c)
     except NotPositiveDefiniteError:
@@ -101,13 +86,16 @@ def _solve_face(problem, y, fixed):
         diag = a.diagonal()
         ridge = 1e-10 * float(diag.sum()) / diag.size
         z = linalg.solve_pd(acc + ridge * np.eye(fixed.size), y_c)
-    y = a_fc @ z
+    y = z @ a_cf
     y[fixed] = y_c
     return y, z
 
 
-def solve_boxqp(problem, tol=1e-10, y0=None, max_iter=None):
-    """Solve the box QP to the stated KKT tolerance.
+def solve_boxqp(problem, state=None, tol=1e-10, max_iter=None):
+    """Solve the box QP to the stated KKT tolerance from the face ``state``:
+    int8, AT_LOWER, FREE or AT_UPPER per coordinate, naming finite ends only
+    and AT_LOWER where lower == upper; it is updated in place to the optimal
+    face.  None is the face of 0 clipped into the box.  A must be symmetric.
 
     Returns the optimal vector.  The KKT conditions at the solution are, with
     g = 2 A^{-1} y:  g_i >= -tol at an active lower bound, g_i <= tol at an
@@ -116,20 +104,22 @@ def solve_boxqp(problem, tol=1e-10, y0=None, max_iter=None):
     """
     lower, upper, movable = problem.lower, problem.upper, problem.movable
     n = lower.size
-    if max_iter is None:
-        max_iter = 50 * (n + 5)
+    max_iter = 50 * (n + 5) if max_iter is None else max_iter
+    if max_iter < 1:  # the iterate comes from a face solve
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if state is None:
+        state = (upper <= 0.0).view(np.int8)
+        state[(lower >= 0.0) | ~movable] = AT_LOWER
+    elif getattr(state, "dtype", None) != np.int8 or state.shape != (n,):
+        raise ValueError(f"state must be an int8 vector of the box's size {n}, got "
+                         f"{getattr(state, 'dtype', type(state))} of size {np.size(state)}")
 
-    y = _feasible_seed(problem, y0)
-    # Pinned coordinates (lower == upper) sit at both ends and start, and
-    # stay, AT_LOWER.
-    state = (y >= upper).view(np.int8)
-    state[y <= lower] = AT_LOWER
     best, stalled = n + 1, 0
     for _ in range(max_iter):
         fixed = state.nonzero()[0]
-        y, z = _solve_face(problem, y, fixed)
-        # y sits on its end at every fixed coordinate, so only free ones can
-        # be below or above the box; a fixed one is released when its
+        y, z = _solve_face(problem, state, fixed)
+        # Every fixed coordinate sits on its end, so only free ones can be
+        # below or above the box; a fixed one is released when its
         # multiplier 2 z has the wrong sign.
         below = y < lower
         above = y > upper
@@ -137,8 +127,6 @@ def solve_boxqp(problem, tol=1e-10, y0=None, max_iter=None):
         count = np.count_nonzero(below) + np.count_nonzero(above) + np.count_nonzero(release)
         if not count:
             return y
-        # Each coordinate the exchange below fixes then sits on its end.
-        y.clip(lower, upper, out=y)
         if count < best:
             best, stalled = count, 0
         else:

@@ -125,10 +125,17 @@ def _build_parser():
     return parser
 
 
+def _read_data(args):
+    x = dio.read_csv_data(args.input, header=args.header)
+    if x.shape[0] < 2:
+        raise _UsageError(f"{args.command} needs at least two observations")
+    return x
+
+
 def _load_input(args):
     """Returns (statistic matrix S, sample size n or None)."""
     if args.input_kind == "data":
-        x = dio.read_csv_data(args.input, header=args.header)
+        x = _read_data(args)
         s, n = dio.sample_covariance(x), x.shape[0]
     else:
         s = dio.read_csv_matrix(args.input, header=args.header, allow_inf=False)
@@ -226,7 +233,7 @@ def cmd_fit(args):
 
 def cmd_path(args):
     s, n = _load_input(args)
-    if not n:
+    if n is None:
         raise _UsageError("path needs a sample size: use --input-kind data or --n")
     bounds = _load_bounds(args, s.shape[0])
     config = EbicConfig(n=n, gamma=args.gamma, grid=_parse_grid(args.grid))
@@ -271,10 +278,7 @@ def cmd_mde(args):
 
 
 def cmd_skeptic(args):
-    x = dio.read_csv_data(args.input, header=args.header)
-    if x.shape[0] < 2:
-        raise _UsageError("skeptic needs at least two observations")
-    r = dio.skeptic_correlation(x)
+    r = dio.skeptic_correlation(_read_data(args))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     dio.write_csv_matrix(outdir / "R.csv", r)

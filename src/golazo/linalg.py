@@ -81,10 +81,13 @@ def is_positive_definite(a):
 
 
 def invert_pd(a):
-    """Inverse of a positive definite matrix via Cholesky; exactly symmetric."""
+    """Inverse of a positive definite matrix by ``dpotri`` on the factor of
+    ``cholesky_logdet``; its lower triangle is mirrored: exactly symmetric."""
     factor, _ = cholesky_logdet(a)
-    inv = scipy.linalg.cho_solve((factor, True), np.eye(a.shape[0]))
-    return sym(inv)
+    inv, info = scipy.linalg.lapack.dpotri(factor, lower=True)
+    if info:
+        raise NotPositiveDefiniteError(pivot_index=info - 1)
+    return np.tril(inv) + np.tril(inv, -1).T
 
 
 def solve_pd(a, b):

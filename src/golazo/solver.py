@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .boxqp import BoxQP, solve_boxqp
+from .boxqp import AT_LOWER, BoxQP, solve_boxqp
 from .errors import (
     DegenerateCorrelationError,
     InvalidBoundsError,
@@ -216,6 +216,7 @@ def fit(s, bounds, config=None, screen=True):
     matrix.  Each connected component (see ``_components``) is swept on
     its own copied block of Sigma, written back after every sweep; rows
     alone in theirs are never touched and are reported as ``isolated_rows``.
+    Each row's QP starts from its face, carried in an int8 matrix per block.
     ``screen=False`` treats all rows as one component (used in tests as the
     reference).
     """
@@ -232,7 +233,7 @@ def fit(s, bounds, config=None, screen=True):
     sigma = np.where(label[:, None] == label, _default_start(s, bounds), 0.0)
     comps = [np.flatnonzero(label == c) for c in range(label.max() + 1)]
 
-    # One full-width box QP per row of each block, built once.
+    # One full-width box QP and one face per row of each block, built once.
     blocks = []
     for members in comps:
         if members.size > 1:
@@ -240,7 +241,10 @@ def fit(s, bounds, config=None, screen=True):
             a, lower, upper = sigma[ix], s[ix] + clipped.lower[ix], s[ix] + clipped.upper[ix]
             np.fill_diagonal(lower, -np.inf)
             np.fill_diagonal(upper, np.inf)
-            blocks.append((ix, a, [BoxQP(a, lower[j], upper[j]) for j in range(members.size)]))
+            face = (a >= upper).view(np.int8)
+            face[(a <= lower) | (lower == upper)] = AT_LOWER
+            blocks.append((ix, a, face,
+                           [BoxQP(a, lower[j], upper[j]) for j in range(members.size)]))
 
     gap_trace = []
     sweeps = 0
@@ -250,12 +254,13 @@ def fit(s, bounds, config=None, screen=True):
     certified = _certified(s, k, sigma, clipped, gap, config.dual_gap_tol)
 
     while not certified and sweeps < config.max_sweeps:
-        for ix, a, problems in blocks:
+        for ix, a, face, problems in blocks:
             for j, problem in enumerate(problems):
-                y = solve_boxqp(problem, tol=QP_TOL, y0=a[j])
+                y = solve_boxqp(problem, state=face[j], tol=QP_TOL)
                 y[j] = a[j, j]
                 a[j] = y
                 a[:, j] = y
+                face[:, j] = face[j]
             sigma[ix] = a
         sweeps += 1
         k = linalg.invert_pd(sigma)

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from golazo import linalg
+from golazo.boxqp import AT_LOWER
 from golazo.errors import (
     DegenerateCorrelationError,
     GenerationFailedError,
@@ -121,6 +122,29 @@ def active_set_boxqp(a, lower, upper, tol=1e-10, y0=None, max_iter=None):
     raise MaxIterationsExceededError(y)
 
 
+def face_of(problem, y0):
+    """The face ``boxqp.solve_boxqp`` once derived from a seed point y0 (None
+    for the zero vector): y0 clipped into the box, an infinite entry that
+    survives the clip replaced by the lower end or 0, then AT_UPPER where it
+    sits on the upper end and AT_LOWER where it sits on the lower one, which
+    a pinned coordinate (lower == upper) always does."""
+    lower, upper = problem.lower, problem.upper
+    if y0 is None:
+        y0 = np.zeros(lower.size)
+    y = np.asarray(y0, dtype=float).ravel()
+    if y.size != lower.size:
+        raise ValueError(f"y0 has {y.size} entries but the box has {lower.size}")
+    y = np.maximum(np.minimum(y, upper), lower)
+    if np.count_nonzero(np.isfinite(y)) < y.size:
+        # An infinite y0 entry survives the clip where its box end is
+        # infinite too; replace it by the lower end, or 0 if that is infinite.
+        y = np.where(np.isfinite(y), y, np.where(np.isfinite(lower), lower, 0.0))
+        y = np.maximum(np.minimum(y, upper), lower)
+    state = (y >= upper).view(np.int8)
+    state[y <= lower] = AT_LOWER
+    return state
+
+
 def _reference_solve_pd(a, b):
     factor, _ = linalg.cholesky_logdet(a)
     return scipy.linalg.lapack.dpotrs(factor, b, lower=True)[0]
@@ -142,15 +166,15 @@ def _reference_solve_face(problem, state, fixed):
         return np.zeros(state.size), np.zeros(0)
     a = problem.a
     y_c = np.where(state[fixed] == -1, problem.lower[fixed], problem.upper[fixed])
-    a_fc = np.ascontiguousarray(a[:, fixed])  # a[:, fixed] alone is F-ordered
-    acc = a_fc[fixed]
+    a_cf = a[fixed]  # the face's rows, which equal its columns: A is symmetric
+    acc = a_cf[:, fixed]
     try:
         z = _reference_solve_pd(acc, y_c)
     except NotPositiveDefiniteError:
         diag = a.diagonal()
         ridge = 1e-10 * float(diag.sum()) / diag.size
         z = _reference_solve_pd(acc + ridge * np.eye(fixed.size), y_c)
-    y = a_fc @ z
+    y = z @ a_cf
     y[fixed] = y_c
     return y, z
 

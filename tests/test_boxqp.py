@@ -7,7 +7,13 @@ from golazo import boxqp, linalg
 from golazo.boxqp import AT_LOWER, AT_UPPER, FREE, BoxQP, solve_boxqp
 from golazo.errors import MaxIterationsExceededError, NotPositiveDefiniteError
 
-from oracles import active_set_boxqp, projected_gradient_boxqp, random_pd, reference_boxqp
+from oracles import (
+    active_set_boxqp,
+    face_of,
+    projected_gradient_boxqp,
+    random_pd,
+    reference_boxqp,
+)
 
 
 def qp(w, lower, upper):
@@ -129,8 +135,9 @@ def test_warm_start_gives_same_answer():
     w = random_pd(rng, 5, 0.1)
     lower = -rng.random(5)
     upper = rng.random(5)
-    cold = solve_boxqp(qp(w, lower, upper))
-    warm = solve_boxqp(qp(w, lower, upper), y0=upper)
+    problem = qp(w, lower, upper)
+    cold = solve_boxqp(problem)
+    warm = solve_boxqp(problem, state=face_of(problem, upper))
     assert np.max(np.abs(cold - warm)) < 1e-9
 
 
@@ -153,11 +160,16 @@ def test_nan_box_end_rejected():
             BoxQP(np.eye(3), lower, upper)
 
 
-def test_y0_size_must_match_the_box():
+def test_state_must_be_an_int8_vector_of_the_box_size():
     problem = qp(np.eye(3), [-1.0] * 3, [1.0] * 3)
-    for y0 in ([0.5], [0.5, 0.5], np.zeros(4), np.zeros((2, 2))):
-        with pytest.raises(ValueError, match=f"y0 has {np.size(y0)} entries but the box has 3"):
-            solve_boxqp(problem, y0=y0)
+    for state in (np.zeros(1, np.int8), np.zeros(2, np.int8), np.zeros(4, np.int8),
+                  np.zeros((3, 1), np.int8), np.zeros(3), np.zeros(3, bool), [0, 0, 0]):
+        with pytest.raises(ValueError, match=f"box's size 3, got .* of size {np.size(state)}$"):
+            solve_boxqp(problem, state=state)
+    # A valid state is updated in place to the optimal face.
+    state = np.full(3, AT_UPPER, dtype=np.int8)
+    assert np.array_equal(solve_boxqp(problem, state=state), np.zeros(3))
+    assert np.array_equal(state, np.full(3, FREE))
 
 
 def kkt_holds(w, y, lower, upper, tol=1e-8):
@@ -208,11 +220,13 @@ def test_full_width_matches_copied_block(monkeypatch):
         y0 = [None, np.where(np.isfinite(lower), lower, 0.0),
               np.where(np.isfinite(upper), upper, 0.0)][trial % 3]
         calls.clear()
-        copied = solve_boxqp(BoxQP(big[np.ix_(keep, keep)], lower, upper), y0=y0)
+        problem = BoxQP(big[np.ix_(keep, keep)], lower, upper)
+        copied = solve_boxqp(problem, state=face_of(problem, y0))
         copied_faces = len(calls)
         wide_lower, wide_upper, insert = full_width(lower, upper, j, big[j, j])
         calls.clear()
-        wide = solve_boxqp(BoxQP(big, wide_lower, wide_upper), y0=insert(y0))
+        problem = BoxQP(big, wide_lower, wide_upper)
+        wide = solve_boxqp(problem, state=face_of(problem, insert(y0)))
         assert len(calls) == copied_faces
         assert np.max(np.abs(copied - wide[keep]), initial=0.0) <= 1e-12
         assert np.array_equal(wide[keep][pin], lower[pin])
@@ -247,7 +261,7 @@ def test_ridge_fallback_on_singular_active_block(monkeypatch):
     for problem, y0, take in ((BoxQP(base, lower, upper), lower, np.arange(3)),
                               (BoxQP(big, wide_lower, wide_upper), insert(lower), keep)):
         failures.clear()
-        y = solve_boxqp(problem, y0=y0)[take]
+        y = solve_boxqp(problem, state=face_of(problem, y0))[take]
         assert failures == [2]
         assert np.all(y >= lower) and np.all(y <= upper)
         assert np.array_equal(y[:2], lower[:2])
@@ -275,7 +289,8 @@ def test_matches_active_set_oracle(seed):
     lower[pin] = upper[pin] = np.where(np.isfinite(lower[pin]), lower[pin], 0.3)
     y0 = [None, np.where(np.isfinite(lower), lower, 0.0),
           np.where(np.isfinite(upper), upper, 0.0)][int(rng.integers(3))]
-    y = solve_boxqp(BoxQP(big[np.ix_(idx, idx)], lower, upper), y0=y0)
+    problem = BoxQP(big[np.ix_(idx, idx)], lower, upper)
+    y = solve_boxqp(problem, state=face_of(problem, y0))
     ref, _ = active_set_boxqp(big[np.ix_(idx, idx)], lower, upper, y0=y0)
     assert np.max(np.abs(y - ref)) <= 1e-12
     assert np.array_equal(y[pin], lower[pin])
@@ -299,16 +314,18 @@ def test_murty_single_exchange_when_the_count_stalls(monkeypatch):
     faces = []
     original = boxqp._solve_face
 
-    def recording(problem, y, fixed):
-        # The fixed coordinates sit on the ends their state names.
-        state = np.zeros(y.size, dtype=np.int8)
-        state[fixed] = np.where(y[fixed] == lower[fixed], AT_LOWER, AT_UPPER)
-        target, z = original(problem, y, fixed)
-        faces.append((state, target, fixed, z))
+    def recording(problem, state, fixed):
+        # The fixed coordinates are the ones the state holds at an end, and
+        # the face sits on the ends it names.
+        assert np.array_equal(fixed, state.nonzero()[0])
+        target, z = original(problem, state, fixed)
+        assert np.array_equal(target[fixed], np.where(state[fixed] == AT_LOWER,
+                                                      lower[fixed], upper[fixed]))
+        faces.append((state.copy(), target, fixed, z))
         return target, z
 
     monkeypatch.setattr(boxqp, "_solve_face", recording)
-    y = solve_boxqp(problem, y0=s[0])
+    y = solve_boxqp(problem, state=face_of(problem, s[0]))
     assert len(faces) <= 10
     single = 0
     for (state, target, fixed, z), (after, *_) in zip(faces, faces[1:]):
@@ -328,21 +345,24 @@ def test_pivot_rounds_count_against_max_iter():
     # From the lower ends, the optimum needs a second face solve.
     problem = qp(np.array([[1.0, -0.9], [-0.9, 1.0]]), [1.0, -2.0], [np.inf, 2.0])
     with pytest.raises(MaxIterationsExceededError):
-        solve_boxqp(problem, y0=[1.0, -2.0], max_iter=1)
-    y = solve_boxqp(problem, y0=[1.0, -2.0], max_iter=2)
+        solve_boxqp(problem, state=face_of(problem, [1.0, -2.0]), max_iter=1)
+    y = solve_boxqp(problem, state=face_of(problem, [1.0, -2.0]), max_iter=2)
     assert y == pytest.approx([1.0, 0.9], abs=1e-12)
+    with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
+        solve_boxqp(problem, max_iter=0)
 
 
-def bit_identical(problem, **kwargs):
-    """solve_boxqp and the first-written pivoting code agree bit for bit,
-    also on the last iterate when both reach ``max_iter``."""
+def bit_identical(problem, y0=None, **kwargs):
+    """solve_boxqp from the face of y0 and the first-written pivoting code
+    from y0 agree bit for bit, also on the last iterate when both reach
+    ``max_iter``."""
     try:
-        ref = reference_boxqp(problem, **kwargs)
+        ref = reference_boxqp(problem, y0=y0, **kwargs)
     except MaxIterationsExceededError as exc:
         with pytest.raises(MaxIterationsExceededError) as got:
-            solve_boxqp(problem, **kwargs)
+            solve_boxqp(problem, state=face_of(problem, y0), **kwargs)
         return np.array_equal(got.value.iterate, exc.iterate)
-    return np.array_equal(solve_boxqp(problem, **kwargs), ref)
+    return np.array_equal(solve_boxqp(problem, state=face_of(problem, y0), **kwargs), ref)
 
 
 @settings(max_examples=300, deadline=None)

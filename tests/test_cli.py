@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,27 @@ class TestExitCodes:
                         "--out", tmp_path / "o", *extra])
         assert code == cli.EXIT_USAGE
         assert "input error: diagonal entry 1 is not strictly positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("fit", ["--preset", "glasso", "--rho", "0.1"]),
+        ("path", ["--preset", "glasso", "--rho", "1.0"]),
+        ("mde", ["--graph"]),
+    ])
+    def test_one_observation_is_usage(self, tmp_path, capsys, command, extra):
+        # Rejected before the covariance is formed: no ConstantColumnWarning
+        # for its three zero-variance columns, no diagonal error.
+        path, graph_file = tmp_path / "one.csv", tmp_path / "g.txt"
+        path.write_text("1,2,3\n")
+        graph_file.write_text("1 2\n")
+        extra = [*extra, graph_file] if command == "mde" else extra
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, "--input", path, "--input-kind", "data",
+                        "--out", tmp_path / "o", *extra])
+        assert code == cli.EXIT_USAGE
+        assert (capsys.readouterr().err
+                == f"usage error: {command} needs at least two observations\n")
+        assert not (tmp_path / "o").exists()
 
     def test_all_path_fits_failed_exit(self, singular_csv, tmp_path, capsys):
         path, graph_file = singular_csv
@@ -484,6 +506,16 @@ class TestPath:
         code = run(["path", "--input", path, "--input-kind", "covariance",
                     "--out", tmp_path / "o", "--preset", "glasso", "--rho", "1.0"])
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_path_bad_sample_size_is_an_input_error(self, cov_csv, tmp_path, capsys, n):
+        # As for fit: a given --n is checked, not taken for a missing one.
+        path, _ = cov_csv
+        code = run(["path", "--input", path, "--input-kind", "covariance", "--n", n,
+                    "--out", tmp_path / "o", "--preset", "glasso", "--rho", "1.0"])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "input error: sample size must be at least 1\n"
+        assert not (tmp_path / "o").exists()
 
 
     @pytest.mark.parametrize("grid", ["log:0.1:1", "0.5,,1", "log:0.1:1:x", "log:0:1:5"])

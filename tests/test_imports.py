@@ -124,7 +124,7 @@ PUBLIC_PARAMETERS = {
     "sample_locally_associated": ["graph", "seed"],
     "sample_positive_dag": ["spec", "n", "seed"],
     "skeptic_correlation": ["x"],
-    "solve_boxqp": ["problem", "tol", "y0", "max_iter"],
+    "solve_boxqp": ["problem", "state", "tol", "max_iter"],
     "to_correlation": ["s"],
 }
 

@@ -71,6 +71,16 @@ def test_invert_identity_and_diagonal():
                        np.diag([0.5, 0.25]), atol=1e-15)
 
 
+@pytest.mark.parametrize("d", [1, 2, 7, 40, 150])
+def test_invert_is_exactly_symmetric_and_matches_numpy(d):
+    # dpotri fills one triangle; invert_pd mirrors it.
+    a = random_pd(np.random.default_rng(d), d)
+    k = linalg.invert_pd(a)
+    assert np.array_equal(k, k.T)
+    ref = np.linalg.inv(a)
+    assert np.max(np.abs(k - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_invert_2x2_adjugate():
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
     expected = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import golazo as gz
 from golazo import boxqp, linalg, solver
+from golazo.boxqp import FREE
 from golazo.errors import (
     DegenerateCorrelationError,
     InvalidBoundsError,
@@ -25,6 +26,7 @@ from oracles import (
     block_chain_correlation,
     chain_er_correlation,
     complete_graph,
+    face_of,
     forced_pair_bounds,
     glasso_kkt_residual,
     loop_blend_weight,
@@ -510,9 +512,9 @@ class TestAtScale:
         seen = []
         original = solver.solve_boxqp
 
-        def recording(problem, **kwargs):
+        def recording(problem, state=None, tol=1e-10, max_iter=None):
             seen.append((problem.a, problem.lower, problem.upper))
-            return original(problem, **kwargs)
+            return original(problem, state=state, tol=tol, max_iter=max_iter)
 
         monkeypatch.setattr(solver, "solve_boxqp", recording)
         s = block_chain_correlation(np.random.default_rng(60), 3, 20, 120)
@@ -561,9 +563,17 @@ class TestAtScale:
         pivoted_calls = len(calls)
         oracle_calls = []
 
-        def active_set(problem, tol, y0):
-            y, faces = active_set_boxqp(problem.a, problem.lower, problem.upper, tol=tol, y0=y0)
+        def active_set(problem, state=None, tol=1e-10, max_iter=None):
+            # Seeded on the face it gets, with the row's own entries (the one
+            # coordinate with an infinite box is the row) on the free
+            # coordinates; the final face goes back into ``state``.
+            lower, upper = problem.lower, problem.upper
+            j = np.flatnonzero(np.isinf(lower) & np.isinf(upper)).item()
+            y0 = np.where(state == FREE, problem.a[j], np.where(state > 0, upper, lower))
+            y, faces = active_set_boxqp(problem.a, lower, upper, tol=tol, y0=y0,
+                                        max_iter=max_iter)
             oracle_calls.append(faces)
+            state[:] = face_of(problem, y)
             return y
 
         monkeypatch.setattr(solver, "solve_boxqp", active_set)
@@ -582,6 +592,43 @@ class TestAtScale:
         assert res.edge_count > 0
         assert gz.duality_gap(s, res.khat, res.clipped_bounds) <= 1e-8
         assert np.max(gz.kkt_residuals(s, res)) <= 1e-6
+
+
+class TestCarriedFaces:
+    """``fit`` carries each row's face from sweep to sweep in one int8
+    matrix per block; before every row QP it must be the face that the row
+    of the current iterate names, which is the face a seed point gave."""
+
+    @pytest.mark.parametrize("case", ["chain-er-glasso", "block-path", "mtp2"])
+    def test_carried_face_is_the_face_of_the_iterate_row(self, monkeypatch, case):
+        original = solver.solve_boxqp
+        fixed = []
+
+        def checking(problem, state=None, tol=1e-10, max_iter=None):
+            # Row j is the one coordinate with an infinite box.
+            j = np.flatnonzero(np.isinf(problem.lower) & np.isinf(problem.upper)).item()
+            assert np.array_equal(state, face_of(problem, problem.a[j]))
+            fixed.append(np.count_nonzero(state))
+            return original(problem, state=state, tol=tol, max_iter=max_iter)
+
+        monkeypatch.setattr(solver, "solve_boxqp", checking)
+        if case == "chain-er-glasso":
+            s = chain_er_correlation(np.random.default_rng(150), 150, 300)
+            fits = [(s, gz.glasso_bounds(0.1, 150))]
+        elif case == "block-path":
+            # The 5 x 20 block chain at the block-path workload's grid.
+            s = block_chain_correlation(np.random.default_rng(0), 5, 20, 200)
+            fits = [(s, gz.glasso_bounds(rho, 100)) for rho in np.geomspace(0.1, 0.6, 8)]
+        else:
+            s = chain_er_correlation(np.random.default_rng(40), 40, 80)
+            fits = [(s, gz.mtp2_bounds(40))]
+        rows, sweeps = 0, []
+        for s, bounds in fits:
+            res = gz.fit(s, bounds)
+            sweeps.append(res.sweeps)
+            rows += res.sweeps * (s.shape[0] - len(res.isolated_rows))
+        assert max(sweeps) > 1 and len(fixed) == rows
+        assert sum(fixed) > rows
 
 
 class TestCertificateProperties:
