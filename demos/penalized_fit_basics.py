@@ -20,14 +20,15 @@ print("input correlation matrix:")
 print(np.round(s, 3))
 
 # Standard graphical lasso: symmetric penalty rho on every off-diagonal entry.
-res = gz.fit(s, gz.glasso_bounds(0.15, 5))
+bounds = gz.glasso_bounds(0.15, 5)
+res = gz.fit(s, bounds)
 print("\nglasso(0.15) precision estimate:")
 print(np.round(res.khat, 3))
 print("edges:", res.edges())
 print("duality gap:", res.dual_gap, "after", res.sweeps, "sweeps")
 
 # The certificate: Sigma - S sits at the matching bound per sign of K.
-print("max certificate residual:", np.max(gz.kkt_residuals(s, res)))
+print("max certificate residual:", np.max(gz.kkt_residuals(s, res, bounds)))
 
 # Asymmetric penalty: punish negative partial correlations (positive K
 # entries) harder than positive ones.

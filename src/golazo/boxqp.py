@@ -68,6 +68,14 @@ class BoxQP:
         object.__setattr__(self, "movable", lower != upper)
 
 
+def face_at(y, lower, upper):
+    """The face of the point y of the box, int8 and shaped as y: AT_UPPER
+    where y >= upper, AT_LOWER where y <= lower or lower == upper, else FREE."""
+    state = (y >= upper).view(np.int8)
+    state[(y <= lower) | (lower == upper)] = AT_LOWER
+    return state
+
+
 def _solve_face(problem, state, fixed):
     """Minimizer of y'A^{-1}y with the coordinates ``fixed`` pinned at the
     ends ``state`` names, and z with gradient 2 A^{-1} y = 2 z on them (0
@@ -108,8 +116,7 @@ def solve_boxqp(problem, state=None, tol=1e-10, max_iter=None):
     if max_iter < 1:  # the iterate comes from a face solve
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if state is None:
-        state = (upper <= 0.0).view(np.int8)
-        state[(lower >= 0.0) | ~movable] = AT_LOWER
+        state = face_at(0.0, lower, upper)
     elif getattr(state, "dtype", None) != np.int8 or state.shape != (n,):
         raise ValueError(f"state must be an int8 vector of the box's size {n}, got "
                          f"{getattr(state, 'dtype', type(state))} of size {np.size(state)}")

@@ -24,7 +24,7 @@ from .errors import (
     NonpositiveDiagonalError,
 )
 from .estimators import GraphSpec, gaussian_neg_loglik, mde
-from .linalg import _one_blas_thread, is_m_matrix
+from .linalg import _one_blas_thread, is_m_matrix, positive_diagonal
 from .penalty import (
     PenaltyBounds,
     asymmetric_bounds,
@@ -140,9 +140,7 @@ def _load_input(args):
     else:
         s = dio.read_csv_matrix(args.input, header=args.header, allow_inf=False)
         n = getattr(args, "n", None)
-    bad = np.flatnonzero(np.diag(s) <= 0)
-    if bad.size:
-        raise NonpositiveDiagonalError(int(bad[0]))
+    positive_diagonal(s)
     return s, n
 
 

@@ -10,14 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    ConstantColumnWarning,
-    GenerationFailedError,
-    GolazoError,
-    NonpositiveDiagonalError,
-)
+from .errors import ConstantColumnWarning, GenerationFailedError, GolazoError
 from .estimators import GraphSpec, ggm_mle, is_locally_associated, is_markov
-from .solver import EDGE_THRESHOLD
+from .solver import _support
 
 
 def _rng(seed):
@@ -40,11 +35,7 @@ def sample_covariance(x):
 def to_correlation(s):
     """Rescale a covariance matrix to unit diagonal."""
     s = np.asarray(s, dtype=float)
-    diag = np.diag(s)
-    for i, sii in enumerate(diag):
-        if sii <= 0:
-            raise NonpositiveDiagonalError(i)
-    scale = np.sqrt(diag)
+    scale = np.sqrt(linalg.positive_diagonal(s))
     r = s / np.outer(scale, scale)
     np.fill_diagonal(r, 1.0)
     return linalg.sym(r)
@@ -431,11 +422,12 @@ def write_edge_list(path, graph):
             fh.write(f"{i + 1} {j + 1}\n")
 
 
-def write_graphml(path, khat, threshold=EDGE_THRESHOLD):
-    """GraphML export of nodes 1..d and the edges i < j in row-major order, each
-    with a 'partialCorrelation'; its key is declared only when there is an edge."""
+def write_graphml(path, khat):
+    """GraphML export of nodes 1..d and the edges i < j of K's support at
+    EDGE_THRESHOLD in row-major order, each with a 'partialCorrelation'; its
+    key is declared only when there is an edge."""
     k = np.asarray(khat, dtype=float)
-    i, j = np.nonzero(np.triu(np.abs(k) > threshold, 1))
+    i, j = np.nonzero(np.triu(_support(k), 1))
     pcor = -k[i, j] / np.sqrt(k[i, i] * k[j, j])
     ns = "http://graphml.graphdrawing.org/xmlns"
     parts = ["<?xml version='1.0' encoding='utf-8'?>\n"

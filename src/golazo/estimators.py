@@ -9,7 +9,7 @@ import numpy as np
 from . import linalg
 from .errors import MdeStep1FailedError, GolazoError
 from .penalty import dual_positivity_bounds, ggm_bounds
-from .solver import EDGE_THRESHOLD, SolverConfig, fit
+from .solver import SolverConfig, _support, fit
 
 
 def _symmetric(mask):
@@ -80,9 +80,9 @@ class GraphSpec:
         return cls(d, edges)
 
     @classmethod
-    def from_support(cls, k, threshold=EDGE_THRESHOLD):
-        """Graph of the entries k_ij, i < j, with magnitude above threshold."""
-        return cls._from_upper(np.abs(np.asarray(k)) > threshold)
+    def from_support(cls, k):
+        """Graph of the entries k_ij, i < j, with magnitude above EDGE_THRESHOLD."""
+        return cls._from_upper(_support(np.asarray(k)))
 
     def complement(self):
         return GraphSpec._from_upper(~self.adjacency)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .errors import NotPositiveDefiniteError
+from .errors import NonpositiveDiagonalError, NotPositiveDefiniteError
 
 # Relative pivot tolerance for declaring a Cholesky pivot positive.
 PIVOT_RTOL = 1e-12
@@ -41,6 +41,15 @@ def check_square_symmetric(a, atol=1e-9):
     if not np.allclose(a, a.T, atol=atol, rtol=0.0):
         raise ValueError("matrix is not symmetric")
     return sym(a)
+
+
+def positive_diagonal(a):
+    """The diagonal of ``a``; NonpositiveDiagonalError at its first entry <= 0."""
+    diag = np.diag(a)
+    bad = np.flatnonzero(diag <= 0)
+    if bad.size:
+        raise NonpositiveDiagonalError(int(bad[0]))
+    return diag
 
 
 def _first_bad_pivot(a, factor, count=None):

@@ -11,11 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidBoundsError,
-    NegativePenaltyError,
-    NonpositiveDiagonalError,
-)
+from . import linalg
+from .errors import InvalidBoundsError, NegativePenaltyError
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,19 +72,13 @@ def clip_to_finite(bounds, s):
     max(L_ij, -S_ij - sqrt(S_ii S_jj)).
     """
     s = np.asarray(s, dtype=float)
-    diag = np.diag(s)
-    for i, sii in enumerate(diag):
-        if sii <= 0:
-            raise NonpositiveDiagonalError(i)
+    diag = linalg.positive_diagonal(s)
     root = np.sqrt(np.outer(diag, diag))
-    upper = np.minimum(bounds.upper, root - s)
-    lower = np.maximum(bounds.lower, -s - root)
+    # Kept on their side of 0, which rounding crosses where |S_ij| = root.
+    upper = np.maximum(np.minimum(bounds.upper, root - s), 0.0)
+    lower = np.minimum(np.maximum(bounds.lower, -s - root), 0.0)
     np.fill_diagonal(upper, 0.0)
     np.fill_diagonal(lower, 0.0)
-    # Guard against clipping crossing zero in degenerate cases |S_ij| = root.
-    off = ~np.eye(s.shape[0], dtype=bool)
-    upper[off] = np.maximum(upper[off], 0.0)
-    lower[off] = np.minimum(lower[off], 0.0)
     return PenaltyBounds(_symmetrize_exact(lower), _symmetrize_exact(upper))
 
 

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .boxqp import AT_LOWER, BoxQP, solve_boxqp
+from .boxqp import BoxQP, face_at, solve_boxqp
 from .errors import (
     DegenerateCorrelationError,
     InvalidBoundsError,
     MaxSweepsExceededError,
     NoFeasibleStartError,
 )
-from .penalty import PenaltyBounds, clip_to_finite, golazo_norm
+from .penalty import clip_to_finite, golazo_norm
 
 # An entry of K counts as a nonzero edge when its magnitude exceeds this.
 EDGE_THRESHOLD = 1e-6
@@ -51,23 +51,34 @@ class SolverConfig:
             raise ValueError("max_sweeps must be at least 1")
 
 
+def _support(k):
+    """Edges of K, |K_ij| > EDGE_THRESHOLD off the diagonal: where K is read as a graph."""
+    mask = np.abs(k) > EDGE_THRESHOLD
+    np.fill_diagonal(mask, False)
+    return mask
+
+
 @dataclass(frozen=True, eq=False)
 class FitResult:
+    """K, Sigma and the solve's scalars; signs and edges are read off K by ``_support``."""
+
     khat: np.ndarray
     sigma_hat: np.ndarray
     dual_gap: float
     sweeps: int
     gap_trace: list
-    sign_pattern: np.ndarray
-    clipped_bounds: PenaltyBounds
     isolated_rows: tuple = ()
 
     @property
+    def sign_pattern(self):
+        return (np.sign(self.khat) * _support(self.khat)).astype(int)
+
+    @property
     def edge_count(self):
-        return int(np.count_nonzero(np.triu(self.sign_pattern, 1)))
+        return int(np.count_nonzero(np.triu(_support(self.khat), 1)))
 
     def edges(self):
-        return linalg.upper_pairs(self.sign_pattern != 0)
+        return linalg.upper_pairs(_support(self.khat))
 
 
 def duality_gap(s, k, bounds):
@@ -77,16 +88,17 @@ def duality_gap(s, k, bounds):
     return float(np.sum(s * k)) - s.shape[0] + golazo_norm(k, bounds)
 
 
-def kkt_residuals(s, result):
-    """Per-pair violation of the optimality certificate.
+def kkt_residuals(s, result, bounds):
+    """Per-pair violation of the optimality certificate of ``result``, the fit
+    of S under ``bounds`` (clipped to finite here, as ``fit`` clips them).
 
     At the optimum, Sigma_ij - S_ij lies at L_ij when K_ij < 0, at U_ij when
     K_ij > 0, and anywhere in [L_ij, U_ij] when K_ij = 0.  Entries of K are
-    branched by sign at EDGE_THRESHOLD.  Uses the clipped bounds stored on
-    the result.  Returns a symmetric matrix of residuals, zero diagonal.
+    branched by sign at EDGE_THRESHOLD.  Returns a symmetric matrix of
+    residuals, zero diagonal.
     """
-    return _pair_residuals(np.asarray(s, dtype=float), result.khat, result.sigma_hat,
-                           result.clipped_bounds)
+    s = np.asarray(s, dtype=float)
+    return _pair_residuals(s, result.khat, result.sigma_hat, clip_to_finite(bounds, s))
 
 
 def _pair_residuals(s, k, sigma, clipped):
@@ -241,19 +253,18 @@ def fit(s, bounds, config=None, screen=True):
             a, lower, upper = sigma[ix], s[ix] + clipped.lower[ix], s[ix] + clipped.upper[ix]
             np.fill_diagonal(lower, -np.inf)
             np.fill_diagonal(upper, np.inf)
-            face = (a >= upper).view(np.int8)
-            face[(a <= lower) | (lower == upper)] = AT_LOWER
-            blocks.append((ix, a, face,
+            blocks.append((ix, a, face_at(a, lower, upper),
                            [BoxQP(a, lower[j], upper[j]) for j in range(members.size)]))
 
     gap_trace = []
     sweeps = 0
-    k = linalg.invert_pd(sigma)
-    gap = duality_gap(s, k, clipped)
-    gap_trace.append(gap)
-    certified = _certified(s, k, sigma, clipped, gap, config.dual_gap_tol)
-
-    while not certified and sweeps < config.max_sweeps:
+    while True:
+        k = linalg.invert_pd(sigma)
+        gap = duality_gap(s, k, clipped)
+        gap_trace.append(gap)
+        certified = _certified(s, k, sigma, clipped, gap, config.dual_gap_tol)
+        if certified or sweeps >= config.max_sweeps:
+            break
         for ix, a, face, problems in blocks:
             for j, problem in enumerate(problems):
                 y = solve_boxqp(problem, state=face[j], tol=QP_TOL)
@@ -263,21 +274,13 @@ def fit(s, bounds, config=None, screen=True):
                 face[:, j] = face[j]
             sigma[ix] = a
         sweeps += 1
-        k = linalg.invert_pd(sigma)
-        gap = duality_gap(s, k, clipped)
-        gap_trace.append(gap)
-        certified = _certified(s, k, sigma, clipped, gap, config.dual_gap_tol)
 
-    sign = np.sign(k) * (np.abs(k) > EDGE_THRESHOLD)
-    np.fill_diagonal(sign, 0)
     result = FitResult(
         khat=k,
         sigma_hat=sigma,
         dual_gap=gap,
         sweeps=sweeps,
         gap_trace=gap_trace,
-        sign_pattern=sign.astype(int),
-        clipped_bounds=clipped,
         isolated_rows=tuple(int(m[0]) for m in comps if m.size == 1),
     )
     if not certified:

@@ -55,7 +55,7 @@ def test_criterion_01_kkt_certificates():
         s = random_correlation(rng, d)
         bounds = _preset(kinds[trial % 4], rng, d)
         res = gz.fit(s, bounds)
-        worst = max(worst, float(np.max(gz.kkt_residuals(s, res))))
+        worst = max(worst, float(np.max(gz.kkt_residuals(s, res, bounds))))
     elapsed = time.perf_counter() - start
     _report(1, "KKT certificate suite", worst <= 1e-6 and elapsed < 60.0,
             f"max residual {worst:.2e}, {elapsed:.1f} s")
@@ -208,10 +208,12 @@ def test_criterion_10_refit_self_consistency():
     for trial in range(50):
         d = int(rng.integers(3, 7))
         s = random_correlation(rng, d)
-        res = gz.fit(s, _preset(kinds[trial % 3], rng, d), config=TIGHT)
-        ghat = gz.GraphSpec.from_support(res.khat, threshold=gz.EDGE_THRESHOLD)
+        bounds = _preset(kinds[trial % 3], rng, d)
+        res = gz.fit(s, bounds, config=TIGHT)
+        ghat = gz.GraphSpec.from_support(res.khat)
         smod = s.copy()
-        lo, hi = res.clipped_bounds.lower, res.clipped_bounds.upper
+        clipped = gz.clip_to_finite(bounds, s)
+        lo, hi = clipped.lower, clipped.upper
         for i, j in ghat.edges:
             shift = lo[i, j] if res.khat[i, j] < 0 else hi[i, j]
             smod[i, j] += shift

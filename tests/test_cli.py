@@ -204,8 +204,9 @@ class TestExitCodes:
         (["--gamma", "2"], "gamma must lie in [0, 1]"),
         (["--n", "-5"], "sample size must be at least 1"),
         (["--n", "0"], "sample size must be at least 1"),
+        (["--max-sweeps", "0"], "max_sweeps must be at least 1"),
     ], ids=["tol-nan", "tol-zero", "tol-inf", "gamma-nan", "gamma-2", "gamma-nan-without-n",
-            "gamma-2-without-n", "n-negative", "n-zero"])
+            "gamma-2-without-n", "n-negative", "n-zero", "max-sweeps-zero"])
     def test_bad_solver_or_sample_setting_is_usage(self, cov_csv, tmp_path, capsys, setting,
                                                    message):
         path, _ = cov_csv
@@ -386,6 +387,19 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert "input error: off-diagonal entries must satisfy L <= 0 <= U" in (
             capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["--bounds-l", "--bounds-u"])
+    def test_bounds_files_must_come_in_pairs(self, cov_csv, tmp_path, capsys, given):
+        path, _ = cov_csv
+        bounds_f = tmp_path / "B.csv"
+        dio.write_csv_matrix(bounds_f, np.zeros((4, 4)))
+        out = tmp_path / "o"
+        code = run(["fit", "--input", path, "--input-kind", "covariance",
+                    "--out", out, given, bounds_f])
+        assert code == cli.EXIT_USAGE
+        assert ("usage error: --bounds-l and --bounds-u must be given together"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("d_bounds", [1, 3])

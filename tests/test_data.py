@@ -170,6 +170,10 @@ class TestKendallAndSkeptic:
         y = np.column_stack([np.arange(5.0), -np.arange(5.0)])
         assert gz.kendall_tau_matrix(y)[0, 1] == pytest.approx(-1.0)
 
+    def test_tau_needs_two_rows(self):
+        with pytest.raises(ValueError, match="^Kendall correlation needs at least two observations$"):
+            gz.kendall_tau_matrix(np.array([[1.0, 2.0, 3.0]]))
+
     def test_tau_hand_value(self):
         # One discordant pair out of three: tau = (2 - 1) / 3.
         x = np.column_stack([[1.0, 2.0, 3.0], [1.0, 3.0, 2.0]])
@@ -419,6 +423,13 @@ class TestPerfectEliminationOrdering:
             assert loop_is_perfect_elimination_ordering(graph, order)
 
 
+def _ties_at_the_edge_threshold():
+    """|k_12| and |k_23| equal EDGE_THRESHOLD; only k_13, one float past it, is an edge."""
+    t = gz.EDGE_THRESHOLD
+    past = np.nextafter(t, 1.0)
+    return np.array([[1.0, t, -past], [t, 2.0, -t], [-past, -t, 1.5]])
+
+
 class TestFileFormats:
     def test_matrix_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -473,19 +484,20 @@ class TestFileFormats:
         (_, _, attrs), = g.edges(data=True)
         assert attrs["partialCorrelation"] == pytest.approx(0.3)
 
-    @pytest.mark.parametrize("k, threshold", [
-        (np.array([[2.0]]), 1e-6),
-        (np.diag([1.0, 2.0, 3.0]), 1e-6),  # no edge: no attribute key either
-        (np.array([[1.0, -0.3, 0.0], [-0.3, 2.0, 0.5], [0.0, 0.5, 1.5]]), 1e-6),
-        (np.array([[1e4, -1e-3, 0.2], [-1e-3, 1e4, 0.0], [0.2, 0.0, 1e4]]), 1e-4),
-    ], ids=["d1", "no-edges", "both-signs", "exponent"])  # pcor 1e-07 and -2e-05
-    def test_graphml_bytes_match_networkx(self, tmp_path, k, threshold):
+    @pytest.mark.parametrize("k", [
+        np.array([[2.0]]),
+        np.diag([1.0, 2.0, 3.0]),  # no edge: no attribute key either
+        np.array([[1.0, -0.3, 0.0], [-0.3, 2.0, 0.5], [0.0, 0.5, 1.5]]),
+        np.array([[1e4, -1e-3, 0.2], [-1e-3, 1e4, 0.0], [0.2, 0.0, 1e4]]),  # pcor 1e-07, -2e-05
+        _ties_at_the_edge_threshold(),
+    ], ids=["d1", "no-edges", "both-signs", "exponent", "ties"])
+    def test_graphml_bytes_match_networkx(self, tmp_path, k):
         ours, theirs = tmp_path / "ours.graphml", tmp_path / "theirs.graphml"
-        dio.write_graphml(ours, k, threshold=threshold)
+        dio.write_graphml(ours, k)
         g = nx.Graph()
         g.add_nodes_from(range(1, k.shape[0] + 1))
         g.add_edges_from((a, b, {"partialCorrelation": p})
-                         for (a, b), p in loop_graphml_edges(k, threshold).items())
+                         for (a, b), p in loop_graphml_edges(k, gz.EDGE_THRESHOLD).items())
         # The standard-library writer; nx.write_graphml is that one unless lxml is installed.
         nx.write_graphml_xml(g, theirs)
         assert ours.read_bytes() == theirs.read_bytes()

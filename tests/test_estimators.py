@@ -82,13 +82,12 @@ class TestGraphSpec:
         rng = np.random.default_rng(16)
         for trial in range(300):
             d = int(rng.integers(1, 13))
-            k = np.round(rng.standard_normal((d, d)), 1)
+            k = _around_threshold(rng, d)
             if trial % 2:
-                k = (k + k.T) / 2.0
-            threshold = float(rng.choice([1e-6, 0.1, 0.5]))
-            pairs = loop_support_pairs(k, threshold)
-            assert linalg.upper_pairs(np.abs(k) > threshold) == pairs
-            g = gz.GraphSpec.from_support(k, threshold)
+                k = np.triu(k) + np.triu(k, 1).T
+            pairs = loop_support_pairs(k, gz.EDGE_THRESHOLD)
+            assert linalg.upper_pairs(np.abs(k) > gz.EDGE_THRESHOLD) == pairs
+            g = gz.GraphSpec.from_support(k)
             assert g.edges == frozenset(pairs)
             assert g.complement().edges == frozenset(loop_complement_pairs(d, g.edges))
 
@@ -100,6 +99,14 @@ def _rounded(rng, d, diagonal=None):
     if diagonal is not None:
         np.fill_diagonal(a, diagonal)
     return a
+
+
+def _around_threshold(rng, d):
+    """Entries of either sign, not symmetric: exact zeros, ties at
+    EDGE_THRESHOLD and its neighbouring floats, and ties at 0.1 and 0.5."""
+    t = gz.EDGE_THRESHOLD
+    values = [0.0, t / 2, np.nextafter(t, 0.0), t, np.nextafter(t, 1.0), 2 * t, 0.1, 0.5, 1.0]
+    return rng.choice(values, (d, d)) * rng.choice([-1.0, 1.0], (d, d))
 
 
 def _bits(report):
@@ -116,10 +123,10 @@ class TestGraphMasksMatchLoops:
            tol=st.sampled_from([0.0, 0.1, 0.5]))
     def test_masks_match_loops(self, d, seed, kind, tol):
         rng = np.random.default_rng(seed)
-        support = _rounded(rng, d)
+        support = _around_threshold(rng, d)
         if kind == "random":
-            g = gz.GraphSpec.from_support(support, tol)
-            assert g.sorted_edges() == loop_support_pairs(support, tol)
+            g = gz.GraphSpec.from_support(support)
+            assert g.sorted_edges() == loop_support_pairs(support, gz.EDGE_THRESHOLD)
         else:
             g = gz.GraphSpec(d) if kind == "empty" else complete_graph(d)
         assert g.complement().sorted_edges() == loop_complement_pairs(d, g.edges)
@@ -145,14 +152,15 @@ class TestGraphMasksMatchLoops:
         args = (s, g, khat, sigma_hat, sigma_check, kcheck)
         assert _bits(estimators._mde_conditions(*args)) == _bits(loop_mde_conditions(*args))
 
-        khat = _rounded(rng, d, diagonal=float(rng.choice([1.0, 2.5])))
+        khat = _around_threshold(rng, d)
+        np.fill_diagonal(khat, float(rng.choice([1.0, 2.5])))
         khat = np.triu(khat) + np.triu(khat, 1).T
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "g.graphml"
-            dio.write_graphml(path, khat, threshold=tol)
+            dio.write_graphml(path, khat)
             written = {tuple(sorted((int(u), int(v)))): attrs["partialCorrelation"]
                        for u, v, attrs in nx.read_graphml(path).edges(data=True)}
-        assert written == loop_graphml_edges(khat, threshold=tol)
+        assert written == loop_graphml_edges(khat, threshold=gz.EDGE_THRESHOLD)
 
 
 class TestLikelihoodHelpers:

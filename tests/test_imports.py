@@ -115,7 +115,7 @@ PUBLIC_PARAMETERS = {
     "is_m_matrix": ["k", "tol"],
     "is_markov": ["k", "graph", "tol"],
     "kendall_tau_matrix": ["x"],
-    "kkt_residuals": ["s", "result"],
+    "kkt_residuals": ["s", "result", "bounds"],
     "mde": ["s", "graph", "config"],
     "mtp2_bounds": ["d"],
     "nearest_correlation": ["r"],
@@ -133,8 +133,8 @@ PUBLIC_ATTRIBUTES = {
     "BoxQP": ["a", "lower", "movable", "upper"],
     "DagSpec": ["d", "loading_matrix", "loadings", "noise_vars"],
     "EbicConfig": ["gamma", "grid", "n"],
-    "FitResult": ["clipped_bounds", "dual_gap", "edge_count", "edges", "gap_trace",
-                  "isolated_rows", "khat", "sigma_hat", "sign_pattern", "sweeps"],
+    "FitResult": ["dual_gap", "edge_count", "edges", "gap_trace", "isolated_rows", "khat",
+                  "sigma_hat", "sign_pattern", "sweeps"],
     "GraphSpec": ["adjacency", "chain", "complement", "cycle", "d", "edges", "from_support",
                   "sorted_edges"],
     "MdeResult": ["conditions_report", "kcheck", "khat", "sigma_check", "sigma_hat"],

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from golazo import linalg
-from golazo.errors import NotPositiveDefiniteError
+from golazo.errors import NonpositiveDiagonalError, NotPositiveDefiniteError
 
 from oracles import bruteforce_det, random_pd
 
@@ -54,6 +54,16 @@ def test_check_square_symmetric_rejects_non_finite():
     a[2, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         linalg.check_square_symmetric(a)
+
+
+def test_positive_diagonal_names_the_first_entry_at_or_below_zero():
+    a = np.diag([2.0, 3.0])
+    assert np.array_equal(linalg.positive_diagonal(a), [2.0, 3.0])
+    for diag, index in (([1.0, 0.0, -1.0], 1), ([-0.0, 1.0], 0)):
+        with pytest.raises(NonpositiveDiagonalError,
+                           match=f"^diagonal entry {index} is not strictly positive$") as exc:
+            linalg.positive_diagonal(np.diag(diag))
+        assert exc.value.index == index
 
 
 def test_logdet_matches_cofactor_expansion():

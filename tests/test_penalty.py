@@ -53,6 +53,13 @@ class TestPenaltyBounds:
         with pytest.raises(InvalidBoundsError, match="NaN"):
             penalty.glasso_bounds(np.nan, 3)
 
+    @pytest.mark.parametrize("lower_shape, upper_shape",
+                             [((2, 3), (2, 3)), ((2, 2), (3, 3)), ((3,), (3,))])
+    def test_non_square_or_unequal_shapes_rejected(self, lower_shape, upper_shape):
+        with pytest.raises(InvalidBoundsError,
+                           match="^L and U must be square matrices of equal shape$"):
+            penalty.PenaltyBounds(np.zeros(lower_shape), np.zeros(upper_shape))
+
     def test_sign_violation_rejected(self):
         lower, upper = off_fill(2, 0.1, 0.2)
         with pytest.raises(InvalidBoundsError):
@@ -85,6 +92,10 @@ class TestGolazoNorm:
         b = penalty.glasso_bounds(0.5, 3)
         # Each unordered pair contributes twice.
         assert penalty.golazo_norm(k, b) == pytest.approx(2 * 0.5 * (0.3 + 0.1))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(InvalidBoundsError, match="^K and bounds have mismatched dimensions$"):
+            penalty.golazo_norm(np.eye(3), penalty.glasso_bounds(0.1, 2))
 
     def test_zero_times_inf_is_zero(self):
         k = np.eye(3)

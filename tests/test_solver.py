@@ -18,6 +18,7 @@ from golazo.errors import (
     InvalidBoundsError,
     MaxSweepsExceededError,
     NoFeasibleStartError,
+    NonpositiveDiagonalError,
 )
 from golazo.selection import default_grid
 
@@ -112,10 +113,12 @@ class TestDualityGap:
     def test_dual_feasibility_of_result(self):
         rng = np.random.default_rng(4)
         s = random_correlation(rng, 5)
-        res = gz.fit(s, gz.asymmetric_bounds(0.2, 0.05, 5))
+        bounds = gz.asymmetric_bounds(0.2, 0.05, 5)
+        res = gz.fit(s, bounds)
         diff = res.sigma_hat - s
-        assert np.all(diff >= res.clipped_bounds.lower - 1e-9)
-        assert np.all(diff <= res.clipped_bounds.upper + 1e-9)
+        clipped = gz.clip_to_finite(bounds, s)
+        assert np.all(diff >= clipped.lower - 1e-9)
+        assert np.all(diff <= clipped.upper + 1e-9)
         assert np.all(np.linalg.eigvalsh(res.sigma_hat) > 0)
 
 
@@ -128,7 +131,7 @@ class TestKktResiduals:
             bounds = [gz.glasso_bounds(0.1, d), gz.positive_glasso_bounds(0.2, d),
                       gz.mtp2_bounds(d)][int(rng.integers(3))]
             res = gz.fit(s, bounds)
-            assert np.max(gz.kkt_residuals(s, res)) < 1e-6
+            assert np.max(gz.kkt_residuals(s, res, bounds)) < 1e-6
 
 
 class TestSingleLinkage:
@@ -287,6 +290,26 @@ class TestStartingPoints:
             gz.fit(s, gz.positive_glasso_bounds(0.1, 2))
 
 
+class TestInputErrors:
+    def test_s_must_be_square_and_symmetric(self):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            gz.fit(np.ones((2, 3)), gz.glasso_bounds(0.1, 2))
+        s = np.eye(3)
+        s[0, 1] = 0.5
+        with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+            gz.fit(s, gz.glasso_bounds(0.1, 3))
+
+    def test_s_must_have_a_positive_diagonal(self):
+        with pytest.raises(NonpositiveDiagonalError,
+                           match="^diagonal entry 1 is not strictly positive$") as exc:
+            gz.fit(np.diag([1.0, 0.0, 2.0]), gz.glasso_bounds(0.1, 3))
+        assert exc.value.index == 1
+
+    def test_max_sweeps_must_be_positive(self):
+        with pytest.raises(ValueError, match="^max_sweeps must be at least 1$"):
+            gz.SolverConfig(max_sweeps=0)
+
+
 class TestScreeningAndLimits:
     def test_isolated_rows_reported(self):
         s = np.eye(3)
@@ -322,7 +345,7 @@ class TestScreeningAndLimits:
             # if it has no edge at the optimum.
             assert a.isolated_rows == tuple(np.flatnonzero(~b.sign_pattern.any(axis=1)))
             assert np.max(np.abs(a.khat - b.khat)) <= 1e-6
-            label = solver._components(s, a.clipped_bounds)
+            label = solver._components(s, gz.clip_to_finite(bounds, s))
             blocks.append(int(np.count_nonzero(np.bincount(label) > 1)))
             isolated.append(len(a.isolated_rows))
         assert max(blocks) >= 10 and max(isolated) >= 50
@@ -518,8 +541,10 @@ class TestAtScale:
 
         monkeypatch.setattr(solver, "solve_boxqp", recording)
         s = block_chain_correlation(np.random.default_rng(60), 3, 20, 120)
-        res = gz.fit(s, gz.glasso_bounds(0.3, self.D))
-        label = solver._components(s, res.clipped_bounds)
+        bounds = gz.glasso_bounds(0.3, self.D)
+        res = gz.fit(s, bounds)
+        clipped = gz.clip_to_finite(bounds, s)
+        label = solver._components(s, clipped)
         comps = [np.flatnonzero(label == c) for c in range(label.max() + 1)]
         comps = [m for m in comps if m.size > 1]
         assert len(comps) >= 3 and len(res.isolated_rows) < self.D - 6
@@ -531,7 +556,7 @@ class TestAtScale:
             assert a.shape == (members.size, members.size)
             assert (lower[j], upper[j]) == (-np.inf, np.inf)
             assert np.array_equal(np.delete(lower, j), np.delete(
-                s[members[j], members] + res.clipped_bounds.lower[members[j], members], j))
+                s[members[j], members] + clipped.lower[members[j], members], j))
         assert len(blocks) == len(comps)
         for members in comps:
             assert np.array_equal(blocks[members[0]], res.sigma_hat[np.ix_(members, members)])
@@ -590,8 +615,8 @@ class TestAtScale:
                   else gz.mtp2_bounds(self.D))
         res = gz.fit(s, bounds)
         assert res.edge_count > 0
-        assert gz.duality_gap(s, res.khat, res.clipped_bounds) <= 1e-8
-        assert np.max(gz.kkt_residuals(s, res)) <= 1e-6
+        assert gz.duality_gap(s, res.khat, gz.clip_to_finite(bounds, s)) <= 1e-8
+        assert np.max(gz.kkt_residuals(s, res, bounds)) <= 1e-6
 
 
 class TestCarriedFaces:
@@ -646,8 +671,8 @@ class TestCertificateProperties:
                   "positive": gz.positive_glasso_bounds(rho, d),
                   "mtp2": gz.mtp2_bounds(d)}[kind]
         res = gz.fit(s, bounds)
-        assert gz.duality_gap(s, res.khat, res.clipped_bounds) <= 1e-8
-        assert np.max(gz.kkt_residuals(s, res)) <= 1e-6
+        assert gz.duality_gap(s, res.khat, gz.clip_to_finite(bounds, s)) <= 1e-8
+        assert np.max(gz.kkt_residuals(s, res, bounds)) <= 1e-6
 
     @settings(max_examples=5, deadline=None)
     @given(d=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
@@ -668,7 +693,7 @@ class TestCertificateProperties:
         bounds = gz.positive_glasso_bounds(0.3, d)
         res = gz.fit(s, bounds)
         assert res.dual_gap <= 1e-8
-        assert np.max(gz.kkt_residuals(s, res)) <= 1e-6
+        assert np.max(gz.kkt_residuals(s, res, bounds)) <= 1e-6
         ref = gz.fit(s, bounds, config=gz.SolverConfig(dual_gap_tol=1e-14))
         assert np.array_equal(res.sign_pattern, ref.sign_pattern)
 
@@ -698,14 +723,14 @@ class TestComponentSplit:
                   "asymmetric": gz.asymmetric_bounds(0.15, 0.05, self.D),
                   "mtp2": gz.mtp2_bounds(self.D)}[kind]
         res = gz.fit(s, bounds)
-        label = solver._components(s, res.clipped_bounds)
+        label = solver._components(s, gz.clip_to_finite(bounds, s))
         assert label.max() >= 3
         cross = label[:, None] != label
         assert np.all(res.khat[cross] == 0.0)
         assert np.all(res.sigma_hat[cross] == 0.0)
         assert res.edge_count > 0
-        assert gz.duality_gap(s, res.khat, res.clipped_bounds) <= 1e-8
-        assert np.max(gz.kkt_residuals(s, res)) <= 1e-6
+        assert gz.duality_gap(s, res.khat, gz.clip_to_finite(bounds, s)) <= 1e-8
+        assert np.max(gz.kkt_residuals(s, res, bounds)) <= 1e-6
         ref = gz.fit(s, bounds, screen=False)
         assert np.array_equal(res.sign_pattern, ref.sign_pattern)
 
@@ -727,6 +752,26 @@ class TestFitResultApi:
         assert res.edge_count == len(edges)
         for i, j in edges:
             assert abs(res.khat[i, j]) > gz.EDGE_THRESHOLD
+
+    def test_result_holds_only_k_and_sigma(self):
+        # Signs, edges and the clipped bounds are derived on demand, so the
+        # arrays a result keeps, nested ones included, are K and Sigma.
+        def nbytes(value):
+            if isinstance(value, np.ndarray):
+                return value.nbytes
+            if isinstance(value, (list, tuple)):
+                return sum(map(nbytes, value))
+            return sum(map(nbytes, vars(value).values())) if hasattr(value, "__dict__") else 0
+
+        d = 40
+        s = random_correlation(np.random.default_rng(19), d)
+        res = gz.fit(s, gz.glasso_bounds(0.1, d))
+        assert nbytes(res) == 2 * d * d * 8
+        k = res.khat
+        sign = [[int(np.sign(k[i, j])) if i != j and abs(k[i, j]) > gz.EDGE_THRESHOLD else 0
+                 for j in range(d)] for i in range(d)]
+        assert res.sign_pattern.dtype == int and res.sign_pattern.tolist() == sign
+        assert 0 < res.edge_count < d * (d - 1) // 2
 
 
 def _result_type_instances():
