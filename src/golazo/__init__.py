@@ -36,13 +36,10 @@ from .estimators import (
 )
 from .selection import EbicConfig, PathResult, ebic, fit_path
 from .data import (
-    DagSpec,
-    dag_covariance,
     kendall_tau_matrix,
     nearest_correlation,
     sample_covariance,
     sample_locally_associated,
-    sample_positive_dag,
     skeptic_correlation,
     to_correlation,
 )

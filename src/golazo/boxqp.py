@@ -39,6 +39,9 @@ AT_UPPER = 1
 # exchanges before Murty's single exchange.
 _BACKUP_ROUNDS = 3
 
+# KKT tolerance of a solve.
+QP_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class BoxQP:
@@ -99,7 +102,7 @@ def _solve_face(problem, state, fixed):
     return y, z
 
 
-def solve_boxqp(problem, state=None, tol=1e-10, max_iter=None):
+def solve_boxqp(problem, state=None, tol=QP_TOL, max_iter=None):
     """Solve the box QP to the stated KKT tolerance from the face ``state``:
     int8, AT_LOWER, FREE or AT_UPPER per coordinate, naming finite ends only
     and AT_LOWER where lower == upper; it is updated in place to the optimal

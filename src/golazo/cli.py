@@ -34,7 +34,7 @@ from .penalty import (
     mtp2_bounds,
     positive_glasso_bounds,
 )
-from .selection import EbicConfig, ebic, fit_path
+from .selection import EbicConfig, default_grid, ebic, fit_path
 from .solver import SolverConfig, fit
 
 EXIT_OK = 0
@@ -89,15 +89,16 @@ def _build_parser():
         p.add_argument("--graph", help="1-based edge-list file")
 
     def add_solver(p):
-        p.add_argument("--tol", type=float, default=1e-8, help="duality-gap tolerance")
-        p.add_argument("--max-sweeps", type=int, default=1000)
+        p.add_argument("--tol", type=float, default=SolverConfig.dual_gap_tol,
+                       help="duality-gap tolerance")
+        p.add_argument("--max-sweeps", type=int, default=SolverConfig.max_sweeps)
 
     p_fit = sub.add_parser("fit", help="single penalized fit")
     add_io(p_fit)
     add_penalty(p_fit)
     add_solver(p_fit)
     p_fit.add_argument("--n", type=int, help="sample size (for the EBIC in the summary)")
-    p_fit.add_argument("--gamma", type=float, default=0.5)
+    p_fit.add_argument("--gamma", type=float, default=EbicConfig.gamma)
     p_fit.add_argument("--graphml", action="store_true",
                        help="also write graph.graphml with partial correlations")
 
@@ -107,9 +108,8 @@ def _build_parser():
     add_solver(p_path)
     p_path.add_argument("--n", type=int, help="sample size (required unless "
                                               "--input-kind data)")
-    p_path.add_argument("--gamma", type=float, default=0.5)
-    p_path.add_argument("--grid", default="log:0.01:1.0:20",
-                        help="comma list of scale factors, or 'log:lo:hi:k'")
+    p_path.add_argument("--gamma", type=float, default=EbicConfig.gamma)
+    p_path.add_argument("--grid", help="comma list of scale factors, or 'log:lo:hi:k'")
     p_path.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored; grid points run in one loop")
 
@@ -181,7 +181,7 @@ def _parse_grid(text):
         if text.startswith("log:"):
             _, lo, hi, k = text.split(":")
             with np.errstate(invalid="ignore"):  # an infinite end: EbicConfig says so
-                return list(np.geomspace(float(lo), float(hi), int(k)))
+                return default_grid(float(lo), float(hi), int(k))
         return [float(t) for t in text.split(",")]
     except ValueError:
         raise _UsageError(f"--grid {text!r} is neither a comma list of scale factors "
@@ -234,7 +234,8 @@ def cmd_path(args):
     if n is None:
         raise _UsageError("path needs a sample size: use --input-kind data or --n")
     bounds = _load_bounds(args, s.shape[0])
-    config = EbicConfig(n=n, gamma=args.gamma, grid=_parse_grid(args.grid))
+    grid = {} if args.grid is None else {"grid": _parse_grid(args.grid)}
+    config = EbicConfig(n=n, gamma=args.gamma, **grid)
     solver_config = SolverConfig(dual_gap_tol=args.tol, max_sweeps=args.max_sweeps)
     path_result = fit_path(s, bounds, config, solver_config)
     outdir = Path(args.out)

@@ -5,7 +5,6 @@ edge-list file formats used by the command-line tool.
 import csv
 import heapq
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,76 +146,27 @@ def nearest_correlation(r):
     return to_correlation(linalg.sym(fixed))
 
 
-@dataclass(frozen=True, eq=False)
-class DagSpec:
-    """DAG on vertices 0..d-1 whose index order is a topological order:
-    every edge (parent, child) has parent < child."""
-
-    d: int
-    loadings: dict        # (parent, child) -> loading
-    noise_vars: np.ndarray
-
-    def __post_init__(self):
-        noise = np.asarray(self.noise_vars, dtype=float).ravel()
-        if noise.size != self.d or not np.all((noise > 0) & np.isfinite(noise)):
-            raise ValueError("noise variances must be d positive reals")
-        for (p, c) in self.loadings:
-            if not (0 <= p < c < self.d):
-                raise ValueError(f"edge ({p}, {c}) violates the topological order")
-        object.__setattr__(self, "noise_vars", noise)
-        object.__setattr__(self, "loadings", dict(self.loadings))
-
-    def loading_matrix(self):
-        lam = np.zeros((self.d, self.d))
-        for (p, c), v in self.loadings.items():
-            lam[c, p] = v
-        return lam
-
-
-def dag_covariance(spec):
-    """Exact covariance (I - Lambda)^{-1} Omega (I - Lambda)^{-T} of the
-    linear structural model Y_c = sum_p lambda_cp Y_p + eps_c."""
-    lam = spec.loading_matrix()
-    a = np.linalg.inv(np.eye(spec.d) - lam)
-    return linalg.sym(a @ np.diag(spec.noise_vars) @ a.T)
-
-
-def sample_positive_dag(spec, n, seed):
-    """Draw n rows from the zero-mean Gaussian of the structural model.
-
-    The loadings must be nonnegative, so that the covariance is entrywise
-    nonnegative and the distribution is associated.
-    """
-    if any(v < 0 for v in spec.loadings.values()):
-        raise ValueError("negative loading: the generator needs nonnegative loadings")
-    rng = _rng(seed)
-    eps = rng.standard_normal((n, spec.d)) * np.sqrt(spec.noise_vars)
-    lam = spec.loading_matrix()
-    y = np.empty((n, spec.d))
-    for c in range(spec.d):
-        y[:, c] = eps[:, c] + y[:, :c] @ lam[c, :c]
-    return y
-
-
 def _perfect_elimination_dag(graph, rng):
-    """For a chordal graph, orient edges along a perfect elimination ordering
-    and draw nonnegative loadings; the resulting covariance is Markov to the
-    graph and entrywise nonnegative.  None for a graph that is not chordal."""
+    """For a chordal graph, the covariance of a linear structural model with
+    nonnegative loadings on a DAG along a perfect elimination ordering: Markov
+    to the graph and entrywise nonnegative.  None if the graph is not chordal."""
     peo = _perfect_elimination_ordering(graph.adjacency)
     if peo is None:
         return None
     # A perfect elimination ordering, reversed, gives a vertex order in which
     # each vertex's earlier neighbors form a clique, so orienting every edge
     # forward yields a DAG whose moral graph is the graph itself.
-    pos = np.empty(graph.d, dtype=int)
-    pos[peo[::-1]] = np.arange(graph.d)
+    d = graph.d
+    pos = np.empty(d, dtype=int)
+    pos[peo[::-1]] = np.arange(d)
     # One loading per edge, drawn in row-major edge order.
     i, j = np.nonzero(np.triu(graph.adjacency))
     parent, child = np.minimum(pos[i], pos[j]), np.maximum(pos[i], pos[j])
-    loadings = dict(zip(zip(parent.tolist(), child.tolist()),
-                        rng.uniform(0.1, 0.6, size=i.size).tolist()))
-    noise = rng.uniform(0.5, 1.5, size=graph.d)
-    cov_pos = dag_covariance(DagSpec(graph.d, loadings, noise))
+    lam = np.zeros((d, d))
+    lam[child, parent] = rng.uniform(0.1, 0.6, size=i.size)
+    noise = rng.uniform(0.5, 1.5, size=d)
+    a = np.linalg.inv(np.eye(d) - lam)
+    cov_pos = linalg.sym(a @ np.diag(noise) @ a.T)
     # Map position-space rows/columns back to the original vertex ids.
     return cov_pos[np.ix_(pos, pos)]
 
@@ -260,12 +210,13 @@ _MEMBERSHIP_TOL = 1e-9
 
 def sample_locally_associated(graph, seed):
     """Random PD covariance that is Markov to the graph and has nonnegative
-    covariance on its edges.
+    covariance on its edges: a locally associated model.
 
-    Chordal graphs use a nonnegative-loading structural model along a
-    perfect elimination ordering; other graphs draw random covariances,
-    project onto the graph model by the graph-constrained MLE, and reject
-    until the edge covariances are nonnegative.
+    A chordal graph gets the covariance of a positive-loading DAG along a
+    perfect elimination ordering, with loadings in [0.1, 0.6) and noise
+    variances in [0.5, 1.5).  Any other graph draws random covariances,
+    projects each onto the graph model by ``ggm_mle`` and rejects it until
+    the edge covariances are nonnegative, for at most ``_MAX_TRIES`` draws.
     """
     rng = _rng(seed)
     cov = _perfect_elimination_dag(graph, rng)
@@ -358,16 +309,13 @@ def read_csv_data(path, header=False):
     return x
 
 
-# Largest |a_ij - a_ji| that ``read_csv_matrix`` averages away.
-_SYM_TOL = 1e-9
-
 # Enough digits to read every float64 back bit for bit.
 _CSV_FORMAT = "%.17g"
 
 
 def read_csv_matrix(path, header=False, allow_inf=True):
     """Read a square symmetric matrix CSV; symmetrized by averaging after a
-    symmetry check at ``_SYM_TOL``.  Unlike data CSVs, 'inf' / '-inf' entries
+    symmetry check at ``linalg.SYM_TOL``.  Unlike data CSVs, 'inf' / '-inf' entries
     are allowed (penalty-bound matrices use them) unless ``allow_inf`` is
     false."""
     a = _read_csv(path, header, "matrix CSV", allow_inf)
@@ -378,7 +326,7 @@ def read_csv_matrix(path, header=False, allow_inf=True):
         raise ValueError("matrix CSV is not symmetric within tolerance")
     with np.errstate(invalid="ignore"):
         asym = np.abs(np.where(finite, a, 0.0) - np.where(finite, a, 0.0).T)
-    if np.max(asym) > _SYM_TOL:
+    if np.max(asym) > linalg.SYM_TOL:
         raise ValueError("matrix CSV is not symmetric within tolerance")
     return linalg.sym(a)  # infinite entries equal their mirror, so they stay
 
@@ -387,10 +335,9 @@ def write_csv_matrix(path, a):
     np.savetxt(path, np.asarray(a, dtype=float), delimiter=",", fmt=_CSV_FORMAT)
 
 
-def read_edge_list(path, d=None):
-    """Edge-list file, one '1-based-i 1-based-j' pair per line."""
+def read_edge_list(path, d):
+    """Edge-list file, one '1-based-i 1-based-j' pair per line, on vertices 1..d."""
     edges = []
-    max_v = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -398,21 +345,17 @@ def read_edge_list(path, d=None):
                 continue
             try:
                 i, j = (int(t) for t in line.split())
-                ok = min(i, j) >= 1 and (d is None or max(i, j) <= d)
+                ok = min(i, j) >= 1 and max(i, j) <= d
             except ValueError:
                 ok = False
-            bound = "" if d is None else f" in 1..{d}"
             if not ok:
                 raise ValueError(f"{path}, line {lineno}: expected two 1-based vertex "
-                                 f"indices{bound}, got {line!r}")
+                                 f"indices in 1..{d}, got {line!r}")
             if i == j:
                 raise ValueError(f"{path}, line {lineno}: expected two distinct 1-based "
-                                 f"vertex indices{bound}, got {line!r} (self-loop at "
+                                 f"vertex indices in 1..{d}, got {line!r} (self-loop at "
                                  f"vertex {i})")
             edges.append((i - 1, j - 1))
-            max_v = max(max_v, i, j)
-    if d is None:
-        d = max_v
     return GraphSpec(d, edges)
 
 

@@ -20,10 +20,6 @@ class InvalidBoundsError(GolazoError):
     pass
 
 
-class NegativePenaltyError(InvalidBoundsError):
-    pass
-
-
 class NonpositiveDiagonalError(GolazoError):
     def __init__(self, index):
         super().__init__(f"diagonal entry {index} is not strictly positive")

@@ -30,7 +30,9 @@ class GraphSpec:
     def __init__(self, d, edges=()):
         if d < 1:
             raise ValueError("vertex count must be at least 1")
-        pairs = np.array(list(edges) or np.empty((0, 2)), dtype=np.intp)
+        pairs = np.array(list(edges) or np.empty((0, 2), dtype=np.intp))
+        if pairs.dtype.kind not in "iu":
+            raise ValueError(f"vertex indices must be integers, got {pairs.dtype} edges")
         i, j = pairs.T
         bad = (i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= d)
         if bad.any():
@@ -71,13 +73,6 @@ class GraphSpec:
     @classmethod
     def chain(cls, d):
         return cls(d, [(i, i + 1) for i in range(d - 1)])
-
-    @classmethod
-    def cycle(cls, d):
-        edges = [(i, i + 1) for i in range(d - 1)]
-        if d > 2:
-            edges.append((0, d - 1))
-        return cls(d, edges)
 
     @classmethod
     def from_support(cls, k):

@@ -19,6 +19,9 @@ from .errors import NonpositiveDiagonalError, NotPositiveDefiniteError
 # Relative pivot tolerance for declaring a Cholesky pivot positive.
 PIVOT_RTOL = 1e-12
 
+# Largest |a_ij - a_ji| of a matrix read as symmetric.
+SYM_TOL = 1e-9
+
 
 def sym(a):
     """Return the exactly symmetric part (a + a.T) / 2."""
@@ -32,13 +35,15 @@ def upper_pairs(mask):
     return list(map(tuple, np.argwhere(np.triu(mask, 1)).tolist()))
 
 
-def check_square_symmetric(a, atol=1e-9):
+def check_square_symmetric(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not a.size:
+        raise ValueError(f"expected a nonempty matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries (NaN or Inf)")
-    if not np.allclose(a, a.T, atol=atol, rtol=0.0):
+    if not np.allclose(a, a.T, atol=SYM_TOL, rtol=0.0):
         raise ValueError("matrix is not symmetric")
     return sym(a)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidBoundsError, NegativePenaltyError
+from .errors import InvalidBoundsError
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +48,7 @@ class PenaltyBounds:
         if not np.isfinite(rho):
             raise InvalidBoundsError(f"scale factor must be finite, got {rho}")
         if rho <= 0:
-            raise NegativePenaltyError("scale factor must be positive")
+            raise InvalidBoundsError("scale factor must be positive")
         return PenaltyBounds(rho * self.lower, rho * self.upper)  # rho * +-inf stays +-inf
 
 
@@ -97,21 +97,21 @@ def _off_diagonal_fill(d, lower_value, upper_value):
 def glasso_bounds(rho, d):
     """|L| = |U| = rho: the standard graphical lasso."""
     if rho < 0:
-        raise NegativePenaltyError("rho must be nonnegative")
+        raise InvalidBoundsError("rho must be nonnegative")
     return _off_diagonal_fill(d, -rho, rho)
 
 
 def asymmetric_bounds(rho_neg, rho_pos, d):
     """L = -rho_neg, U = rho_pos: different rates for the two signs of K."""
     if rho_neg < 0 or rho_pos < 0:
-        raise NegativePenaltyError("penalties must be nonnegative")
+        raise InvalidBoundsError("penalties must be nonnegative")
     return _off_diagonal_fill(d, -rho_neg, rho_pos)
 
 
 def positive_glasso_bounds(rho, d):
     """L = 0, U = rho: penalize only positive entries of K."""
     if rho < 0:
-        raise NegativePenaltyError("rho must be nonnegative")
+        raise InvalidBoundsError("rho must be nonnegative")
     return _off_diagonal_fill(d, 0.0, rho)
 
 

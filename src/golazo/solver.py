@@ -32,9 +32,6 @@ from .penalty import clip_to_finite, golazo_norm
 # An entry of K counts as a nonzero edge when its magnitude exceeds this.
 EDGE_THRESHOLD = 1e-6
 
-# KKT tolerance of each row's box QP.
-QP_TOL = 1e-10
-
 # Largest per-pair KKT residual (see ``kkt_residuals``) a fit may end with.
 KKT_TOL = 1e-6
 
@@ -267,7 +264,7 @@ def fit(s, bounds, config=None, screen=True):
             break
         for ix, a, face, problems in blocks:
             for j, problem in enumerate(problems):
-                y = solve_boxqp(problem, state=face[j], tol=QP_TOL)
+                y = solve_boxqp(problem, state=face[j])
                 y[j] = a[j, j]
                 a[j] = y
                 a[:, j] = y

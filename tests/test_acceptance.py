@@ -103,7 +103,7 @@ def test_criterion_04_ggm_oracle():
         d = int(rng.integers(3, 7))
         if trial % 5 == 0:
             d = 4
-            g = gz.GraphSpec.cycle(4)
+            g = gz.GraphSpec(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         else:
             g = gz.GraphSpec(d, random_graph(rng, d))
         s = random_correlation(rng, d)

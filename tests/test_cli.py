@@ -12,6 +12,7 @@ import golazo as gz
 from golazo import cli, linalg
 from golazo import data as dio
 from golazo.errors import ConstantColumnWarning, GolazoError, MaxIterationsExceededError
+from golazo.selection import default_grid
 
 from oracles import (
     chain_er_correlation,
@@ -553,6 +554,56 @@ class TestPath:
         assert code == cli.EXIT_USAGE
         assert "grid entries must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestDefaults:
+    """Options left out take the library's defaults, which have no second home
+    in the command line."""
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+        return calls
+
+    def test_fit(self, cov_csv, tmp_path, monkeypatch):
+        path, _ = cov_csv
+        fits, scores = self.spy(monkeypatch, "fit"), self.spy(monkeypatch, "ebic")
+        assert run(["fit", "--input", path, "--input-kind", "covariance", "--n", "50",
+                    "--out", tmp_path / "o", "--preset", "glasso", "--rho", "0.1"]) == 0
+        assert [kwargs for _, kwargs in fits] == [{"config": gz.SolverConfig()}]
+        assert [args[2:] for args, _ in scores] == [(50, gz.EbicConfig(n=50).gamma)]
+
+    def test_path(self, cov_csv, tmp_path, monkeypatch):
+        path, _ = cov_csv
+        paths = self.spy(monkeypatch, "fit_path")
+        assert run(["path", "--input", path, "--input-kind", "covariance", "--n", "50",
+                    "--out", tmp_path / "o", "--preset", "glasso", "--rho", "1.0"]) == 0
+        (args, kwargs), = paths
+        assert args[2:] == (gz.EbicConfig(n=50), gz.SolverConfig()) and not kwargs
+
+    def test_mde(self, cov_csv, tmp_path, monkeypatch):
+        path, _ = cov_csv
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text("1 2\n2 3\n3 4\n")
+        mdes = self.spy(monkeypatch, "mde")
+        assert run(["mde", "--input", path, "--input-kind", "covariance",
+                    "--out", tmp_path / "o", "--graph", graph_file]) == 0
+        assert [kwargs for _, kwargs in mdes] == [{"config": gz.SolverConfig()}]
+
+    def test_path_grid(self, data_csv, tmp_path):
+        path, _ = data_csv
+        out = tmp_path / "out"
+        assert run(["path", "--input", path, "--input-kind", "data",
+                    "--out", out, "--preset", "glasso", "--rho", "1.0"]) == 0
+        payload = json.loads((out / "path.json").read_text())
+        assert payload["grid"] == default_grid() and len(payload["points"]) == 20
 
 
 class TestMdeAndSkeptic:

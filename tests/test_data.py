@@ -314,48 +314,9 @@ class TestKendallInput:
 
 
 class TestGenerators:
-    def test_dag_covariance_chain(self):
-        spec = gz.DagSpec(3, {(0, 1): 0.5, (1, 2): 0.5}, np.ones(3))
-        cov = gz.dag_covariance(spec)
-        # Y0 = e0, Y1 = 0.5 Y0 + e1, Y2 = 0.5 Y1 + e2.
-        assert cov[0, 0] == pytest.approx(1.0)
-        assert cov[0, 1] == pytest.approx(0.5)
-        assert cov[1, 1] == pytest.approx(1.25)
-        assert cov[0, 2] == pytest.approx(0.25)
-        # Chain Markov structure: K is tridiagonal.
-        k = np.linalg.inv(cov)
-        assert k[0, 2] == pytest.approx(0.0, abs=1e-12)
-
-    def test_dag_spec_validation(self):
-        with pytest.raises(ValueError):
-            gz.DagSpec(3, {(2, 1): 0.5}, np.ones(3))
-        for noise in ([1.0, -1.0, 1.0], [1.0, np.nan, 1.0], [1.0, 1.0, np.inf]):
-            with pytest.raises(ValueError, match="noise variances must be d positive reals"):
-                gz.DagSpec(3, {}, noise)
-
-    def test_sample_positive_dag_deterministic(self):
-        spec = gz.DagSpec(3, {(0, 1): 0.4}, np.ones(3))
-        a = gz.sample_positive_dag(spec, 20, seed=5)
-        b = gz.sample_positive_dag(spec, 20, seed=5)
-        assert type(a) is np.ndarray and a.shape == (20, 3)
-        assert np.array_equal(a, b)
-        c = gz.sample_positive_dag(spec, 20, seed=6)
-        assert not np.array_equal(a, c)
-
-    def test_sample_positive_dag_rejects_negative_loading(self):
-        spec = gz.DagSpec(2, {(0, 1): -0.4}, np.ones(2))
-        with pytest.raises(ValueError):
-            gz.sample_positive_dag(spec, 10, seed=0)
-
-    def test_sample_positive_dag_covariance_close(self):
-        spec = gz.DagSpec(3, {(0, 1): 0.5, (0, 2): 0.3}, np.ones(3))
-        x = gz.sample_positive_dag(spec, 200_000, seed=7)
-        s = gz.sample_covariance(x)
-        assert np.max(np.abs(s - gz.dag_covariance(spec))) < 0.03
-
     @pytest.mark.parametrize("graph", [
         gz.GraphSpec.chain(5),
-        gz.GraphSpec.cycle(4),   # non-chordal: rejection route
+        gz.GraphSpec(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),  # non-chordal: rejection route
         gz.GraphSpec(4, [(0, 1), (2, 3)]),
     ])
     def test_sample_locally_associated(self, graph):
@@ -369,7 +330,8 @@ class TestGenerators:
 
         monkeypatch.setattr(dio, "ggm_mle", broken)
         with pytest.raises(TypeError, match="not a rejected draw"):
-            gz.sample_locally_associated(gz.GraphSpec.cycle(4), seed=11)
+            gz.sample_locally_associated(
+                gz.GraphSpec(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), seed=11)
 
     def test_sample_locally_associated_skips_failed_fits(self, monkeypatch):
         def failing(*args, **kwargs):
@@ -378,7 +340,8 @@ class TestGenerators:
         monkeypatch.setattr(dio, "ggm_mle", failing)
         monkeypatch.setattr(dio, "_MAX_TRIES", 3)
         with pytest.raises(GenerationFailedError, match="after 3 tries"):
-            gz.sample_locally_associated(gz.GraphSpec.cycle(4), seed=11)
+            gz.sample_locally_associated(
+                gz.GraphSpec(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), seed=11)
 
     def test_sample_locally_associated_deterministic(self):
         g = gz.GraphSpec.chain(4)
@@ -471,7 +434,7 @@ class TestFileFormats:
     def test_edge_list_comments_and_default_d(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("# comment\n1 2\n\n3 4\n")
-        g = dio.read_edge_list(path)
+        g = dio.read_edge_list(path, d=4)
         assert g.d == 4 and g.sorted_edges() == [(0, 1), (2, 3)]
 
     def test_graphml_written(self, tmp_path):

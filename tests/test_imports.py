@@ -80,15 +80,15 @@ def test_modules_use_every_name_they_import():
 
 
 PUBLIC_NAMES = [
-    "BoxQP", "DagSpec", "EDGE_THRESHOLD", "EbicConfig", "FitResult", "GraphSpec",
+    "BoxQP", "EDGE_THRESHOLD", "EbicConfig", "FitResult", "GraphSpec",
     "MdeResult", "PathResult", "PenaltyBounds", "SolverConfig", "asymmetric_bounds",
-    "boxqp", "cholesky_logdet", "clip_to_finite", "dag_covariance", "data",
+    "boxqp", "cholesky_logdet", "clip_to_finite", "data",
     "dual_mle_edge_positivity", "dual_positivity_bounds", "duality_gap", "ebic",
     "errors", "estimators", "fit", "fit_path", "gaussian_neg_loglik", "ggm_bounds",
     "ggm_mle", "glasso_bounds", "golazo_norm", "invert_pd", "is_locally_associated",
     "is_m_matrix", "is_markov", "kendall_tau_matrix", "kkt_residuals", "linalg", "mde",
     "mtp2_bounds", "nearest_correlation", "penalty", "positive_glasso_bounds",
-    "sample_covariance", "sample_locally_associated", "sample_positive_dag", "selection",
+    "sample_covariance", "sample_locally_associated", "selection",
     "skeptic_correlation", "solve_boxqp", "solver", "to_correlation",
 ]
 
@@ -98,7 +98,6 @@ PUBLIC_PARAMETERS = {
     "asymmetric_bounds": ["rho_neg", "rho_pos", "d"],
     "cholesky_logdet": ["a"],
     "clip_to_finite": ["bounds", "s"],
-    "dag_covariance": ["spec"],
     "dual_mle_edge_positivity": ["khat", "graph", "config"],
     "dual_positivity_bounds": ["graph"],
     "duality_gap": ["s", "k", "bounds"],
@@ -122,7 +121,6 @@ PUBLIC_PARAMETERS = {
     "positive_glasso_bounds": ["rho", "d"],
     "sample_covariance": ["x"],
     "sample_locally_associated": ["graph", "seed"],
-    "sample_positive_dag": ["spec", "n", "seed"],
     "skeptic_correlation": ["x"],
     "solve_boxqp": ["problem", "state", "tol", "max_iter"],
     "to_correlation": ["s"],
@@ -131,11 +129,10 @@ PUBLIC_PARAMETERS = {
 # Public fields, methods and properties of every exported class, sorted.
 PUBLIC_ATTRIBUTES = {
     "BoxQP": ["a", "lower", "movable", "upper"],
-    "DagSpec": ["d", "loading_matrix", "loadings", "noise_vars"],
     "EbicConfig": ["gamma", "grid", "n"],
     "FitResult": ["dual_gap", "edge_count", "edges", "gap_trace", "isolated_rows", "khat",
                   "sigma_hat", "sign_pattern", "sweeps"],
-    "GraphSpec": ["adjacency", "chain", "complement", "cycle", "d", "edges", "from_support",
+    "GraphSpec": ["adjacency", "chain", "complement", "d", "edges", "from_support",
                   "sorted_edges"],
     "MdeResult": ["conditions_report", "kcheck", "khat", "sigma_check", "sigma_hat"],
     "PathResult": ["ebic_scores", "failures", "fits", "selected_fit", "selected_index"],

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golazo import penalty
-from golazo.errors import InvalidBoundsError, NegativePenaltyError
+from golazo.errors import InvalidBoundsError
 from golazo.estimators import GraphSpec
 
 from oracles import random_correlation
@@ -72,7 +72,7 @@ class TestPenaltyBounds:
         b = penalty.glasso_bounds(0.2, 3).scaled(0.5)
         assert b.upper[0, 1] == pytest.approx(0.1)
         assert b.lower[0, 1] == pytest.approx(-0.1)
-        with pytest.raises(NegativePenaltyError):
+        with pytest.raises(InvalidBoundsError, match="^scale factor must be positive$"):
             b.scaled(0.0)
         for bad in (np.nan, np.inf):
             with pytest.raises(InvalidBoundsError, match="finite"):
@@ -183,11 +183,11 @@ class TestPresets:
         assert b.lower[0, 1] == -0.3 and b.upper[0, 1] == 0.3
 
     def test_negative_rho_rejected(self):
-        with pytest.raises(NegativePenaltyError):
+        with pytest.raises(InvalidBoundsError, match="^rho must be nonnegative$"):
             penalty.glasso_bounds(-0.1, 3)
-        with pytest.raises(NegativePenaltyError):
+        with pytest.raises(InvalidBoundsError, match="^rho must be nonnegative$"):
             penalty.positive_glasso_bounds(-0.1, 3)
-        with pytest.raises(NegativePenaltyError):
+        with pytest.raises(InvalidBoundsError, match="^penalties must be nonnegative$"):
             penalty.asymmetric_bounds(-0.1, 0.1, 3)
 
     def test_positive(self):

@@ -299,6 +299,10 @@ class TestInputErrors:
         with pytest.raises(ValueError, match="^matrix is not symmetric$"):
             gz.fit(s, gz.glasso_bounds(0.1, 3))
 
+    def test_s_must_be_nonempty(self):
+        with pytest.raises(ValueError, match=r"^expected a nonempty matrix, got shape \(0, 0\)$"):
+            gz.fit(np.zeros((0, 0)), gz.glasso_bounds(0.1, 0))
+
     def test_s_must_have_a_positive_diagonal(self):
         with pytest.raises(NonpositiveDiagonalError,
                            match="^diagonal entry 1 is not strictly positive$") as exc:
@@ -783,7 +787,6 @@ def _result_type_instances():
         "PathResult": lambda: gz.fit_path(s, gz.glasso_bounds(1.0, 3),
                                           gz.EbicConfig(n=50, grid=(0.1, 0.5))),
         "BoxQP": lambda: gz.BoxQP(np.eye(2), [-1.0, -1.0], [1.0, 1.0]),
-        "DagSpec": lambda: gz.DagSpec(3, {(0, 1): 0.5}, np.ones(3)),
     }
 
 
