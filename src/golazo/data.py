@@ -332,7 +332,30 @@ def read_csv_matrix(path, header=False, allow_inf=True):
 
 
 def write_csv_matrix(path, a):
-    np.savetxt(path, np.asarray(a, dtype=float), delimiter=",", fmt=_CSV_FORMAT)
+    """Write an exactly symmetric matrix as comma-separated ``_CSV_FORMAT``
+    rows, the bytes numpy's ``savetxt`` writes, formatting each pair once.
+
+    Row i formats its entries from the diagonal on in one ``%`` call and
+    takes its left part from the strings that rows 0..i-1 formatted for
+    column i, dropping each once written: at most about d²/4 are alive.
+    A matrix that differs from its transpose in any bit (0.0 against -0.0
+    too) is a ValueError.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    bits = a.view(np.uint64)
+    if not np.array_equal(bits, bits.T):
+        i, j = np.argwhere(bits != bits.T)[0].tolist()
+        raise ValueError(f"matrix is not exactly symmetric: entry ({i}, {j}) is "
+                         f"{float(a[i, j])!r} and entry ({j}, {i}) is {float(a[j, i])!r}")
+    d = a.shape[0]
+    later = []  # per row above, its strings for the columns still to come, last first
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(d):
+            right = ",".join([_CSV_FORMAT] * (d - i)) % tuple(a[i, i:].tolist())
+            fh.write(",".join([*map(list.pop, later), right]) + "\n")
+            later.append(right.split(",")[:0:-1])
 
 
 def read_edge_list(path, d):

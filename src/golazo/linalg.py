@@ -96,12 +96,16 @@ def is_positive_definite(a):
 
 def invert_pd(a):
     """Inverse of a positive definite matrix by ``dpotri`` on the factor of
-    ``cholesky_logdet``; its lower triangle is mirrored: exactly symmetric."""
+    ``cholesky_logdet``; its lower triangle is mirrored: exactly symmetric,
+    C-ordered, with no negative zero."""
     factor, _ = cholesky_logdet(a)
     inv, info = scipy.linalg.lapack.dpotri(factor, lower=True)
     if info:
         raise NotPositiveDefiniteError(pivot_index=info - 1)
-    return np.tril(inv) + np.tril(inv, -1).T
+    inv = inv.T  # dpotri returns Fortran order: this C-ordered view has the upper triangle
+    np.copyto(inv, inv.T, where=np.tri(len(inv), k=-1, dtype=bool))
+    inv += 0.0  # -0.0 + 0.0 is +0.0: a cross-component zero must not print as -0
+    return inv
 
 
 def solve_pd(a, b):

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import AllFitsFailedError, GolazoError
 from .estimators import gaussian_neg_loglik
-from .solver import SolverConfig, fit
+from .solver import SolverConfig, _check_count, fit
 
 
 def default_grid(lo=0.01, hi=1.0, num=20):
@@ -29,8 +29,7 @@ class EbicConfig:
             raise ValueError("grid must be nonempty with positive entries")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        if self.n < 1:
-            raise ValueError("sample size must be at least 1")
+        _check_count("sample size", self.n)
         object.__setattr__(self, "grid", grid)
 
 

@@ -15,6 +15,7 @@ block row with entry j free, which leaves the QP in the off-diagonal entries;
 Sigma_jj is put back after the solve.  The duality gap tr(S K) - d + |K|_LU
 (with K = Sigma^{-1}) certifies optimality.
 """
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,16 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.dual_gap_tol < np.inf:
             raise ValueError(f"dual_gap_tol must be positive and finite, got {self.dual_gap_tol}")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
+        _check_count("max_sweeps", self.max_sweeps)
+
+
+def _check_count(name, value):
+    """ValueError naming ``value`` unless it is an integer (a numpy one too,
+    never a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
 def _support(k):
@@ -104,12 +113,13 @@ def _pair_residuals(s, k, sigma, clipped):
     diff = sigma - s
     lo, hi = clipped.lower, clipped.upper
     res = np.maximum(lo - diff, 0.0)
-    above = np.subtract(diff, hi)
-    res += np.maximum(above, 0.0, out=above)
-    neg = k < -EDGE_THRESHOLD
-    res[neg] = np.abs(diff[neg] - lo[neg])
-    pos = k > EDGE_THRESHOLD
-    res[pos] = np.abs(diff[pos] - hi[pos])
+    buf = np.subtract(diff, hi)
+    res += np.maximum(buf, 0.0, out=buf)
+    # Where K has a sign, the residual is the distance to the bound it sets.
+    np.abs(np.subtract(diff, lo, out=buf), out=buf)
+    np.copyto(res, buf, where=k < -EDGE_THRESHOLD)
+    np.abs(np.subtract(diff, hi, out=buf), out=buf)
+    np.copyto(res, buf, where=k > EDGE_THRESHOLD)
     np.fill_diagonal(res, 0.0)
     return res
 

@@ -529,7 +529,7 @@ class TestPath:
         code = run(["path", "--input", path, "--input-kind", "covariance", "--n", n,
                     "--out", tmp_path / "o", "--preset", "glasso", "--rho", "1.0"])
         assert code == cli.EXIT_USAGE
-        assert capsys.readouterr().err == "input error: sample size must be at least 1\n"
+        assert capsys.readouterr().err == f"input error: sample size must be at least 1, got {n}\n"
         assert not (tmp_path / "o").exists()
 
 

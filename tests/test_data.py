@@ -418,6 +418,48 @@ class TestFileFormats:
         with pytest.raises(ValueError):
             dio.read_csv_matrix(path)
 
+    @pytest.mark.parametrize("a", [
+        np.array([[-0.0, 1.5], [1.5, 0.0]]),
+        np.array([[0.0, np.inf, -np.inf], [np.inf, -0.0, -0.0], [-np.inf, -0.0, 2.0]]),
+        np.array([[5e-324, -2.2250738585072009e-308], [-2.2250738585072009e-308, 1e-310]]),
+        np.array([[0.1]]),
+        np.array([[1.0, 1 / 3], [1 / 3, -1e300]]),
+        np.zeros((0, 0)),
+        (lambda x: x + x.T)(np.random.default_rng(0).standard_normal((150, 150))),
+    ], ids=["signed-zero-diagonal", "inf-off-diagonal", "subnormal", "1x1", "2x2", "0x0",
+            "150x150"])
+    def test_matrix_bytes_match_savetxt(self, tmp_path, a):
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        dio.write_csv_matrix(ours, a)
+        np.savetxt(theirs, a, delimiter=",", fmt="%.17g")
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.integers(1, 150).flatmap(lambda d: hnp.arrays(
+        np.float64, (d, d), elements=st.floats(allow_nan=False, width=64))))
+    def test_matrix_bytes_match_savetxt_drawn(self, a):
+        a = np.where(np.tri(len(a), dtype=bool), a.T, a)  # the upper triangle, mirrored
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, theirs = Path(tmp) / "ours.csv", Path(tmp) / "theirs.csv"
+            dio.write_csv_matrix(ours, a)
+            np.savetxt(theirs, a, delimiter=",", fmt="%.17g")
+            assert ours.read_bytes() == theirs.read_bytes()
+
+    @pytest.mark.parametrize("a, message", [
+        (np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, np.nextafter(0.2, 1.0), 1.0]]),
+         r"^matrix is not exactly symmetric: entry \(1, 2\) is 0.2 and entry \(2, 1\) is "
+         r"0.20000000000000004$"),
+        (np.array([[1.0, 0.0], [-0.0, 1.0]]),
+         r"^matrix is not exactly symmetric: entry \(0, 1\) is 0.0 and entry \(1, 0\) is -0.0$"),
+        (np.ones((2, 3)), r"^expected a square matrix, got shape \(2, 3\)$"),
+        (np.ones(3), r"^expected a square matrix, got shape \(3,\)$"),
+    ], ids=["one-entry", "signed-zero", "2x3", "vector"])
+    def test_matrix_writer_rejects_asymmetric_or_non_square(self, tmp_path, a, message):
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match=message):
+            dio.write_csv_matrix(path, a)
+        assert not path.exists()
+
     def test_data_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y\n1,2\n3,4\n")

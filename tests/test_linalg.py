@@ -91,6 +91,20 @@ def test_invert_is_exactly_symmetric_and_matches_numpy(d):
     assert np.max(np.abs(k - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("blocks", [False, True], ids=["random", "block-diagonal"])
+def test_invert_mirrors_dpotri_bit_for_bit_without_negative_zero(blocks):
+    rng = np.random.default_rng(0)
+    a = random_pd(rng, 12)
+    if blocks:  # three interleaved blocks: OpenBLAS's dpotri leaves -0.0 between them
+        label = rng.integers(0, 3, 12)
+        a = np.where(label[:, None] == label, a, 0.0)
+    inv, _ = scipy.linalg.lapack.dpotri(linalg.cholesky_logdet(a)[0], lower=True)
+    want = np.tril(inv) + np.tril(inv, -1).T
+    k = linalg.invert_pd(a)
+    assert np.array_equal(k.view(np.uint64), want.view(np.uint64))
+    assert not np.signbit(k[k == 0.0]).any()
+
+
 def test_invert_2x2_adjugate():
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
     expected = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0

@@ -74,6 +74,14 @@ class TestEbicConfig:
             with pytest.raises(ValueError, match="finite"):
                 gz.EbicConfig(n=10, grid=[0.1, bad, 1.0])
 
+    @pytest.mark.parametrize("n, shown", [(50.7, "50.7"), (np.inf, "inf"), (True, "True")])
+    def test_sample_size_must_be_an_integer(self, n, shown):
+        with pytest.raises(ValueError, match=f"^sample size must be an integer, got {shown}$"):
+            gz.EbicConfig(n=n)
+
+    def test_sample_size_may_be_a_numpy_integer(self):
+        assert gz.EbicConfig(n=np.int32(50)).n == 50
+
     def test_default_grid_log_spaced(self):
         g = default_grid()
         ratios = [b / a for a, b in zip(g, g[1:])]

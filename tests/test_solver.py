@@ -310,8 +310,17 @@ class TestInputErrors:
         assert exc.value.index == 1
 
     def test_max_sweeps_must_be_positive(self):
-        with pytest.raises(ValueError, match="^max_sweeps must be at least 1$"):
+        with pytest.raises(ValueError, match="^max_sweeps must be at least 1, got 0$"):
             gz.SolverConfig(max_sweeps=0)
+
+    @pytest.mark.parametrize("value, shown", [(np.inf, "inf"), (2.5, "2.5"), (True, "True")])
+    def test_max_sweeps_must_be_an_integer(self, value, shown):
+        # With inf, a fit that stalls would sweep forever instead of raising.
+        with pytest.raises(ValueError, match=f"^max_sweeps must be an integer, got {shown}$"):
+            gz.SolverConfig(max_sweeps=value)
+
+    def test_max_sweeps_may_be_a_numpy_integer(self):
+        assert gz.SolverConfig(max_sweeps=np.int64(3)).max_sweeps == 3
 
 
 class TestScreeningAndLimits:
@@ -428,6 +437,17 @@ class TestScansMatchLoops:
             assert np.array_equal(
                 solver._pair_residuals(s, k, sigma, clipped),
                 loop_kkt_residuals(s, k, sigma, clipped.lower, clipped.upper, gz.EDGE_THRESHOLD))
+
+    def test_kkt_residuals_at_d150(self):
+        rng = np.random.default_rng(19)
+        d = 150
+        s = random_correlation(rng, d)
+        clipped = gz.clip_to_finite(gz.asymmetric_bounds(0.1, 0.3, d), s)
+        sigma = s + rng.uniform(-0.5, 0.5, (d, d))
+        k = rng.choice([-1.0, -1e-6, -1e-7, 0.0, 1e-7, 1e-6, 1.0], (d, d))
+        want = loop_kkt_residuals(s, k, sigma, clipped.lower, clipped.upper, gz.EDGE_THRESHOLD)
+        assert np.array_equal(solver._pair_residuals(s, k, sigma, clipped).view(np.uint64),
+                              want.view(np.uint64))
 
     def test_components(self):
         for s, bounds in self.cases():
