@@ -97,7 +97,8 @@ def _build_parser():
     add_io(p_fit)
     add_penalty(p_fit)
     add_solver(p_fit)
-    p_fit.add_argument("--n", type=int, help="sample size (for the EBIC in the summary)")
+    p_fit.add_argument("--n", type=int, help="sample size, for the EBIC in the summary "
+                                             "(not with --input-kind data: n is the rows)")
     p_fit.add_argument("--gamma", type=float, default=EbicConfig.gamma)
     p_fit.add_argument("--graphml", action="store_true",
                        help="also write graph.graphml with partial correlations")
@@ -106,8 +107,9 @@ def _build_parser():
     add_io(p_path)
     add_penalty(p_path)
     add_solver(p_path)
-    p_path.add_argument("--n", type=int, help="sample size (required unless "
-                                              "--input-kind data)")
+    p_path.add_argument("--n", type=int, help="sample size (required, except with "
+                                              "--input-kind data, where n is the rows "
+                                              "and --n cannot be given)")
     p_path.add_argument("--gamma", type=float, default=EbicConfig.gamma)
     p_path.add_argument("--grid", help="comma list of scale factors, or 'log:lo:hi:k'")
     p_path.add_argument("--threads", type=int, default=1,
@@ -135,6 +137,9 @@ def _read_data(args):
 def _load_input(args):
     """Returns (statistic matrix S, sample size n or None)."""
     if args.input_kind == "data":
+        if getattr(args, "n", None) is not None:
+            raise _UsageError("--n cannot be given with --input-kind data: "
+                              "n is the number of rows")
         x = _read_data(args)
         s, n = dio.sample_covariance(x), x.shape[0]
     else:
@@ -145,15 +150,6 @@ def _load_input(args):
 
 
 def _load_bounds(args, d):
-    # Bad bounds from the arguments or files are an input error (exit 4); an
-    # InvalidBoundsError raised later in a command keeps exit 1.
-    try:
-        return _bounds_from_args(args, d)
-    except InvalidBoundsError as exc:
-        raise ValueError(str(exc)) from exc
-
-
-def _bounds_from_args(args, d):
     if args.bounds_l or args.bounds_u:
         if not (args.bounds_l and args.bounds_u):
             raise _UsageError("--bounds-l and --bounds-u must be given together")
@@ -314,7 +310,7 @@ def main(argv=None):
     except AllFitsFailedError as exc:
         print(f"AllFitsFailed: {exc}", file=sys.stderr)
         return EXIT_ALL_FITS_FAILED
-    except (ValueError, OSError, NonpositiveDiagonalError) as exc:
+    except (ValueError, OSError, NonpositiveDiagonalError, InvalidBoundsError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GolazoError as exc:

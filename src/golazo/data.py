@@ -9,8 +9,8 @@ import warnings
 import numpy as np
 
 from . import linalg
-from .errors import ConstantColumnWarning, GenerationFailedError, GolazoError
-from .estimators import GraphSpec, ggm_mle, is_locally_associated, is_markov
+from .errors import ConstantColumnWarning
+from .estimators import GraphSpec, ggm_mle, is_locally_associated
 from .solver import _support
 
 
@@ -202,9 +202,7 @@ def _perfect_elimination_ordering(adjacency):
     return order if len(order) == adj.shape[0] else None
 
 
-# Random covariances ``sample_locally_associated`` draws for a graph that is
-# not chordal before it gives up, and the tolerance of its membership checks.
-_MAX_TRIES = 1000
+# Tolerance of the chordal route's membership check.
 _MEMBERSHIP_TOL = 1e-9
 
 
@@ -214,32 +212,21 @@ def sample_locally_associated(graph, seed):
 
     A chordal graph gets the covariance of a positive-loading DAG along a
     perfect elimination ordering, with loadings in [0.1, 0.6) and noise
-    variances in [0.5, 1.5).  Any other graph draws random covariances,
-    projects each onto the graph model by ``ggm_mle`` and rejects it until
-    the edge covariances are nonnegative, for at most ``_MAX_TRIES`` draws.
+    variances in [0.5, 1.5).  Any other graph draws one entrywise positive,
+    positive definite matrix A A' / (2d) + 0.1 I, with A the absolute values
+    of a d x 2d standard normal draw, and projects it onto the graph model:
+    the ``ggm_mle`` fit matches it on the diagonal and every edge, so the
+    edge covariances stay positive; its K, set to 0 off the graph, is
+    inverted.
     """
     rng = _rng(seed)
     cov = _perfect_elimination_dag(graph, rng)
     if cov is not None and is_locally_associated(cov, graph, tol=_MEMBERSHIP_TOL):
         return cov
     d = graph.d
-    for _ in range(_MAX_TRIES):
-        a = rng.standard_normal((d, 2 * d))
-        raw = a @ a.T / (2 * d) + 0.1 * np.eye(d)
-        # Bias towards positive dependence to make acceptance likely.
-        raw = np.abs(raw) + 0.05
-        raw = linalg.sym(raw)
-        if not linalg.is_positive_definite(raw):
-            continue
-        try:
-            sigma = ggm_mle(raw, graph).sigma_hat
-        except (GolazoError, np.linalg.LinAlgError):
-            continue
-        if is_locally_associated(sigma, graph, tol=_MEMBERSHIP_TOL) and is_markov(
-                np.linalg.inv(sigma), graph, tol=_MEMBERSHIP_TOL):
-            return sigma
-    raise GenerationFailedError(
-        f"no valid instance for the given graph after {_MAX_TRIES} tries")
+    a = np.abs(rng.standard_normal((d, 2 * d)))
+    k = ggm_mle(a @ a.T / (2 * d) + 0.1 * np.eye(d), graph).khat
+    return linalg.invert_pd(np.where(graph.adjacency | np.eye(d, dtype=bool), k, 0.0))
 
 
 # --- file formats -----------------------------------------------------------
@@ -321,12 +308,7 @@ def read_csv_matrix(path, header=False, allow_inf=True):
     a = _read_csv(path, header, "matrix CSV", allow_inf)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix CSV must be square, got {a.shape}")
-    finite = np.isfinite(a)
-    if not np.array_equal(finite, finite.T) or np.any(a[~finite] != a.T[~finite]):
-        raise ValueError("matrix CSV is not symmetric within tolerance")
-    with np.errstate(invalid="ignore"):
-        asym = np.abs(np.where(finite, a, 0.0) - np.where(finite, a, 0.0).T)
-    if np.max(asym) > linalg.SYM_TOL:
+    if not np.allclose(a, a.T, atol=linalg.SYM_TOL, rtol=0.0):  # an infinity only equals itself
         raise ValueError("matrix CSV is not symmetric within tolerance")
     return linalg.sym(a)  # infinite entries equal their mirror, so they stay
 

@@ -79,9 +79,5 @@ class AllFitsFailedError(GolazoError):
         self.failures = failures
 
 
-class GenerationFailedError(GolazoError):
-    """Random-instance generator exhausted its retry budget."""
-
-
 class ConstantColumnWarning(UserWarning):
     pass

@@ -87,8 +87,8 @@ class GraphSpec:
 class MdeResult:
     khat: np.ndarray          # step-1 precision estimate (graph MLE)
     sigma_hat: np.ndarray     # its inverse
-    sigma_check: np.ndarray   # step-2 covariance estimate
-    kcheck: np.ndarray        # its inverse
+    sigma_check: np.ndarray   # step-2 covariance estimate, the inverse of kcheck
+    kcheck: np.ndarray        # step-2 precision estimate, the dual iterate
     conditions_report: dict   # residual per optimality condition
 
 
@@ -126,12 +126,14 @@ def dual_mle_edge_positivity(khat, graph, config=None):
     """Solve  min -log det Sigma + tr(Sigma Khat)  s.t. Sigma >= 0 on edges.
 
     Implemented by the same dual solver with roles swapped: the "data"
-    matrix is khat and the variable plays the role of Sigma.  Returns the
-    optimal Sigma (the primal optimizer of the swapped problem).
+    matrix is khat, the primal variable plays the role of Sigma and the dual
+    iterate that of its inverse.  Returns the pair (Sigma-check, K-check).
+    K-check is dually feasible bit for bit: it equals khat on the diagonal
+    and off the graph, and is at most khat on every edge.
     """
     bounds = dual_positivity_bounds(graph)
     result = fit(khat, bounds, config=config)
-    return result.khat  # primal variable of the swapped problem = Sigma-check
+    return result.khat, result.sigma_hat
 
 
 def _largest(values):
@@ -170,8 +172,7 @@ def mde(s, graph, config=None):
     except GolazoError as exc:
         raise MdeStep1FailedError(exc) from exc
     khat = step1.khat
-    sigma_check = dual_mle_edge_positivity(khat, graph, config=config)
-    kcheck = linalg.invert_pd(sigma_check)
+    sigma_check, kcheck = dual_mle_edge_positivity(khat, graph, config=config)
     report = _mde_conditions(np.asarray(s, dtype=float), graph, khat,
                              step1.sigma_hat, sigma_check, kcheck)
     return MdeResult(

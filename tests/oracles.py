@@ -2,10 +2,11 @@
 package.  Each oracle deliberately uses a different algorithm than the code
 under test (brute force, projected gradient, a primal active-set method,
 proximal gradient, iterative proportional scaling, path enumeration).
-Two exceptions hold a faster rewrite to the bits of the code it replaced:
-``reference_boxqp``, the same pivoting method written with other numpy
-calls, and ``reference_read_csv``, the csv-module CSV reader that the
-``np.loadtxt`` fast path falls back on.
+Three exceptions hold a rewrite to the bits or decisions of the code it
+replaced: ``reference_boxqp``, the same pivoting method written with other
+numpy calls, ``reference_read_csv``, the csv-module CSV reader that the
+``np.loadtxt`` fast path falls back on, and ``reference_csv_symmetric``, the
+matrix CSV symmetry test that ``np.allclose`` replaced.
 """
 import csv
 import itertools
@@ -18,7 +19,6 @@ from golazo import linalg
 from golazo.boxqp import AT_LOWER
 from golazo.errors import (
     DegenerateCorrelationError,
-    GenerationFailedError,
     MaxIterationsExceededError,
     NoFeasibleStartError,
     NotPositiveDefiniteError,
@@ -425,7 +425,7 @@ def nx_perfect_elimination_ordering(g):
                 h.remove_node(v)
                 break
         else:  # pragma: no cover - cannot happen for chordal graphs
-            raise GenerationFailedError("no simplicial vertex found")
+            raise AssertionError("no simplicial vertex found")
     return order
 
 
@@ -649,6 +649,18 @@ def reference_read_csv(path, header, what, allow_inf):
         raise ValueError(f"{path}, line {lines[r]}, column {c + 1}: "
                          f"{what} contains {kind} values ({a[r, c]})")
     return a
+
+
+def reference_csv_symmetric(a, tol):
+    """The symmetry test ``read_csv_matrix`` made before it called
+    ``np.allclose``: the infinite entries sit where their mirrors' do and
+    equal them, and the finite ones differ from theirs by at most ``tol``."""
+    finite = np.isfinite(a)
+    if not np.array_equal(finite, finite.T) or np.any(a[~finite] != a.T[~finite]):
+        return False
+    with np.errstate(invalid="ignore"):
+        asym = np.abs(np.where(finite, a, 0.0) - np.where(finite, a, 0.0).T)
+    return not np.max(asym) > tol
 
 
 def loop_support_pairs(k, threshold):

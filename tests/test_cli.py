@@ -256,6 +256,20 @@ class TestExitCodes:
                 == f"usage error: {command} needs at least two observations\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, extra", [
+        ("fit", ["--preset", "glasso", "--rho", "0.1"]),
+        ("path", ["--preset", "glasso", "--rho", "1.0"]),
+    ])
+    def test_sample_size_with_data_is_usage(self, data_csv, tmp_path, capsys, command, extra):
+        # The rows are the sample size, so a --n beside them would be ignored.
+        path, _ = data_csv
+        code = run([command, "--input", path, "--input-kind", "data", "--n", "7",
+                    "--out", tmp_path / "o", *extra])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == ("usage error: --n cannot be given with "
+                                           "--input-kind data: n is the number of rows\n")
+        assert not (tmp_path / "o").exists()
+
     def test_all_path_fits_failed_exit(self, singular_csv, tmp_path, capsys):
         path, graph_file = singular_csv
         code = run(["path", "--input", path, "--input-kind", "covariance", "--n", "10",

@@ -15,11 +15,10 @@ from hypothesis.extra import numpy as hnp
 
 import golazo as gz
 from golazo import data as dio
+from golazo import linalg
 from golazo.errors import (
     ConstantColumnWarning,
-    GenerationFailedError,
     NonpositiveDiagonalError,
-    NotPositiveDefiniteError,
 )
 
 from oracles import (
@@ -28,6 +27,7 @@ from oracles import (
     loop_kendall_tau,
     nx_perfect_elimination_ordering,
     random_graph,
+    reference_csv_symmetric,
     reference_read_csv,
 )
 
@@ -316,7 +316,7 @@ class TestKendallInput:
 class TestGenerators:
     @pytest.mark.parametrize("graph", [
         gz.GraphSpec.chain(5),
-        gz.GraphSpec(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),  # non-chordal: rejection route
+        gz.GraphSpec(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),  # non-chordal: projection route
         gz.GraphSpec(4, [(0, 1), (2, 3)]),
     ])
     def test_sample_locally_associated(self, graph):
@@ -333,15 +333,23 @@ class TestGenerators:
             gz.sample_locally_associated(
                 gz.GraphSpec(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), seed=11)
 
-    def test_sample_locally_associated_skips_failed_fits(self, monkeypatch):
-        def failing(*args, **kwargs):
-            raise NotPositiveDefiniteError(0)
-
-        monkeypatch.setattr(dio, "ggm_mle", failing)
-        monkeypatch.setattr(dio, "_MAX_TRIES", 3)
-        with pytest.raises(GenerationFailedError, match="after 3 tries"):
-            gz.sample_locally_associated(
-                gz.GraphSpec(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), seed=11)
+    def test_sample_locally_associated_projects_non_chordal_graphs(self):
+        # Each draw is the graph-model projection of an entrywise positive
+        # matrix: no tolerance on the edge covariances, and zeros off the
+        # graph in its inverse up to rounding.
+        rng = np.random.default_rng(23)
+        drawn = 0
+        while drawn < 100:
+            d = int(rng.integers(4, 41))
+            graph = gz.GraphSpec(d, random_graph(rng, d, p=float(rng.uniform(0.1, 0.6))))
+            if nx.is_chordal(nx.from_numpy_array(graph.adjacency.astype(int))):
+                continue
+            drawn += 1
+            seed = int(rng.integers(2**32))
+            sigma = gz.sample_locally_associated(graph, seed=seed)
+            assert gz.is_locally_associated(sigma, graph, tol=0.0)
+            assert gz.is_markov(np.linalg.inv(sigma), graph, tol=1e-12)
+            assert gz.sample_locally_associated(graph, seed=seed).tobytes() == sigma.tobytes()
 
     def test_sample_locally_associated_deterministic(self):
         g = gz.GraphSpec.chain(4)
@@ -417,6 +425,24 @@ class TestFileFormats:
         path.write_text("1,0.5\n0.4,1\n")
         with pytest.raises(ValueError):
             dio.read_csv_matrix(path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=st.integers(1, 3).flatmap(lambda d: hnp.arrays(np.float64, (d, d), elements=(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308, np.inf, -np.inf,
+                         1 + 5e-10, 1 + 2e-9, 5e-10, 3.0])))))
+    @example(a=np.array([[1.0, 1e308], [-1e308, 1.0]]))
+    @example(a=np.array([[1.0, np.inf], [1e308, 1.0]]))
+    @example(a=np.array([[1.0, 1 + 5e-10], [1.0, 1.0]]))
+    def test_matrix_symmetry_rule_matches_reference(self, a):
+        # Both rules overflow, and warn, on a difference like 1e308 - (-1e308).
+        with np.errstate(over="ignore"), mock.patch.object(dio, "_read_csv", lambda *args: a):
+            want = reference_csv_symmetric(a, linalg.SYM_TOL)
+            if want:
+                assert np.array_equal(dio.read_csv_matrix("m.csv"), linalg.sym(a))
+            else:
+                with pytest.raises(ValueError, match="^matrix CSV is not symmetric within "
+                                                     "tolerance$"):
+                    dio.read_csv_matrix("m.csv")
 
     @pytest.mark.parametrize("a", [
         np.array([[-0.0, 1.5], [1.5, 0.0]]),

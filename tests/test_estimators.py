@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -28,6 +31,8 @@ from oracles import (
     random_correlation,
     random_graph,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestGraphSpec:
@@ -246,19 +251,25 @@ class TestGgmMle:
 
 
 class TestDualMleEdgePositivity:
+    @staticmethod
+    def inverse_error(sigma, kcheck):
+        return float(np.max(np.abs(kcheck @ sigma - np.eye(len(sigma)))))
+
     def test_two_by_two_positive_edge_kept(self):
         # K with a negative off-diagonal entry means positive partial
         # correlation; the positivity projection leaves it unchanged.
         k = np.array([[1.0, -0.4], [-0.4, 1.0]])
-        sigma = gz.dual_mle_edge_positivity(k, complete_graph(2))
+        sigma, kcheck = gz.dual_mle_edge_positivity(k, complete_graph(2))
         assert np.allclose(sigma, np.linalg.inv(k), atol=1e-8)
+        assert self.inverse_error(sigma, kcheck) <= 1e-12
 
     def test_two_by_two_negative_edge_projected(self):
         # Sigma12 would be negative, so the optimum pins it at zero with
         # the diagonal of K preserved.
         k = np.array([[1.0, 0.5], [0.5, 1.0]])
-        sigma = gz.dual_mle_edge_positivity(k, complete_graph(2))
+        sigma, kcheck = gz.dual_mle_edge_positivity(k, complete_graph(2))
         assert np.allclose(sigma, np.eye(2), atol=1e-8)
+        assert self.inverse_error(sigma, kcheck) <= 1e-12
 
     def test_kkt_of_projection(self):
         rng = np.random.default_rng(6)
@@ -267,8 +278,8 @@ class TestDualMleEdgePositivity:
             s = random_correlation(rng, d)
             g = gz.GraphSpec(d, random_graph(rng, d))
             k = gz.ggm_mle(s, g).khat
-            sigma = gz.dual_mle_edge_positivity(k, g)
-            kcheck = np.linalg.inv(sigma)
+            sigma, kcheck = gz.dual_mle_edge_positivity(k, g)
+            assert self.inverse_error(sigma, kcheck) <= 1e-12
             for i, j in g.edges:
                 assert sigma[i, j] >= -1e-9
                 assert kcheck[i, j] <= k[i, j] + 1e-7
@@ -290,6 +301,39 @@ class TestMde:
             assert set(res.conditions_report) == {"i", "ii", "iii", "iv", "v", "vi", "vii"}
             assert gz.is_locally_associated(res.sigma_check, g, tol=1e-8)
             assert gz.is_markov(res.kcheck, g, tol=1e-7)
+
+    def test_kcheck_is_dually_feasible_exactly(self):
+        # K-check is the step-2 dual iterate: K-hat's bits on the diagonal and
+        # off the graph, at most K-hat on every edge.
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            d = int(rng.integers(3, 13))
+            s = random_correlation(rng, d)
+            g = gz.GraphSpec(d, random_graph(rng, d, p=float(rng.uniform(0.2, 0.8))))
+            res = gz.mde(s, g)
+            assert res.conditions_report["v"] == 0.0
+            assert res.conditions_report["vi"] == 0.0
+            fixed = ~g.adjacency  # the diagonal and the non-edges
+            assert res.kcheck[fixed].tobytes() == res.khat[fixed].tobytes()
+            assert np.all(res.kcheck[g.adjacency] <= res.khat[g.adjacency])
+
+    def test_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # d = 150, where OpenBLAS would thread the factorisations; every
+        # step, K-check included, runs inside a fit on one BLAS thread.
+        path = tmp_path / "S.npy"
+        np.save(path, chain_er_correlation(np.random.default_rng(150), 150, 300))
+        probe = ("import sys, hashlib, numpy as np, golazo as gz; "
+                 "res = gz.mde(np.load(sys.argv[1]), gz.GraphSpec.chain(150)); "
+                 "print(hashlib.sha256(res.kcheck.tobytes() + res.sigma_check.tobytes())"
+                 ".hexdigest())")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
+            done = subprocess.run([sys.executable, "-c", probe, str(path)], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_step1_failure_wrapped(self):
         s = np.array([[1.0, 1.0], [1.0, 1.0]])  # singular, saturated graph
