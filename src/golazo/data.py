@@ -206,6 +206,7 @@ def _perfect_elimination_ordering(adjacency):
 _MEMBERSHIP_TOL = 1e-9
 
 
+@linalg._one_blas_thread()  # entered anew on every call
 def sample_locally_associated(graph, seed):
     """Random PD covariance that is Markov to the graph and has nonnegative
     covariance on its edges: a locally associated model.
@@ -217,7 +218,8 @@ def sample_locally_associated(graph, seed):
     of a d x 2d standard normal draw, and projects it onto the graph model:
     the ``ggm_mle`` fit matches it on the diagonal and every edge, so the
     edge covariances stay positive; its K, set to 0 off the graph, is
-    inverted.
+    inverted.  Runs on one BLAS thread, so a seeded draw does not depend on
+    the machine's core count.
     """
     rng = _rng(seed)
     cov = _perfect_elimination_dag(graph, rng)

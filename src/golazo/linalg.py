@@ -24,9 +24,17 @@ SYM_TOL = 1e-9
 
 
 def sym(a):
-    """Return the exactly symmetric part (a + a.T) / 2."""
+    """Return the exactly symmetric part (a + a.T) / 2, without overflow:
+    where a_ij + a_ji overflows but both are finite, the average is formed
+    as a_ij / 2 + a_ji / 2, which is exact in halving and so the correctly
+    rounded mean.  An exactly symmetric entry keeps its value."""
     a = np.asarray(a, dtype=float)
-    return (a + a.T) / 2.0
+    with np.errstate(over="ignore"):
+        out = (a + a.T) / 2.0
+    over = np.isinf(out) & np.isfinite(a) & np.isfinite(a.T)
+    if over.any():
+        out[over] = a[over] / 2.0 + a.T[over] / 2.0
+    return out
 
 
 def upper_pairs(mask):

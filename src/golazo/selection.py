@@ -55,16 +55,28 @@ def ebic(s, fit_result, n, gamma):
 
 def fit_path(s, base_bounds, config, solver_config=None):
     """Fit one problem per grid point (rho * L, rho * U) and pick the EBIC
-    minimizer.  Per-point failures are recorded and skipped."""
+    minimizer.  Per-point failures are recorded and skipped.
+
+    The grid is walked from its largest scale down, and each fit starts from
+    the ``sigma_hat`` of the last fit that succeeded, blended into the new
+    box (``fit``'s ``start``).  On a scaled glasso box the blend step is
+    rho_k / rho_{k+1}, so the pairs that were active land on the new bounds
+    and each row QP starts near its optimal face.
+    """
     solver_config = solver_config or SolverConfig()
     s = np.asarray(s, dtype=float)
     fits = [None] * len(config.grid)
     failures = {}
-    for i, rho in enumerate(config.grid):
+    start = None
+    for i in reversed(range(len(config.grid))):
         try:
-            fits[i] = fit(s, base_bounds.scaled(rho), config=solver_config)
+            fits[i] = fit(s, base_bounds.scaled(config.grid[i]), config=solver_config,
+                          start=start)
         except GolazoError as exc:
             failures[i] = f"{type(exc).__name__}: {exc}"
+        else:
+            start = fits[i].sigma_hat
+    failures = dict(sorted(failures.items()))
 
     scores = [None if f is None else ebic(s, f, config.n, config.gamma) for f in fits]
     valid = [i for i, sc in enumerate(scores) if sc is not None]

@@ -143,8 +143,7 @@ def _single_linkage(r):
 def _blend(s, target, bounds):
     """(1 - t) S + t T with S's exact diagonal, for the largest t <= 1 that
     keeps every off-diagonal step t (T - S)_ij inside [L_ij, U_ij]; None
-    when that blend is not positive definite.  At t = 0 it is S, which
-    ``_default_start`` passes only when S is not."""
+    when that blend is not positive definite.  At t = 0 it is S."""
     step = target - s
     up = step > 0.0
     down = step < 0.0
@@ -156,13 +155,17 @@ def _blend(s, target, bounds):
     return sigma if linalg.is_positive_definite(sigma) else None
 
 
-def _default_start(s, bounds):
-    """A dually feasible, positive definite start: S if it is positive
+def _default_start(s, bounds, start=None):
+    """A dually feasible, positive definite start: S blended toward
+    ``start`` when that blend is positive definite, else S if it is positive
     definite, else S blended toward diag(S), else toward its single-linkage
     matrix Z >= S, which is positive definite for U > 0 (Lauritzen, Uhler &
     Zwiernik 2019) unless a pair's 2 x 2 block of S fails the Cholesky pivot
     test; the first such pair in row-major order is reported.
     """
+    sigma = None if start is None else _blend(s, start, bounds)
+    if sigma is not None:
+        return sigma
     if linalg.is_positive_definite(s):
         return s.copy()
     diag = np.diag(s)
@@ -224,13 +227,17 @@ def _certified(s, k, sigma, clipped, gap, gap_tol):
 
 
 @linalg._one_blas_thread()  # entered anew on every call
-def fit(s, bounds, config=None, screen=True):
+def fit(s, bounds, config=None, screen=True, start=None):
     """Run the block-coordinate dual ascent until the duality gap is within
     ``config.dual_gap_tol`` and every pair's KKT residual within KKT_TOL.
     BLAS and LAPACK run on one thread throughout (``linalg._one_blas_thread``),
     so K does not depend on the machine's core count.
 
-    Every fit starts from ``_default_start``: S when it is positive
+    Every fit starts from ``_default_start``.  Given ``start`` (a d x d
+    matrix such as the ``sigma_hat`` of a nearby fit), that is S moved
+    toward it by the largest step that keeps every off-diagonal entry in the
+    box, with S's diagonal, when that is positive definite; a start inside
+    the box is used as it is.  Otherwise it is S when S is positive
     definite, else S blended toward diag(S) or toward its single-linkage
     matrix.  Each connected component (see ``_components``) is swept on
     its own copied block of Sigma, written back after every sweep; rows
@@ -244,12 +251,16 @@ def fit(s, bounds, config=None, screen=True):
     d = s.shape[0]
     if bounds.dim != d:
         raise InvalidBoundsError(f"bounds are {bounds.dim} x {bounds.dim} but S is {d} x {d}")
+    if start is not None:
+        start = linalg.check_square_symmetric(start)
+        if start.shape != s.shape:
+            raise ValueError(f"start is {start.shape} but S is {d} x {d}")
     clipped = clip_to_finite(bounds, s)
     label = _components(s, clipped) if screen else np.zeros(d, dtype=int)
 
     # A block diagonal of principal submatrices of a feasible PD start is
     # still feasible and PD.
-    sigma = np.where(label[:, None] == label, _default_start(s, bounds), 0.0)
+    sigma = np.where(label[:, None] == label, _default_start(s, bounds, start), 0.0)
     comps = [np.flatnonzero(label == c) for c in range(label.max() + 1)]
 
     # One full-width box QP and one face per row of each block, built once.

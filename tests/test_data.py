@@ -370,6 +370,22 @@ class TestGenerators:
         ])
         assert gz.sample_locally_associated(g, seed=5).tobytes() == want.tobytes()
 
+    def test_sample_locally_associated_does_not_depend_on_the_blas_thread_count(self):
+        # A 200-cycle is not chordal, so it takes the projection route, whose
+        # d x 2d product and final inverse OpenBLAS threads at this size.
+        probe = ("import hashlib, golazo as gz; "
+                 "g = gz.GraphSpec(200, [(i, (i + 1) % 200) for i in range(200)]); "
+                 "print(hashlib.sha256(gz.sample_locally_associated(g, seed=1).tobytes())"
+                 ".hexdigest())")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
+            done = subprocess.run([sys.executable, "-c", probe], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1]
+
     def test_sample_locally_associated_ignores_edge_order(self):
         band = [(i, i + k) for k in (1, 2) for i in range(8 - k)]
         forward = gz.sample_locally_associated(gz.GraphSpec(8, band), seed=3)
@@ -419,6 +435,14 @@ class TestFileFormats:
         path.write_text("0, INF ,-Inf\n+inf,0,1\n-inf ,1,0\n")
         want = np.array([[0.0, np.inf, -np.inf], [np.inf, 0.0, 1.0], [-np.inf, 1.0, 0.0]])
         assert np.array_equal(dio.read_csv_matrix(path), want)
+
+    @pytest.mark.parametrize("big", ["1e308", "-1e308"])
+    def test_matrix_huge_symmetric_entries_read_back_exactly(self, tmp_path, big):
+        # Averaging a with a.T overflowed here to inf, with a RuntimeWarning.
+        path = tmp_path / "m.csv"
+        path.write_text(f"1,{big}\n{big},1\n")
+        want = np.array([[1.0, float(big)], [float(big), 1.0]])
+        assert dio.read_csv_matrix(path).tobytes() == want.tobytes()
 
     def test_matrix_symmetry_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -102,7 +102,7 @@ PUBLIC_PARAMETERS = {
     "dual_positivity_bounds": ["graph"],
     "duality_gap": ["s", "k", "bounds"],
     "ebic": ["s", "fit_result", "n", "gamma"],
-    "fit": ["s", "bounds", "config", "screen"],
+    "fit": ["s", "bounds", "config", "screen", "start"],
     "fit_path": ["s", "base_bounds", "config", "solver_config"],
     "gaussian_neg_loglik": ["s", "k"],
     "ggm_bounds": ["graph"],

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from golazo import linalg
 from golazo.errors import NonpositiveDiagonalError, NotPositiveDefiniteError
@@ -54,6 +57,34 @@ def test_check_square_symmetric_rejects_non_finite():
     a[2, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         linalg.check_square_symmetric(a)
+
+
+@pytest.mark.parametrize("big", [1e308, -1e308])
+def test_check_square_symmetric_keeps_huge_symmetric_entries(big):
+    # (a + a.T) / 2 overflowed here to inf, with a RuntimeWarning (an error
+    # under this suite's warning filter).
+    a = np.array([[1.0, big], [big, 1.0]])
+    assert linalg.check_square_symmetric(a).tobytes() == a.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=st.integers(1, 4).flatmap(lambda d: hnp.arrays(np.float64, (d, d), elements=(
+    st.floats(allow_subnormal=True) | st.sampled_from([1e308, -1e308, 1.7e308, 5e-324, -0.0])))))
+@example(a=np.array([[1.0, 1e308], [1.7e308, 1.0]]))
+@example(a=np.array([[1.0, -1.7e308], [-1.7e308, 1.0]]))
+@example(a=np.array([[-0.0, 0.0], [-0.0, 0.0]]))
+def test_sym_is_the_plain_average_wherever_that_is_finite(a):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = (a + a.T) / 2.0
+        got = linalg.sym(a)
+    finite = np.isfinite(want)
+    assert got[finite].tobytes() == want[finite].tobytes()
+    # Where only the sum overflows, the mean is still formed: finite, and
+    # the entry itself where the pair is exactly equal.
+    over = ~finite & np.isfinite(a) & np.isfinite(a.T)
+    assert np.isfinite(got[over]).all()
+    assert np.array_equal(got[over & (a == a.T)], a[over & (a == a.T)])
+    assert np.array_equal(got, got.T, equal_nan=True)
 
 
 def test_positive_diagonal_names_the_first_entry_at_or_below_zero():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import golazo as gz
-from golazo.errors import AllFitsFailedError
+from golazo import selection
+from golazo.errors import AllFitsFailedError, NoFeasibleStartError
 from golazo.selection import default_grid, fit_path
 
-from oracles import complete_graph, random_correlation
+from oracles import block_chain_correlation, chain_er_correlation, complete_graph, random_correlation
 
 
 def stub_fit(k):
@@ -110,3 +111,54 @@ class TestFitPath:
         cfg = gz.EbicConfig(n=10, grid=[0.5, 1.0])
         with pytest.raises(AllFitsFailedError):
             fit_path(s, bounds, cfg)
+
+
+class TestWarmStartedPath:
+    """``fit_path`` walks the grid from its largest scale down, each fit
+    started from the last success: the same optimum as one cold fit per point."""
+
+    CASES = {
+        # The block-path benchmark's size and grid (``log:0.1:0.6:8``).
+        "block-path": lambda: (block_chain_correlation(np.random.default_rng(1000), 5, 20, 200),
+                               200, default_grid(0.1, 0.6, 8)),
+        # n < d: S is singular; the sparsest point starts from the diagonal
+        # blend, every later one from S blended toward the last Sigma-hat.
+        "n-below-d": lambda: (chain_er_correlation(np.random.default_rng(60), 60, 30),
+                              30, default_grid(0.05, 1.0, 10)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_cold_fits(self, case):
+        s, n, grid = self.CASES[case]()
+        cfg = gz.EbicConfig(n=n, grid=grid)
+        bounds = gz.glasso_bounds(1.0, s.shape[0])
+        path = fit_path(s, bounds, cfg)
+        cold = [gz.fit(s, bounds.scaled(rho)) for rho in cfg.grid]
+        assert [f.edges() for f in path.fits] == [f.edges() for f in cold]
+        assert max(np.max(np.abs(w.khat - c.khat)) for w, c in zip(path.fits, cold)) <= 1e-7
+        scores = [gz.ebic(s, c, n, cfg.gamma) for c in cold]
+        assert path.selected_index == min(range(len(cold)), key=lambda i: (scores[i], i))
+        assert path.failures == {}
+
+    def test_failed_point_keeps_the_chain(self, monkeypatch):
+        # Grid points 1 and 2 raise; the walk meets them as 3, 2, 1, 0.
+        s = random_correlation(np.random.default_rng(7), 6)
+        grid = (0.05, 0.1, 0.2, 0.4)
+        calls = []
+
+        def spy(s, bounds, config=None, start=None):
+            rho = float(bounds.upper[0, 1])
+            calls.append((rho, start))
+            if rho in (grid[1], grid[2]):
+                raise NoFeasibleStartError(f"no start at {rho}")
+            return gz.fit(s, bounds, config=config, start=start)
+
+        monkeypatch.setattr(selection, "fit", spy)
+        path = fit_path(s, gz.glasso_bounds(1.0, 6), gz.EbicConfig(n=100, grid=grid))
+        assert [rho for rho, _ in calls] == list(grid[::-1])
+        assert list(path.failures) == [1, 2]
+        assert path.failures[1] == f"NoFeasibleStartError: no start at {grid[1]}"
+        assert path.fits[1] is None and path.fits[2] is None
+        assert path.ebic_scores[1] is None and path.ebic_scores[2] is None
+        assert calls[0][1] is None
+        assert all(start is path.fits[3].sigma_hat for _, start in calls[1:])

@@ -191,6 +191,60 @@ class TestStartingPoints:
         s = random_pd(rng, 4, 0.2)
         assert np.array_equal(solver._default_start(s, gz.glasso_bounds(0.1, 4)), s)
 
+    def test_feasible_start_is_used_exactly(self):
+        # The optimum is inside its own box (t = 1): the fit starts there and
+        # certifies it before any sweep, with the same bits.
+        s = random_correlation(np.random.default_rng(40), 8)
+        b = gz.glasso_bounds(0.2, 8)
+        res = gz.fit(s, b)
+        assert solver._default_start(s, b, res.sigma_hat).tobytes() == res.sigma_hat.tobytes()
+        warm = gz.fit(s, b, start=res.sigma_hat)
+        assert warm.sweeps == 0
+        assert warm.sigma_hat.tobytes() == res.sigma_hat.tobytes()
+
+    def test_infeasible_start_is_blended_into_the_box(self):
+        # A sparser fit's optimum steps past the denser box on its active
+        # pairs: S moves toward it by the largest feasible t, here rho / 0.4.
+        s = random_correlation(np.random.default_rng(41), 8)
+        b = gz.glasso_bounds(0.1, 8)
+        target = gz.fit(s, gz.glasso_bounds(0.4, 8)).sigma_hat
+        t = loop_blend_weight(s, target, b)
+        assert t == pytest.approx(0.25, rel=1e-12)
+        expected = (1.0 - t) * s + t * target
+        np.fill_diagonal(expected, np.diag(s))
+        sigma0 = solver._default_start(s, b, target)
+        assert np.array_equal(sigma0, expected)
+        self.assert_valid_start(sigma0, s, b)
+        warm, cold = gz.fit(s, b, start=target), gz.fit(s, b)
+        assert warm.edges() == cold.edges()
+        assert np.max(np.abs(warm.khat - cold.khat)) <= 1e-7
+
+    def test_start_whose_blend_is_not_pd_falls_back(self):
+        s = np.eye(3)
+        b = gz.glasso_bounds(1.0, 3)
+        bad = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+        assert loop_blend_weight(s, bad, b) == 1.0
+        assert solver._blend(s, bad, b) is None
+        assert np.array_equal(solver._default_start(s, b, bad), solver._default_start(s, b))
+        assert gz.fit(s, b, start=bad).khat.tobytes() == gz.fit(s, b).khat.tobytes()
+        # Rank-deficient S: the fallback is the diagonal blend.
+        x = np.random.default_rng(42).standard_normal((2, 5))
+        s = x.T @ x / 2 + 0.0
+        b = gz.glasso_bounds(0.3, 5)
+        bad = s + 0.3 * (1.0 - np.eye(5))
+        assert solver._blend(s, bad, b) is None
+        assert np.array_equal(solver._default_start(s, b, bad), solver._default_start(s, b))
+
+    def test_start_must_match_s(self):
+        b = gz.glasso_bounds(0.1, 3)
+        with pytest.raises(ValueError, match=r"^start is \(2, 2\) but S is 3 x 3$"):
+            gz.fit(np.eye(3), b, start=np.eye(2))
+        # The blend reads the whole start, its PD test only the lower triangle.
+        for bad, message in [(np.triu(np.full((3, 3), 0.5)) + 0.5 * np.eye(3), "not symmetric"),
+                             (np.where(np.eye(3) == 1, 1.0, np.nan), "non-finite")]:
+            with pytest.raises(ValueError, match=message):
+                gz.fit(np.eye(3), b, start=bad)
+
     def test_interior_start_feasible(self):
         # Glasso bounds: the diagonal blend, equal to the reference one off
         # the diagonal bit for bit.
@@ -523,7 +577,8 @@ class TestScansMatchLoops:
                 continue
             compared += 1
             with monkeypatch.context() as patched:
-                patched.setattr(solver, "_default_start", lambda s, bounds: sigma0)
+                patched.setattr(solver, "_default_start",
+                                 lambda s, bounds, start=None: sigma0)
                 ref = gz.fit(s, bounds)
             res = gz.fit(s, bounds)
             assert res.edges() == ref.edges()
