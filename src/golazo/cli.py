@@ -150,22 +150,30 @@ def _load_input(args):
 
 
 def _load_bounds(args, d):
-    if args.bounds_l or args.bounds_u:
-        if not (args.bounds_l and args.bounds_u):
-            raise _UsageError("--bounds-l and --bounds-u must be given together")
-        bounds = PenaltyBounds(dio.read_csv_matrix(args.bounds_l),
-                               dio.read_csv_matrix(args.bounds_u))
-        if bounds.dim != d:
-            raise InvalidBoundsError(
-                f"bounds are {bounds.dim} x {bounds.dim} but S is {d} x {d}")
-        return bounds
-    if not args.preset:
+    """The bounds files' or the preset's bounds.  A penalty option that the
+    one chosen does not read is a usage error, as is one it needs and lacks."""
+    files = args.bounds_l or args.bounds_u
+    if files and args.preset:
+        raise _UsageError("--preset cannot be given with --bounds-l/--bounds-u")
+    if not (files or args.preset):
         raise _UsageError("either --preset or --bounds-l/--bounds-u is required")
-    required, build = _PRESETS[args.preset]
-    for name in required:
-        if getattr(args, name) is None:
-            raise _UsageError(f"--preset {args.preset} requires --{name.replace('_', '-')}")
-    return build(args, d)
+    if files and not (args.bounds_l and args.bounds_u):
+        raise _UsageError("--bounds-l and --bounds-u must be given together")
+    required, build = _PRESETS.get(args.preset, ((), None))
+    source = f"--preset {args.preset}" if args.preset else "--bounds-l/--bounds-u"
+    for name in ("rho", "rho_neg", "rho_pos", "graph"):
+        flag, given = "--" + name.replace("_", "-"), getattr(args, name) is not None
+        if given and name not in required:
+            raise _UsageError(f"{flag} is not read by {source}")
+        if name in required and not given:
+            raise _UsageError(f"{source} requires {flag}")
+    if build:
+        return build(args, d)
+    bounds = PenaltyBounds(dio.read_csv_matrix(args.bounds_l),
+                           dio.read_csv_matrix(args.bounds_u))
+    if bounds.dim != d:
+        raise InvalidBoundsError(f"bounds are {bounds.dim} x {bounds.dim} but S is {d} x {d}")
+    return bounds
 
 
 class _UsageError(Exception):

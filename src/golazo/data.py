@@ -3,21 +3,14 @@
 edge-list file formats used by the command-line tool.
 """
 import csv
-import heapq
 import warnings
 
 import numpy as np
 
 from . import linalg
 from .errors import ConstantColumnWarning
-from .estimators import GraphSpec, ggm_mle, is_locally_associated
+from .estimators import GraphSpec, ggm_mle
 from .solver import _support
-
-
-def _rng(seed):
-    # Counter-based generator: seeded streams are reproducible regardless of
-    # how work is split across threads.
-    return np.random.Generator(np.random.Philox(seed))
 
 
 def sample_covariance(x):
@@ -146,86 +139,22 @@ def nearest_correlation(r):
     return to_correlation(linalg.sym(fixed))
 
 
-def _perfect_elimination_dag(graph, rng):
-    """For a chordal graph, the covariance of a linear structural model with
-    nonnegative loadings on a DAG along a perfect elimination ordering: Markov
-    to the graph and entrywise nonnegative.  None if the graph is not chordal."""
-    peo = _perfect_elimination_ordering(graph.adjacency)
-    if peo is None:
-        return None
-    # A perfect elimination ordering, reversed, gives a vertex order in which
-    # each vertex's earlier neighbors form a clique, so orienting every edge
-    # forward yields a DAG whose moral graph is the graph itself.
-    d = graph.d
-    pos = np.empty(d, dtype=int)
-    pos[peo[::-1]] = np.arange(d)
-    # One loading per edge, drawn in row-major edge order.
-    i, j = np.nonzero(np.triu(graph.adjacency))
-    parent, child = np.minimum(pos[i], pos[j]), np.maximum(pos[i], pos[j])
-    lam = np.zeros((d, d))
-    lam[child, parent] = rng.uniform(0.1, 0.6, size=i.size)
-    noise = rng.uniform(0.5, 1.5, size=d)
-    a = np.linalg.inv(np.eye(d) - lam)
-    cov_pos = linalg.sym(a @ np.diag(noise) @ a.T)
-    # Map position-space rows/columns back to the original vertex ids.
-    return cov_pos[np.ix_(pos, pos)]
-
-
-def _perfect_elimination_ordering(adjacency):
-    """Remove the smallest simplicial vertex until none is left; None when no
-    vertex left is simplicial, i.e. the graph is not chordal (Dirac 1961).
-
-    ``missing[u]`` counts the pairs of u's neighbours that are not adjacent,
-    so u is simplicial when it is 0.  Removing v takes from it the pairs
-    {v, w} with w a neighbour of u but not of v: only v's neighbours change,
-    and a simplicial vertex stays simplicial.  A heap holds the simplicial
-    vertices left.
-    """
-    adj = np.array(adjacency, dtype=bool)
-    deg = adj.sum(axis=1)
-    missing = (deg * (deg - 1) - [np.count_nonzero(adj[row] & row) for row in adj]) // 2
-    queued = missing == 0
-    heap = np.flatnonzero(queued).tolist()  # ascending, so already a heap
-    order = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        nbrs = np.flatnonzero(adj[v])
-        outside = ~adj[v]
-        outside[v] = False
-        adj[v, :] = adj[:, v] = False
-        missing[nbrs] -= np.count_nonzero(adj[nbrs] & outside, axis=1)
-        new = nbrs[(missing[nbrs] == 0) & ~queued[nbrs]]
-        queued[new] = True
-        for u in new.tolist():
-            heapq.heappush(heap, u)
-    return order if len(order) == adj.shape[0] else None
-
-
-# Tolerance of the chordal route's membership check.
-_MEMBERSHIP_TOL = 1e-9
-
-
 @linalg._one_blas_thread()  # entered anew on every call
 def sample_locally_associated(graph, seed):
     """Random PD covariance that is Markov to the graph and has nonnegative
-    covariance on its edges: a locally associated model.
+    covariance on its edges: a locally associated model, for any graph.
 
-    A chordal graph gets the covariance of a positive-loading DAG along a
-    perfect elimination ordering, with loadings in [0.1, 0.6) and noise
-    variances in [0.5, 1.5).  Any other graph draws one entrywise positive,
-    positive definite matrix A A' / (2d) + 0.1 I, with A the absolute values
-    of a d x 2d standard normal draw, and projects it onto the graph model:
-    the ``ggm_mle`` fit matches it on the diagonal and every edge, so the
-    edge covariances stay positive; its K, set to 0 off the graph, is
-    inverted.  Runs on one BLAS thread, so a seeded draw does not depend on
-    the machine's core count.
+    Draws one entrywise positive, positive definite matrix A A' / (2d) + 0.1 I,
+    with A the absolute values of a d x 2d standard normal draw, and projects
+    it onto the graph model: the ``ggm_mle`` fit matches it on the diagonal
+    and every edge, so the edge covariances stay positive; its K, set to 0
+    off the graph, is inverted.  Runs on one BLAS thread, so a seeded draw
+    does not depend on the machine's core count.
     """
-    rng = _rng(seed)
-    cov = _perfect_elimination_dag(graph, rng)
-    if cov is not None and is_locally_associated(cov, graph, tol=_MEMBERSHIP_TOL):
-        return cov
     d = graph.d
+    # Counter-based generator: a seeded stream does not depend on how work is
+    # split across threads.
+    rng = np.random.Generator(np.random.Philox(seed))
     a = np.abs(rng.standard_normal((d, 2 * d)))
     k = ggm_mle(a @ a.T / (2 * d) + 0.1 * np.eye(d), graph).khat
     return linalg.invert_pd(np.where(graph.adjacency | np.eye(d, dtype=bool), k, 0.0))

@@ -166,6 +166,9 @@ def mde(s, graph, config=None):
     projects, in dual likelihood, onto nonnegative edge covariances.  The
     result carries residuals of the full optimality system.
     """
+    s = np.asarray(s, dtype=float)
+    if s.shape != (graph.d, graph.d):
+        raise ValueError(f"the graph has {graph.d} vertices but S has shape {s.shape}")
     config = config or SolverConfig()
     try:
         step1 = ggm_mle(s, graph, config=config)
@@ -173,8 +176,7 @@ def mde(s, graph, config=None):
         raise MdeStep1FailedError(exc) from exc
     khat = step1.khat
     sigma_check, kcheck = dual_mle_edge_positivity(khat, graph, config=config)
-    report = _mde_conditions(np.asarray(s, dtype=float), graph, khat,
-                             step1.sigma_hat, sigma_check, kcheck)
+    report = _mde_conditions(s, graph, khat, step1.sigma_hat, sigma_check, kcheck)
     return MdeResult(
         khat=khat,
         sigma_hat=step1.sigma_hat,

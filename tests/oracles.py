@@ -11,7 +11,6 @@ matrix CSV symmetry test that ``np.allclose`` replaced.
 import csv
 import itertools
 
-import networkx as nx
 import numpy as np
 import scipy.linalg
 
@@ -408,39 +407,6 @@ def forced_pair_bounds(rng, s, rho, frac=0.3):
 def random_graph(rng, d, p=0.5):
     edges = [(i, j) for i in range(d) for j in range(i + 1, d) if rng.random() < p]
     return edges
-
-
-def nx_perfect_elimination_ordering(g):
-    """None unless networkx finds the graph chordal; then remove the smallest
-    simplicial vertex of a networkx copy until none is left."""
-    if not nx.is_chordal(g):
-        return None
-    order = []
-    h = g.copy()
-    while h.number_of_nodes():
-        for v in sorted(h.nodes):
-            nbrs = list(h.neighbors(v))
-            if all(h.has_edge(a, b) for k, a in enumerate(nbrs) for b in nbrs[k + 1:]):
-                order.append(v)
-                h.remove_node(v)
-                break
-        else:  # pragma: no cover - cannot happen for chordal graphs
-            raise AssertionError("no simplicial vertex found")
-    return order
-
-
-def loop_is_perfect_elimination_ordering(graph, order):
-    """Each vertex's neighbors later in the order are pairwise adjacent,
-    checked pair by pair."""
-    later = set(range(graph.d))
-    for v in order:
-        later.discard(v)
-        nbrs = [u for u in sorted(later) if graph.adjacency[v, u]]
-        for k, a in enumerate(nbrs):
-            for b in nbrs[k + 1:]:
-                if not graph.adjacency[a, b]:
-                    return False
-    return sorted(order) == list(range(graph.d))
 
 
 def loop_isolated_rows(s, clipped):

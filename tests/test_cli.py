@@ -188,6 +188,43 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert capsys.readouterr().err == f"usage error: --preset {preset} requires {missing}\n"
 
+    @pytest.mark.parametrize("command", ["fit", "path"])
+    @pytest.mark.parametrize("penalty, message", [
+        (["--preset", "mtp2", "--bounds-l", "L", "--bounds-u", "U"],
+         "--preset cannot be given with --bounds-l/--bounds-u"),
+        (["--preset", "glasso", "--rho", "0.1", "--bounds-l", "L"],
+         "--preset cannot be given with --bounds-l/--bounds-u"),
+        (["--preset", "mtp2", "--rho", "0.5"], "--rho is not read by --preset mtp2"),
+        (["--preset", "glasso", "--rho", "0.5", "--graph", "absent.txt"],
+         "--graph is not read by --preset glasso"),
+        (["--preset", "positive", "--rho", "0.1", "--rho-neg", "0.1"],
+         "--rho-neg is not read by --preset positive"),
+        (["--preset", "asymmetric", "--rho-neg", "0.1", "--rho-pos", "0.1", "--rho", "0.1"],
+         "--rho is not read by --preset asymmetric"),
+        (["--preset", "ggm", "--graph", "G", "--rho-pos", "0.1"],
+         "--rho-pos is not read by --preset ggm"),
+        (["--bounds-l", "L", "--bounds-u", "U", "--rho", "0.1"],
+         "--rho is not read by --bounds-l/--bounds-u"),
+        (["--bounds-l", "L", "--bounds-u", "U", "--graph", "G"],
+         "--graph is not read by --bounds-l/--bounds-u"),
+    ])
+    def test_unread_penalty_option_is_usage(self, cov_csv, tmp_path, capsys, command,
+                                            penalty, message):
+        # An option the chosen penalty does not read would be silently ignored.
+        path, _ = cov_csv
+        files = {"L": tmp_path / "L.csv", "U": tmp_path / "U.csv", "G": tmp_path / "g.txt"}
+        upper = np.full((4, 4), 0.1)
+        np.fill_diagonal(upper, 0.0)
+        dio.write_csv_matrix(files["L"], -upper)
+        dio.write_csv_matrix(files["U"], upper)
+        files["G"].write_text("1 2\n2 3\n")
+        out = tmp_path / "o"
+        code = run([command, "--input", path, "--input-kind", "covariance", "--n", "50",
+                    "--out", out, *(files.get(a, a) for a in penalty)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_preset_is_usage(self, cov_csv, tmp_path, capsys):
         path, _ = cov_csv
         code = run(["fit", "--input", path, "--input-kind", "covariance",

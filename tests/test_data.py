@@ -23,9 +23,7 @@ from golazo.errors import (
 
 from oracles import (
     loop_graphml_edges,
-    loop_is_perfect_elimination_ordering,
     loop_kendall_tau,
-    nx_perfect_elimination_ordering,
     random_graph,
     reference_csv_symmetric,
     reference_read_csv,
@@ -316,7 +314,7 @@ class TestKendallInput:
 class TestGenerators:
     @pytest.mark.parametrize("graph", [
         gz.GraphSpec.chain(5),
-        gz.GraphSpec(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),  # non-chordal: projection route
+        gz.GraphSpec(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),  # not chordal
         gz.GraphSpec(4, [(0, 1), (2, 3)]),
     ])
     def test_sample_locally_associated(self, graph):
@@ -333,18 +331,14 @@ class TestGenerators:
             gz.sample_locally_associated(
                 gz.GraphSpec(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), seed=11)
 
-    def test_sample_locally_associated_projects_non_chordal_graphs(self):
+    def test_sample_locally_associated_projects_every_graph(self):
         # Each draw is the graph-model projection of an entrywise positive
-        # matrix: no tolerance on the edge covariances, and zeros off the
-        # graph in its inverse up to rounding.
+        # matrix, chordal graphs included: no tolerance on the edge
+        # covariances, and zeros off the graph in its inverse up to rounding.
         rng = np.random.default_rng(23)
-        drawn = 0
-        while drawn < 100:
+        for _ in range(100):
             d = int(rng.integers(4, 41))
             graph = gz.GraphSpec(d, random_graph(rng, d, p=float(rng.uniform(0.1, 0.6))))
-            if nx.is_chordal(nx.from_numpy_array(graph.adjacency.astype(int))):
-                continue
-            drawn += 1
             seed = int(rng.integers(2**32))
             sigma = gz.sample_locally_associated(graph, seed=seed)
             assert gz.is_locally_associated(sigma, graph, tol=0.0)
@@ -358,21 +352,20 @@ class TestGenerators:
         assert np.array_equal(a, b)
 
     def test_sample_locally_associated_chordal_draw_is_pinned(self):
-        # A triangle {0, 1, 2} with vertex 3 hanging off 0: eliminated as 1, 2, 0, 3.
-        # Pinned bytes: a seeded draw must not change when the ordering code does.
+        # A triangle {0, 1, 2} with vertex 3 hanging off 0.  Pinned bytes: a
+        # seeded draw must not change silently.
         g = gz.GraphSpec(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
-        assert dio._perfect_elimination_ordering(g.adjacency) == [1, 2, 0, 3]
         want = np.array([
-            [1.1697559901007502, 0.7405601874833243, 0.6580416217533784, 0.32205715988059547],
-            [0.7405601874833243, 1.793143473047497, 0.5603434817723665, 0.20389099326687665],
-            [0.6580416217533784, 0.5603434817723665, 1.1454695284520273, 0.18117198593431524],
-            [0.32205715988059547, 0.20389099326687665, 0.18117198593431524, 1.0366007138626605],
+            [0.486858105919973, 0.6270518815380888, 0.23911263870031343, 0.40933548263676667],
+            [0.6270518815380888, 1.8758398626854236, 0.45489462136709824, 0.5272061437339547],
+            [0.23911263870031343, 0.45489462136709824, 0.41380314137047314, 0.20103863153719811],
+            [0.40933548263676667, 0.5272061437339547, 0.20103863153719811, 0.7404252700551552],
         ])
         assert gz.sample_locally_associated(g, seed=5).tobytes() == want.tobytes()
 
     def test_sample_locally_associated_does_not_depend_on_the_blas_thread_count(self):
-        # A 200-cycle is not chordal, so it takes the projection route, whose
-        # d x 2d product and final inverse OpenBLAS threads at this size.
+        # OpenBLAS threads the d x 2d product and the final inverse of a
+        # 200-vertex draw.
         probe = ("import hashlib, golazo as gz; "
                  "g = gz.GraphSpec(200, [(i, (i + 1) % 200) for i in range(200)]); "
                  "print(hashlib.sha256(gz.sample_locally_associated(g, seed=1).tobytes())"
@@ -391,23 +384,6 @@ class TestGenerators:
         forward = gz.sample_locally_associated(gz.GraphSpec(8, band), seed=3)
         backward = gz.sample_locally_associated(gz.GraphSpec(8, band[::-1]), seed=3)
         assert forward.tobytes() == backward.tobytes()
-
-
-class TestPerfectEliminationOrdering:
-    @settings(max_examples=300, deadline=None)
-    @given(d=st.integers(1, 15), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
-           complete=st.booleans())
-    def test_matches_networkx(self, d, p, seed, complete):
-        g = nx.empty_graph(d)
-        g.add_edges_from(random_graph(np.random.default_rng(seed), d, p))
-        if complete:
-            g, _ = nx.complete_to_chordal_graph(g)
-        graph = gz.GraphSpec(d, list(g.edges))
-        order = dio._perfect_elimination_ordering(graph.adjacency)
-        assert (order is None) == (not nx.is_chordal(g))
-        assert order == nx_perfect_elimination_ordering(g)
-        if order is not None:
-            assert loop_is_perfect_elimination_ordering(graph, order)
 
 
 def _ties_at_the_edge_threshold():

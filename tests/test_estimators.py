@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -339,6 +340,13 @@ class TestMde:
         s = np.array([[1.0, 1.0], [1.0, 1.0]])  # singular, saturated graph
         with pytest.raises(MdeStep1FailedError):
             gz.mde(s, complete_graph(2))
+
+    @pytest.mark.parametrize("s, shape", [(np.eye(4), "(4, 4)"), (np.eye(3)[:2], "(2, 3)")])
+    def test_graph_of_the_wrong_size_is_an_input_error(self, s, shape):
+        # Named as the input error it is, before step 1 runs.
+        with pytest.raises(ValueError, match=rf"^the graph has 3 vertices but S has shape "
+                                             rf"{re.escape(shape)}$"):
+            gz.mde(s, gz.GraphSpec.chain(3))
 
     def test_zero_pattern_reconstruction(self):
         rng = np.random.default_rng(8)
