@@ -23,6 +23,14 @@ no infeasible coordinate is the optimum.  From a cold start this takes a few
 face solves where a one-bound-per-step active-set method takes about as many
 as there are active bounds.  The method is defined by a face, not a point,
 so a solve starts from a face, which the dual sweep carries between sweeps.
+
+A face solve pins each fixed coordinate at a value read from a vector, not
+gathered from the bounds: at first from a point on the starting face (the
+row of the iterate, in the dual sweep), or else from the ends the face
+names; from then on from the last face solution clipped into the box.  A
+coordinate that stays fixed already sits on its end, and one that was just
+fixed crossed exactly the end it is now pinned to, so the clip holds every
+pinned value bit for bit.
 """
 from dataclasses import dataclass, field
 
@@ -41,6 +49,8 @@ _BACKUP_ROUNDS = 3
 
 # KKT tolerance of a solve.
 QP_TOL = 1e-10
+
+_INT8 = np.dtype(np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,10 +75,15 @@ class BoxQP:
             if np.isnan(lower).any() or np.isnan(upper).any():
                 raise ValueError("NaN box end")
             raise ValueError("empty box: some l_i > u_i")
+        movable = lower != upper
+        if np.count_nonzero(movable) < n:
+            # A pinned coordinate sits at lower; its ends can differ only in
+            # the sign of a zero, which the clip into the box must not pick.
+            upper = np.where(movable, upper, lower)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "movable", lower != upper)
+        object.__setattr__(self, "movable", movable)
 
 
 def face_at(y, lower, upper):
@@ -79,14 +94,14 @@ def face_at(y, lower, upper):
     return state
 
 
-def _solve_face(problem, state, fixed):
-    """Minimizer of y'A^{-1}y with the coordinates ``fixed`` pinned at the
-    ends ``state`` names, and z with gradient 2 A^{-1} y = 2 z on them (0
+def _solve_face(problem, values, fixed):
+    """Minimizer of y'A^{-1}y with the coordinates ``fixed`` pinned at their
+    entries of ``values``, and z with gradient 2 A^{-1} y = 2 z on them (0
     elsewhere).  Gathers A's rows, which a C-ordered A holds contiguously."""
     if not fixed.size:
-        return np.zeros(state.size), np.zeros(0)
+        return np.zeros(values.size), np.zeros(0)
     a = problem.a
-    y_c = np.where(state[fixed] > 0, problem.upper[fixed], problem.lower[fixed])
+    y_c = values[fixed]
     a_cf = a.take(fixed, axis=0)
     acc = a_cf.take(fixed, axis=1)
     try:
@@ -97,16 +112,22 @@ def _solve_face(problem, state, fixed):
         diag = a.diagonal()
         ridge = 1e-10 * float(diag.sum()) / diag.size
         z = linalg.solve_pd(acc + ridge * np.eye(fixed.size), y_c)
-    y = z @ a_cf
+    y = z.dot(a_cf)
     y[fixed] = y_c
     return y, z
 
 
-def solve_boxqp(problem, state=None, tol=QP_TOL, max_iter=None):
+def solve_boxqp(problem, state=None, tol=QP_TOL, max_iter=None, point=None):
     """Solve the box QP to the stated KKT tolerance from the face ``state``:
     int8, AT_LOWER, FREE or AT_UPPER per coordinate, naming finite ends only
     and AT_LOWER where lower == upper; it is updated in place to the optimal
     face.  None is the face of 0 clipped into the box.  A must be symmetric.
+
+    ``point``, when given, is an array on that face: each entry where
+    ``state`` is AT_LOWER or AT_UPPER must equal that end bit for bit (lower
+    where lower == upper); its free entries are not read.  It is read, never
+    written, and not checked: a point off the face pins the face solves at
+    its values instead.  None reads the ends from the bounds.
 
     Returns the optimal vector.  The KKT conditions at the solution are, with
     g = 2 A^{-1} y:  g_i >= -tol at an active lower bound, g_i <= tol at an
@@ -120,21 +141,28 @@ def solve_boxqp(problem, state=None, tol=QP_TOL, max_iter=None):
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if state is None:
         state = face_at(0.0, lower, upper)
-    elif getattr(state, "dtype", None) != np.int8 or state.shape != (n,):
+    elif getattr(state, "dtype", None) is not _INT8 or state.shape != (n,):
         raise ValueError(f"state must be an int8 vector of the box's size {n}, got "
                          f"{getattr(state, 'dtype', type(state))} of size {np.size(state)}")
+    values = np.where(state > 0, upper, lower) if point is None else point
 
     best, stalled = n + 1, 0
     for _ in range(max_iter):
         fixed = state.nonzero()[0]
-        y, z = _solve_face(problem, state, fixed)
-        # Every fixed coordinate sits on its end, so only free ones can be
-        # below or above the box; a fixed one is released when its
-        # multiplier 2 z has the wrong sign.
-        below = y < lower
-        above = y > upper
-        release = (z * state[fixed] > tol / 2) & movable[fixed]
-        count = np.count_nonzero(below) + np.count_nonzero(above) + np.count_nonzero(release)
+        y, z = _solve_face(problem, values, fixed)
+        # Every fixed coordinate sits on its end, so y differs from its clip
+        # into the box only where a free one left it; a fixed coordinate is
+        # released when its multiplier 2 z has the wrong sign.
+        values = np.maximum(np.minimum(y, upper), lower)
+        release = z * state[fixed] > tol / 2
+        count = np.count_nonzero(values != y) + np.count_nonzero(release)
+        if count:
+            # Counted again: a pinned coordinate is never released, and a
+            # NaN entry differs from its clip but is neither below nor above.
+            release &= movable[fixed]
+            below = y < lower
+            above = y > upper
+            count = np.count_nonzero(below | above) + np.count_nonzero(release)
         if not count:
             return y
         if count < best:

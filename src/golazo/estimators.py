@@ -112,12 +112,20 @@ def is_markov(k, graph, tol=0.0):
     return not np.any(np.abs(k[np.triu(~graph.adjacency, 1)]) > tol)
 
 
+def _check_graph_size(name, s, graph):
+    """ValueError naming both sizes unless ``s`` is graph.d x graph.d."""
+    shape = np.shape(s)
+    if shape != (graph.d, graph.d):
+        raise ValueError(f"the graph has {graph.d} vertices but {name} has shape {shape}")
+
+
 def ggm_mle(s, graph, config=None):
     """MLE of the precision matrix under zero constraints off the graph.
 
     At the optimum Sigma matches S on the diagonal and the edges, and K
     vanishes off the graph.
     """
+    _check_graph_size("S", s, graph)
     bounds = ggm_bounds(graph)
     return fit(s, bounds, config=config)
 
@@ -131,6 +139,7 @@ def dual_mle_edge_positivity(khat, graph, config=None):
     K-check is dually feasible bit for bit: it equals khat on the diagonal
     and off the graph, and is at most khat on every edge.
     """
+    _check_graph_size("khat", khat, graph)
     bounds = dual_positivity_bounds(graph)
     result = fit(khat, bounds, config=config)
     return result.khat, result.sigma_hat
@@ -167,11 +176,9 @@ def mde(s, graph, config=None):
     result carries residuals of the full optimality system.
     """
     s = np.asarray(s, dtype=float)
-    if s.shape != (graph.d, graph.d):
-        raise ValueError(f"the graph has {graph.d} vertices but S has shape {s.shape}")
     config = config or SolverConfig()
     try:
-        step1 = ggm_mle(s, graph, config=config)
+        step1 = ggm_mle(s, graph, config=config)  # a ValueError is not wrapped
     except GolazoError as exc:
         raise MdeStep1FailedError(exc) from exc
     khat = step1.khat

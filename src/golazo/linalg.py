@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dposv
 
 from .errors import NonpositiveDiagonalError, NotPositiveDefiniteError
 
@@ -71,7 +72,15 @@ def _first_bad_pivot(a, factor, count=None):
     * max |a_ii|, or None.  On lists, which beat numpy on a row QP's faces of a
     few coordinates.  A NaN a_ii, which max skips, makes its pivot NaN: it fails."""
     tol = PIVOT_RTOL * max([1.0e-300, *map(abs, a.diagonal().tolist())])
-    for i, p in enumerate(factor.diagonal().tolist()[:count]):
+    pivots = factor.diagonal().tolist()[:count]
+    # All pass when the smallest is positive and passes, as p * p rounds
+    # monotonically for p > 0, and none is NaN: min skips a NaN that is not
+    # first, but the sum does not.  Only a failure walks the pivots.
+    low = min(pivots) if pivots else 1.0
+    total = sum(pivots)
+    if low > 0.0 and low * low > tol and total == total:
+        return None
+    for i, p in enumerate(pivots):
         if not p * p > tol:
             return i
     return None
@@ -125,7 +134,7 @@ def solve_pd(a, b):
     on ``a`` to raise NotPositiveDefiniteError with the failing pivot.
     """
     a = np.asarray(a, dtype=float)
-    factor, x, info = scipy.linalg.lapack.dposv(a, b, lower=True)
+    factor, x, info = dposv(a, b, lower=True)
     if info or _first_bad_pivot(a, factor) is not None:
         cholesky_logdet(a)  # raises: dpotrf gives it the same factor
     return x

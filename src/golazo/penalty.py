@@ -94,24 +94,28 @@ def _off_diagonal_fill(d, lower_value, upper_value):
     return PenaltyBounds(lower, upper)
 
 
+def _check_rate(name, value):
+    """InvalidBoundsError naming ``value`` unless it is >= 0, which NaN is not."""
+    if not value >= 0:
+        raise InvalidBoundsError(f"{name} must be nonnegative, got {value}")
+
+
 def glasso_bounds(rho, d):
     """|L| = |U| = rho: the standard graphical lasso."""
-    if rho < 0:
-        raise InvalidBoundsError("rho must be nonnegative")
+    _check_rate("rho", rho)
     return _off_diagonal_fill(d, -rho, rho)
 
 
 def asymmetric_bounds(rho_neg, rho_pos, d):
     """L = -rho_neg, U = rho_pos: different rates for the two signs of K."""
-    if rho_neg < 0 or rho_pos < 0:
-        raise InvalidBoundsError("penalties must be nonnegative")
+    _check_rate("rho_neg", rho_neg)
+    _check_rate("rho_pos", rho_pos)
     return _off_diagonal_fill(d, -rho_neg, rho_pos)
 
 
 def positive_glasso_bounds(rho, d):
     """L = 0, U = rho: penalize only positive entries of K."""
-    if rho < 0:
-        raise InvalidBoundsError("rho must be nonnegative")
+    _check_rate("rho", rho)
     return _off_diagonal_fill(d, 0.0, rho)
 
 

@@ -242,7 +242,9 @@ def fit(s, bounds, config=None, screen=True, start=None):
     matrix.  Each connected component (see ``_components``) is swept on
     its own copied block of Sigma, written back after every sweep; rows
     alone in theirs are never touched and are reported as ``isolated_rows``.
-    Each row's QP starts from its face, carried in an int8 matrix per block.
+    Each row's QP starts from its face, carried in an int8 matrix per block,
+    and from the second sweep on reads its pinned values from its row of the
+    block.
     ``screen=False`` treats all rows as one component (used in tests as the
     reference).
     """
@@ -285,7 +287,10 @@ def fit(s, bounds, config=None, screen=True, start=None):
             break
         for ix, a, face, problems in blocks:
             for j, problem in enumerate(problems):
-                y = solve_boxqp(problem, state=face[j])
+                # From the second sweep on, every entry of the block was
+                # written by a row QP, so row j sits on its face bit for bit;
+                # the start may sit an ulp outside the box.
+                y = solve_boxqp(problem, state=face[j], point=a[j] if sweeps else None)
                 y[j] = a[j, j]
                 a[j] = y
                 a[:, j] = y

@@ -149,7 +149,9 @@ def _reference_solve_pd(a, b):
     return scipy.linalg.lapack.dpotrs(factor, b, lower=True)[0]
 
 
-def _reference_feasible_seed(problem, y0):
+def feasible_seed(problem, y0):
+    """y0 (None for the zero vector) moved into the box as ``face_of`` moves
+    it, the seed point of ``reference_boxqp``."""
     lower, upper = problem.lower, problem.upper
     if y0 is None:
         y0 = np.zeros(lower.size)
@@ -188,7 +190,7 @@ def reference_boxqp(problem, tol=1e-10, y0=None, max_iter=None):
     if max_iter is None:
         max_iter = 50 * (n + 5)
 
-    y = _reference_feasible_seed(problem, y0)
+    y = feasible_seed(problem, y0)
     pinned = lower == upper
     state = np.where(pinned | (y <= lower), -1, np.where(y >= upper, 1, 0))
     best, stalled = n + 1, 0

@@ -10,6 +10,7 @@ from golazo.errors import MaxIterationsExceededError, NotPositiveDefiniteError
 from oracles import (
     active_set_boxqp,
     face_of,
+    feasible_seed,
     projected_gradient_boxqp,
     random_pd,
     reference_boxqp,
@@ -172,6 +173,41 @@ def test_state_must_be_an_int8_vector_of_the_box_size():
     assert np.array_equal(state, np.full(3, FREE))
 
 
+def test_nan_face_value_is_neither_below_nor_above(monkeypatch):
+    # inf - inf in the free column of A's fixed rows makes that face value
+    # NaN: it differs from its clip into the box but is no bound crossing,
+    # so the first face is returned as it is, as the first-written code
+    # returns it.
+    calls = []
+    original = boxqp._solve_face
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(boxqp, "_solve_face", counting)
+    a = np.array([[1.0, 0.0, np.inf], [0.0, 1.0, -np.inf], [np.inf, -np.inf, 1.0]])
+    problem = BoxQP(a, [1.0, 1.0, -1.0], [1.0, 1.0, 1.0])
+    with np.errstate(invalid="ignore"):
+        y = solve_boxqp(problem)
+        assert y[:2].tolist() == [1.0, 1.0] and np.isnan(y[2]) and len(calls) == 1
+        assert bit_identical(problem)
+
+
+def test_pinned_coordinate_takes_the_lower_end_bit_for_bit():
+    # Ends that differ only in the sign of a zero pin the coordinate at
+    # lower, -0.0, in every face solve, however the clip into the box
+    # breaks the tie; coordinate 2 leaves the box on the first face.
+    w = np.array([[1.0, 0.3, 0.5], [0.3, 1.0, -0.9], [0.5, -0.9, 2.0]])
+    problem = BoxQP(np.linalg.inv(w), [-0.0, 0.2, -0.01], [0.0, 1.0, 0.01])
+    assert np.signbit(problem.upper[0]) and problem.upper[2] == 0.01
+    for y0 in (None, [0.0, 0.2, 0.0]):
+        state = face_of(problem, y0)
+        y = solve_boxqp(problem, state=state)
+        assert np.signbit(y[0]) and y[1] == 0.2 and state[2] != FREE
+        assert bit_identical(problem, y0=y0)
+
+
 def kkt_holds(w, y, lower, upper, tol=1e-8):
     """KKT of min y'Wy on the box, with g = 2 W y."""
     g = 2.0 * (w @ y)
@@ -311,21 +347,22 @@ def test_murty_single_exchange_when_the_count_stalls(monkeypatch):
     rho = rng.choice([0.05, 0.1, 0.3])
     lower, upper = np.r_[-np.inf, s[0, 1:] - rho], np.r_[np.inf, s[0, 1:] + rho]
     problem = BoxQP(s, lower, upper)
+    state = face_of(problem, s[0])
     faces = []
     original = boxqp._solve_face
 
-    def recording(problem, state, fixed):
-        # The fixed coordinates are the ones the state holds at an end, and
-        # the face sits on the ends it names.
+    def recording(problem, values, fixed):
+        # The fixed coordinates are the ones the state, updated in place,
+        # holds at an end, and the face sits on the ends it names.
         assert np.array_equal(fixed, state.nonzero()[0])
-        target, z = original(problem, state, fixed)
+        target, z = original(problem, values, fixed)
         assert np.array_equal(target[fixed], np.where(state[fixed] == AT_LOWER,
                                                       lower[fixed], upper[fixed]))
         faces.append((state.copy(), target, fixed, z))
         return target, z
 
     monkeypatch.setattr(boxqp, "_solve_face", recording)
-    y = solve_boxqp(problem, state=face_of(problem, s[0]))
+    y = solve_boxqp(problem, state=state)
     assert len(faces) <= 10
     single = 0
     for (state, target, fixed, z), (after, *_) in zip(faces, faces[1:]):
@@ -352,17 +389,32 @@ def test_pivot_rounds_count_against_max_iter():
         solve_boxqp(problem, max_iter=0)
 
 
+def same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def bit_identical(problem, y0=None, **kwargs):
-    """solve_boxqp from the face of y0 and the first-written pivoting code
-    from y0 agree bit for bit, also on the last iterate when both reach
-    ``max_iter``."""
-    try:
-        ref = reference_boxqp(problem, y0=y0, **kwargs)
-    except MaxIterationsExceededError as exc:
-        with pytest.raises(MaxIterationsExceededError) as got:
-            solve_boxqp(problem, state=face_of(problem, y0), **kwargs)
-        return np.array_equal(got.value.iterate, exc.iterate)
-    return np.array_equal(solve_boxqp(problem, state=face_of(problem, y0), **kwargs), ref)
+    """solve_boxqp from the face of y0, without ``point`` and with a point of
+    the box on that face, and the first-written pivoting code from y0 and
+    from that point agree bit for bit: in the vector, in the last iterate
+    when all reach ``max_iter``, and in the final face."""
+    state = face_of(problem, y0)
+    # The seed as the reference moves it into the box, on the face's ends
+    # bit for bit; its free entries are not read.
+    point = np.where(state > 0, problem.upper,
+                     np.where(state < 0, problem.lower, feasible_seed(problem, y0)))
+    runs = ((state, None, y0), (state.copy(), point, point))
+    results = []
+    for face, given, seed in runs:
+        try:
+            ref = reference_boxqp(problem, y0=seed, **kwargs)
+        except MaxIterationsExceededError as exc:
+            with pytest.raises(MaxIterationsExceededError) as got:
+                solve_boxqp(problem, state=face, point=given, **kwargs)
+            results.append(same_bits(got.value.iterate, exc.iterate))
+        else:
+            results.append(same_bits(solve_boxqp(problem, state=face, point=given, **kwargs), ref))
+    return all(results) and np.array_equal(runs[0][0], runs[1][0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -371,7 +423,8 @@ def test_bits_match_the_reference_pivoting(seed):
     # Principal blocks of a larger matrix, half of them in full-width form
     # with a free coordinate, with infinite ends, pinned coordinates, cold
     # and warm starts, seeds on and off the box, and tight boxes that hold
-    # many coordinates at a bound.
+    # many coordinates at a bound; each solved from its face alone and
+    # from a point on it.
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 40))
     n = int(rng.integers(1, m + 1))

@@ -410,12 +410,15 @@ class TestExitCodes:
                 "got '3 3' (self-loop at vertex 3)") in err
 
     @pytest.mark.parametrize("penalty, message", [
-        (["--preset", "glasso", "--rho", "nan"], "L and U must not contain NaN"),
+        (["--preset", "glasso", "--rho", "nan"], "rho must be nonnegative, got nan"),
         (["--preset", "asymmetric", "--rho-neg", "nan", "--rho-pos", "0.1"],
-         "L and U must not contain NaN"),
-        (["--preset", "positive", "--rho", "nan"], "L and U must not contain NaN"),
-        (["--preset", "glasso", "--rho", "-1"], "rho must be nonnegative"),
-    ], ids=["glasso-nan", "asymmetric-nan", "positive-nan", "glasso-negative"])
+         "rho_neg must be nonnegative, got nan"),
+        (["--preset", "asymmetric", "--rho-neg", "0.1", "--rho-pos", "nan"],
+         "rho_pos must be nonnegative, got nan"),
+        (["--preset", "positive", "--rho", "nan"], "rho must be nonnegative, got nan"),
+        (["--preset", "glasso", "--rho", "-1"], "rho must be nonnegative, got -1.0"),
+    ], ids=["glasso-nan", "asymmetric-nan", "asymmetric-pos-nan", "positive-nan",
+            "glasso-negative"])
     def test_bad_penalty_value_is_usage(self, cov_csv, tmp_path, capsys, penalty, message):
         path, _ = cov_csv
         out = tmp_path / "o"

@@ -348,6 +348,17 @@ class TestMde:
                                              rf"{re.escape(shape)}$"):
             gz.mde(s, gz.GraphSpec.chain(3))
 
+    @pytest.mark.parametrize("s, shape", [(np.eye(4), "(4, 4)"), (np.eye(3)[:2], "(2, 3)")])
+    @pytest.mark.parametrize("entry, name", [("mde", "S"), ("ggm_mle", "S"),
+                                             ("dual_mle_edge_positivity", "khat")])
+    def test_each_entry_names_a_wrongly_sized_graph(self, monkeypatch, s, shape, entry, name):
+        # Both sizes are named before any fit runs, never bounds the caller
+        # did not pass; mde passes ggm_mle's ValueError on unwrapped.
+        monkeypatch.setattr(estimators, "fit", None)
+        with pytest.raises(ValueError, match=rf"^the graph has 3 vertices but {name} has shape "
+                                             rf"{re.escape(shape)}$"):
+            getattr(gz, entry)(s, gz.GraphSpec.chain(3))
+
     def test_zero_pattern_reconstruction(self):
         rng = np.random.default_rng(8)
         for _ in range(5):

@@ -122,7 +122,7 @@ PUBLIC_PARAMETERS = {
     "sample_covariance": ["x"],
     "sample_locally_associated": ["graph", "seed"],
     "skeptic_correlation": ["x"],
-    "solve_boxqp": ["problem", "state", "tol", "max_iter"],
+    "solve_boxqp": ["problem", "state", "tol", "max_iter", "point"],
     "to_correlation": ["s"],
 }
 

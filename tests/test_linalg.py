@@ -188,6 +188,31 @@ def test_solve_pd_matches_factor_then_solve_bit_for_bit(monkeypatch):
         assert np.array_equal(linalg.solve_pd(a, b), expected)
 
 
+def walked_first_bad_pivot(a, factor, count=None):
+    """``linalg._first_bad_pivot`` as first written: one pivot at a time."""
+    tol = linalg.PIVOT_RTOL * max([1.0e-300, *map(abs, a.diagonal().tolist())])
+    for i, p in enumerate(factor.diagonal().tolist()[:count]):
+        if not p * p > tol:
+            return i
+    return None
+
+
+_PIVOTS = st.sampled_from([1.0, 0.5, 2.0, 1e-6, 1e-7, 0.0, -0.0, -1.0, -1e-7, np.inf,
+                           np.nan, 1e300, 5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PIVOTS, max_size=8), st.lists(_PIVOTS, min_size=1, max_size=8),
+       st.one_of(st.none(), st.integers(0, 8)))
+def test_first_bad_pivot_matches_the_walk(pivots, diagonal, count):
+    # The one-pass test over the pivot list gives the index the walk gives:
+    # NaN, zero, negative, tiny and infinite pivots, a NaN a_ii, and counts.
+    n = max(len(pivots), len(diagonal))
+    factor = np.diag((pivots + [1.0] * n)[:n])
+    a = np.diag((diagonal + [1.0] * n)[:n])
+    assert linalg._first_bad_pivot(a, factor, count) == walked_first_bad_pivot(a, factor, count)
+
+
 @pytest.mark.parametrize("a, pivot", [
     (np.array([[1.0, 2.0], [2.0, 1.0]]), 1),        # LAPACK fails at pivot 1
     (np.diag([1.0, 1e-13, 1.0]), 1),                # positive, below the relative tolerance

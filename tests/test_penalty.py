@@ -50,7 +50,8 @@ class TestPenaltyBounds:
                 pair[side][i, j] = np.nan
                 with pytest.raises(InvalidBoundsError, match="NaN"):
                     penalty.PenaltyBounds(*pair)
-        with pytest.raises(InvalidBoundsError, match="NaN"):
+        # A NaN scale is named by the scale check (test_nan_rho_rejected_by_name).
+        with pytest.raises(InvalidBoundsError, match="^rho must be nonnegative, got nan$"):
             penalty.glasso_bounds(np.nan, 3)
 
     @pytest.mark.parametrize("lower_shape, upper_shape",
@@ -183,12 +184,25 @@ class TestPresets:
         assert b.lower[0, 1] == -0.3 and b.upper[0, 1] == 0.3
 
     def test_negative_rho_rejected(self):
-        with pytest.raises(InvalidBoundsError, match="^rho must be nonnegative$"):
+        with pytest.raises(InvalidBoundsError, match="^rho must be nonnegative, got -0.1$"):
             penalty.glasso_bounds(-0.1, 3)
-        with pytest.raises(InvalidBoundsError, match="^rho must be nonnegative$"):
+        with pytest.raises(InvalidBoundsError, match="^rho must be nonnegative, got -0.1$"):
             penalty.positive_glasso_bounds(-0.1, 3)
-        with pytest.raises(InvalidBoundsError, match="^penalties must be nonnegative$"):
+        with pytest.raises(InvalidBoundsError, match="^rho_neg must be nonnegative, got -0.1$"):
             penalty.asymmetric_bounds(-0.1, 0.1, 3)
+
+    @pytest.mark.parametrize("nan", [np.nan, np.float64("nan")], ids=["float", "numpy"])
+    def test_nan_rho_rejected_by_name(self, nan):
+        # NaN fails the nonnegativity check itself, which names the
+        # parameter and its value, before any bounds are built.
+        with pytest.raises(InvalidBoundsError, match="^rho must be nonnegative, got nan$"):
+            penalty.glasso_bounds(nan, 3)
+        with pytest.raises(InvalidBoundsError, match="^rho must be nonnegative, got nan$"):
+            penalty.positive_glasso_bounds(nan, 3)
+        with pytest.raises(InvalidBoundsError, match="^rho_neg must be nonnegative, got nan$"):
+            penalty.asymmetric_bounds(nan, 0.1, 3)
+        with pytest.raises(InvalidBoundsError, match="^rho_pos must be nonnegative, got nan$"):
+            penalty.asymmetric_bounds(0.1, nan, 3)
 
     def test_positive(self):
         b = penalty.positive_glasso_bounds(0.3, 3)

@@ -614,9 +614,9 @@ class TestAtScale:
         seen = []
         original = solver.solve_boxqp
 
-        def recording(problem, state=None, tol=1e-10, max_iter=None):
+        def recording(problem, state=None, tol=1e-10, max_iter=None, point=None):
             seen.append((problem.a, problem.lower, problem.upper))
-            return original(problem, state=state, tol=tol, max_iter=max_iter)
+            return original(problem, state=state, tol=tol, max_iter=max_iter, point=point)
 
         monkeypatch.setattr(solver, "solve_boxqp", recording)
         s = block_chain_correlation(np.random.default_rng(60), 3, 20, 120)
@@ -667,10 +667,11 @@ class TestAtScale:
         pivoted_calls = len(calls)
         oracle_calls = []
 
-        def active_set(problem, state=None, tol=1e-10, max_iter=None):
+        def active_set(problem, state=None, tol=1e-10, max_iter=None, point=None):
             # Seeded on the face it gets, with the row's own entries (the one
             # coordinate with an infinite box is the row) on the free
-            # coordinates; the final face goes back into ``state``.
+            # coordinates; the final face goes back into ``state``.  The
+            # pinned values are the ends, which ``point`` holds when given.
             lower, upper = problem.lower, problem.upper
             j = np.flatnonzero(np.isinf(lower) & np.isinf(upper)).item()
             y0 = np.where(state == FREE, problem.a[j], np.where(state > 0, upper, lower))
@@ -701,19 +702,27 @@ class TestAtScale:
 class TestCarriedFaces:
     """``fit`` carries each row's face from sweep to sweep in one int8
     matrix per block; before every row QP it must be the face that the row
-    of the current iterate names, which is the face a seed point gave."""
+    of the current iterate names, which is the face a seed point gave.
+    From the second sweep on, the row is passed as ``point`` and sits on
+    that face bit for bit."""
 
     @pytest.mark.parametrize("case", ["chain-er-glasso", "block-path", "mtp2"])
     def test_carried_face_is_the_face_of_the_iterate_row(self, monkeypatch, case):
         original = solver.solve_boxqp
-        fixed = []
+        fixed, pointed = [], []
 
-        def checking(problem, state=None, tol=1e-10, max_iter=None):
+        def checking(problem, state=None, tol=1e-10, max_iter=None, point=None):
             # Row j is the one coordinate with an infinite box.
             j = np.flatnonzero(np.isinf(problem.lower) & np.isinf(problem.upper)).item()
             assert np.array_equal(state, face_of(problem, problem.a[j]))
             fixed.append(np.count_nonzero(state))
-            return original(problem, state=state, tol=tol, max_iter=max_iter)
+            if point is not None:
+                assert np.shares_memory(point, problem.a) and np.array_equal(point, problem.a[j])
+                on = state != FREE
+                ends = np.where(state > 0, problem.upper, problem.lower)
+                assert np.array_equal(point[on].view(np.int64), ends[on].view(np.int64))
+                pointed.append(1)
+            return original(problem, state=state, tol=tol, max_iter=max_iter, point=point)
 
         monkeypatch.setattr(solver, "solve_boxqp", checking)
         if case == "chain-er-glasso":
@@ -726,13 +735,52 @@ class TestCarriedFaces:
         else:
             s = chain_er_correlation(np.random.default_rng(40), 40, 80)
             fits = [(s, gz.mtp2_bounds(40))]
-        rows, sweeps = 0, []
+        rows, sweeps, later = 0, [], 0
         for s, bounds in fits:
             res = gz.fit(s, bounds)
             sweeps.append(res.sweeps)
             rows += res.sweeps * (s.shape[0] - len(res.isolated_rows))
+            later += (res.sweeps - 1) * (s.shape[0] - len(res.isolated_rows))
         assert max(sweeps) > 1 and len(fixed) == rows
         assert sum(fixed) > rows
+        assert len(pointed) == later
+
+
+    @pytest.mark.parametrize("case", ["chain-er-glasso", "mtp2", "warm-path"])
+    def test_point_keeps_the_bits_and_the_sweeps(self, monkeypatch, case):
+        # Each row's pinned values read from its row of the block give the
+        # K and Sigma bits and the sweep count of a run whose row hook drops
+        # ``point``.  On the warm-started path the start sits an ulp off
+        # the box on some rows, which the first sweep must not read.
+        if case == "chain-er-glasso":
+            s = chain_er_correlation(np.random.default_rng(150), 150, 300)
+            fits = [gz.glasso_bounds(0.1, 150)]
+        elif case == "mtp2":
+            s = chain_er_correlation(np.random.default_rng(40), 40, 80)
+            fits = [gz.mtp2_bounds(40)]
+        else:
+            s = block_chain_correlation(np.random.default_rng(0), 5, 20, 200)
+            fits = [gz.glasso_bounds(rho, 100) for rho in np.geomspace(0.6, 0.1, 8)]
+
+        def walk():
+            results, start = [], None
+            for bounds in fits:
+                results.append(gz.fit(s, bounds, start=start))
+                start = results[-1].sigma_hat
+            return results
+
+        pointed = walk()
+        original = solver.solve_boxqp
+
+        def dropping(problem, state=None, tol=1e-10, max_iter=None, point=None):
+            return original(problem, state=state, tol=tol, max_iter=max_iter)
+
+        monkeypatch.setattr(solver, "solve_boxqp", dropping)
+        for got, ref in zip(pointed, walk(), strict=True):
+            assert got.sweeps == ref.sweeps
+            assert got.khat.tobytes() == ref.khat.tobytes()
+            assert got.sigma_hat.tobytes() == ref.sigma_hat.tobytes()
+        assert min(got.sweeps for got in pointed[-3:]) > 1
 
 
 class TestCertificateProperties:
