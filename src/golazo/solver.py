@@ -242,9 +242,9 @@ def fit(s, bounds, config=None, screen=True, start=None):
     matrix.  Each connected component (see ``_components``) is swept on
     its own copied block of Sigma, written back after every sweep; rows
     alone in theirs are never touched and are reported as ``isolated_rows``.
-    Each row's QP starts from its face, carried in an int8 matrix per block,
-    and from the second sweep on reads its pinned values from its row of the
-    block.
+    Each block's start entries on an end of their face are set to that end
+    bit for bit.  Each row's QP starts from its face, carried in an int8
+    matrix per block, and reads its pinned values from its row of the block.
     ``screen=False`` treats all rows as one component (used in tests as the
     reference).
     """
@@ -273,7 +273,14 @@ def fit(s, bounds, config=None, screen=True, start=None):
             a, lower, upper = sigma[ix], s[ix] + clipped.lower[ix], s[ix] + clipped.upper[ix]
             np.fill_diagonal(lower, -np.inf)
             np.fill_diagonal(upper, np.inf)
-            blocks.append((ix, a, face_at(a, lower, upper),
+            # A blended start can sit an ulp outside the box: each entry on
+            # an end of its face takes that end's bits, so every row QP can
+            # read its pinned values from its row.
+            face = face_at(a, lower, upper)
+            np.copyto(a, lower, where=face < 0)
+            np.copyto(a, upper, where=face > 0)
+            sigma[ix] = a
+            blocks.append((ix, a, face,
                            [BoxQP(a, lower[j], upper[j]) for j in range(members.size)]))
 
     gap_trace = []
@@ -287,10 +294,7 @@ def fit(s, bounds, config=None, screen=True, start=None):
             break
         for ix, a, face, problems in blocks:
             for j, problem in enumerate(problems):
-                # From the second sweep on, every entry of the block was
-                # written by a row QP, so row j sits on its face bit for bit;
-                # the start may sit an ulp outside the box.
-                y = solve_boxqp(problem, state=face[j], point=a[j] if sweeps else None)
+                y = solve_boxqp(problem, state=face[j], point=a[j])
                 y[j] = a[j, j]
                 a[j] = y
                 a[:, j] = y

@@ -587,6 +587,11 @@ def loop_kendall_tau(x):
     return tau
 
 
+def blas_thread_counts():
+    """The thread count of each bundled OpenBLAS pool the process has loaded."""
+    return [get() for get, _ in linalg._blas_pools(linalg._BUNDLED_OPENBLAS)]
+
+
 def reference_read_csv(path, header, what, allow_inf):
     """The csv-module reader as it stood before ``np.loadtxt`` parsed first.
 

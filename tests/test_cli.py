@@ -15,6 +15,7 @@ from golazo.errors import ConstantColumnWarning, GolazoError, MaxIterationsExcee
 from golazo.selection import default_grid
 
 from oracles import (
+    blas_thread_counts,
     chain_er_correlation,
     loop_kendall_tau,
     near_collinear_correlation,
@@ -755,10 +756,6 @@ class TestDeterminism:
             assert done.returncode == 0, done.stderr
         for fname in ("Khat.csv", "summary.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
-
-
-def blas_thread_counts():
-    return [get() for get, _ in linalg._blas_pools(linalg._BUNDLED_OPENBLAS)]
 
 
 class TestOneBlasThread:

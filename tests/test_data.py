@@ -1,8 +1,14 @@
+import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
+from collections import Counter
+from concurrent import futures
 from pathlib import Path
 from unittest import mock
 
@@ -22,6 +28,7 @@ from golazo.errors import (
 )
 
 from oracles import (
+    blas_thread_counts,
     loop_graphml_edges,
     loop_kendall_tau,
     random_graph,
@@ -291,24 +298,128 @@ class TestKendallInput:
                                              r"got 16777217"):
             gz.kendall_tau_matrix(x)
 
+    @pytest.mark.parametrize("shape", [(8,), (6, 3, 2)], ids=["1-d", "3-d"])
+    def test_array_that_is_not_2d_is_named(self, monkeypatch, shape):
+        monkeypatch.setattr(dio, "_sign_gram", None)  # no work before the check
+        for f in (gz.kendall_tau_matrix, gz.skeptic_correlation):
+            with pytest.raises(ValueError, match=re.escape(f"n x d data array, got shape {shape}")):
+                f(np.zeros(shape))
+
     def test_does_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # The library call keeps the process's BLAS threads, so a threaded
-        # sgemm must still give integer-exact partial sums.
+        # The library call runs BLAS on one thread and splits its blocks over
+        # the usable CPUs; neither OPENBLAS_NUM_THREADS nor a child pinned to
+        # one CPU (no worker thread then) may change a bit.
         x = np.random.default_rng(25).standard_normal((3000, 60))
         x[:, 7] = np.round(x[:, 7])
         path = tmp_path / "x.npy"
         np.save(path, x)
-        probe = ("import sys, hashlib, numpy as np, golazo as gz; "
+        probe = ("import os, sys, hashlib, numpy as np, golazo as gz; "
+                 "sys.argv[2:] and os.sched_setaffinity(0, {int(sys.argv[2])}); "
                  "x = np.load(sys.argv[1]); "
                  "print(hashlib.sha256(gz.kendall_tau_matrix(x).tobytes()).hexdigest())")
+        runs = [("1", []), ("2", [])]
+        if hasattr(os, "sched_setaffinity"):
+            runs.append(("2", [str(min(os.sched_getaffinity(0)))]))
         digests = []
-        for threads in ("1", "2"):
+        for threads, pin in runs:
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
-            done = subprocess.run([sys.executable, "-c", probe, str(path)], env=env,
+            done = subprocess.run([sys.executable, "-c", probe, str(path), *pin], env=env,
                                   capture_output=True, text=True, timeout=300)
             assert done.returncode == 0, done.stderr
             digests.append(done.stdout.strip())
-        assert digests[0] == digests[1]
+        assert digests == [hashlib.sha256(gz.kendall_tau_matrix(x).tobytes()).hexdigest()] * len(runs)
+
+
+class TestKendallWorkers:
+    """The sign-Gram's lag blocks shared out over worker threads."""
+
+    @staticmethod
+    def split(monkeypatch, cpus):
+        # About one lag per block: n = 80 gives 51 blocks, enough for
+        # 8 workers, on as many columns as a split needs.
+        monkeypatch.setattr(dio, "_SIGN_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(dio, "_usable_cpus", lambda: cpus)
+        rng = np.random.default_rng(26)
+        return rng.integers(0, 6, size=(80, dio._MIN_SPLIT_COLUMNS)).astype(float)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_any_core_count_gives_the_loop_bits(self, monkeypatch, cpus):
+        x = self.split(monkeypatch, cpus)
+        pools = []
+        original = futures.ThreadPoolExecutor
+
+        def counting(workers):
+            pools.append(workers)
+            return original(workers)
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", counting)
+        results, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(
+                target=lambda: results.extend(gz.kendall_tau_matrix(x) for _ in range(5)))
+            caller.start()
+            caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive() and len(results) == 5
+        assert pools == ([cpus - 1] * 5 if cpus > 1 else [])
+        ref = loop_kendall_tau(x)
+        for tau in results:
+            assert np.array_equal(tau, ref)
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        x = self.split(monkeypatch, 4)
+        before = threading.enumerate()
+        gz.kendall_tau_matrix(x)
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_an_error_reaches_the_caller_and_stops_the_workers(self, monkeypatch, failing):
+        x = self.split(monkeypatch, 2)
+        caller, original, calls = threading.get_ident(), dio._lag_signs, Counter()
+
+        def hooked(*args):
+            role = "caller" if threading.get_ident() == caller else "helper"
+            calls[role] += 1
+            if role != failing:
+                time.sleep(0.005)  # so that the failing worker gets two blocks
+            elif calls[role] == 2:
+                raise RuntimeError(f"the {role}'s second block")
+            return original(*args)
+
+        monkeypatch.setattr(dio, "_lag_signs", hooked)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match=f"the {failing}'s second block"):
+            gz.kendall_tau_matrix(x)
+        assert threading.enumerate() == before
+        # The other worker stops after the block it holds, well short of the
+        # 49 blocks that were left.
+        assert calls[failing] == 2 and sum(calls.values()) < 12
+
+    def test_runs_on_one_blas_thread_and_counts_come_back(self, monkeypatch):
+        pools = linalg._blas_pools(linalg._BUNDLED_OPENBLAS)
+        if not pools:
+            pytest.skip("numpy and scipy bundle no OpenBLAS here")
+        x = self.split(monkeypatch, 2)
+        original, seen = dio._lag_signs, []
+
+        def recording(*args):
+            seen.append(blas_thread_counts())
+            return original(*args)
+
+        monkeypatch.setattr(dio, "_lag_signs", recording)
+        old = blas_thread_counts()
+        try:
+            for _, set_ in pools:  # 2, so that a count not put back shows on one core too
+                set_(2)
+            counts = blas_thread_counts()
+            gz.kendall_tau_matrix(x)
+            assert blas_thread_counts() == counts
+        finally:
+            for (_, set_), n in zip(pools, old):
+                set_(n)
+        assert seen and all(c == [1] * len(pools) for c in seen)
 
 
 class TestGenerators:

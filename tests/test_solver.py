@@ -24,6 +24,7 @@ from golazo.selection import default_grid
 
 from oracles import (
     active_set_boxqp,
+    blas_thread_counts,
     block_chain_correlation,
     chain_er_correlation,
     complete_graph,
@@ -703,25 +704,24 @@ class TestCarriedFaces:
     """``fit`` carries each row's face from sweep to sweep in one int8
     matrix per block; before every row QP it must be the face that the row
     of the current iterate names, which is the face a seed point gave.
-    From the second sweep on, the row is passed as ``point`` and sits on
-    that face bit for bit."""
+    Every row, the start's in the first sweep too, is passed as ``point``
+    and sits on that face bit for bit."""
 
-    @pytest.mark.parametrize("case", ["chain-er-glasso", "block-path", "mtp2"])
+    @pytest.mark.parametrize("case", ["chain-er-glasso", "block-path", "mtp2", "warm-path"])
     def test_carried_face_is_the_face_of_the_iterate_row(self, monkeypatch, case):
         original = solver.solve_boxqp
-        fixed, pointed = [], []
+        fixed = []
 
         def checking(problem, state=None, tol=1e-10, max_iter=None, point=None):
             # Row j is the one coordinate with an infinite box.
             j = np.flatnonzero(np.isinf(problem.lower) & np.isinf(problem.upper)).item()
             assert np.array_equal(state, face_of(problem, problem.a[j]))
             fixed.append(np.count_nonzero(state))
-            if point is not None:
-                assert np.shares_memory(point, problem.a) and np.array_equal(point, problem.a[j])
-                on = state != FREE
-                ends = np.where(state > 0, problem.upper, problem.lower)
-                assert np.array_equal(point[on].view(np.int64), ends[on].view(np.int64))
-                pointed.append(1)
+            assert point is not None
+            assert np.shares_memory(point, problem.a) and np.array_equal(point, problem.a[j])
+            on = state != FREE
+            ends = np.where(state > 0, problem.upper, problem.lower)
+            assert np.array_equal(point[on].view(np.int64), ends[on].view(np.int64))
             return original(problem, state=state, tol=tol, max_iter=max_iter, point=point)
 
         monkeypatch.setattr(solver, "solve_boxqp", checking)
@@ -732,26 +732,54 @@ class TestCarriedFaces:
             # The 5 x 20 block chain at the block-path workload's grid.
             s = block_chain_correlation(np.random.default_rng(0), 5, 20, 200)
             fits = [(s, gz.glasso_bounds(rho, 100)) for rho in np.geomspace(0.1, 0.6, 8)]
-        else:
+        elif case == "mtp2":
             s = chain_er_correlation(np.random.default_rng(40), 40, 80)
             fits = [(s, gz.mtp2_bounds(40))]
-        rows, sweeps, later = 0, [], 0
+        else:
+            # The same grid walked down, each fit started from the last.
+            s = block_chain_correlation(np.random.default_rng(0), 5, 20, 200)
+            fits = [(s, gz.glasso_bounds(rho, 100)) for rho in np.geomspace(0.6, 0.1, 8)]
+        rows, sweeps, start = 0, [], None
         for s, bounds in fits:
-            res = gz.fit(s, bounds)
+            res = gz.fit(s, bounds, start=start)
+            start = res.sigma_hat if case == "warm-path" else None
             sweeps.append(res.sweeps)
             rows += res.sweeps * (s.shape[0] - len(res.isolated_rows))
-            later += (res.sweeps - 1) * (s.shape[0] - len(res.isolated_rows))
         assert max(sweeps) > 1 and len(fixed) == rows
         assert sum(fixed) > rows
-        assert len(pointed) == later
+
+    def test_warm_start_lies_in_its_box(self, monkeypatch):
+        # The blend toward the last fit's Sigma can land an ulp outside
+        # [S + L, S + U]; the iterate the first certificate reads must not.
+        s = block_chain_correlation(np.random.default_rng(0), 5, 20, 200)
+        original = linalg.invert_pd
+        iterates = []
+
+        def recording(a):
+            iterates.append(a.copy())
+            return original(a)
+
+        monkeypatch.setattr(linalg, "invert_pd", recording)
+        off = ~np.eye(100, dtype=bool)
+        start, outside = None, 0
+        for rho in np.geomspace(0.6, 0.1, 8):
+            bounds = gz.glasso_bounds(rho, 100)
+            iterates.clear()
+            res = gz.fit(s, bounds, start=start)
+            clipped = gz.clip_to_finite(bounds, s)
+            first = iterates[0]
+            outside += np.count_nonzero(((first < s + clipped.lower)
+                                         | (first > s + clipped.upper)) & off)
+            start = res.sigma_hat
+        assert outside == 0
 
 
     @pytest.mark.parametrize("case", ["chain-er-glasso", "mtp2", "warm-path"])
     def test_point_keeps_the_bits_and_the_sweeps(self, monkeypatch, case):
         # Each row's pinned values read from its row of the block give the
         # K and Sigma bits and the sweep count of a run whose row hook drops
-        # ``point``.  On the warm-started path the start sits an ulp off
-        # the box on some rows, which the first sweep must not read.
+        # ``point``.  On the warm-started path the first sweep reads the
+        # start, whose entries on an end of their face were set to it.
         if case == "chain-er-glasso":
             s = chain_er_correlation(np.random.default_rng(150), 150, 300)
             fits = [gz.glasso_bounds(0.1, 150)]
@@ -923,10 +951,6 @@ def test_array_holding_types_compare_by_identity(name):
     assert x != other
     assert x not in [other]
     assert isinstance(hash(x), int)
-
-
-def blas_thread_counts():
-    return [get() for get, _ in linalg._blas_pools(linalg._BUNDLED_OPENBLAS)]
 
 
 class TestOneBlasThread:
