@@ -64,6 +64,11 @@ class BoxQP:
     # since the solver builds each row's problem once per fit.
     movable: np.ndarray = field(init=False, repr=False)
 
+    # A bound at or above the pivot tolerance of every face, for
+    # ``linalg.solve_pd``; None: each face forms its own.  Only ``row_problems``
+    # sets one, as it alone is told that A's diagonal stays fixed.
+    _pivot_bound = None
+
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         lower = np.asarray(self.lower, dtype=float).ravel()
@@ -71,19 +76,47 @@ class BoxQP:
         n = lower.size
         if a.shape != (n, n) or upper.size != n:
             raise ValueError("dimension mismatch between A and the box")
-        if np.count_nonzero(lower <= upper) < n:  # false at a NaN end, too
-            if np.isnan(lower).any() or np.isnan(upper).any():
-                raise ValueError("NaN box end")
-            raise ValueError("empty box: some l_i > u_i")
-        movable = lower != upper
-        if np.count_nonzero(movable) < n:
-            # A pinned coordinate sits at lower; its ends can differ only in
-            # the sign of a zero, which the clip into the box must not pick.
-            upper = np.where(movable, upper, lower)
+        lower, upper, movable = _checked_box(lower, upper)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "movable", movable)
+
+
+def _checked_box(lower, upper):
+    """(lower, upper, lower != upper) for float arrays of one shape, with
+    upper = lower where they are equal; ValueError at a NaN or empty box."""
+    if np.count_nonzero(lower <= upper) < lower.size:  # false at a NaN end, too
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise ValueError("NaN box end")
+        raise ValueError("empty box: some l_i > u_i")
+    movable = lower != upper
+    if np.count_nonzero(movable) < movable.size:
+        # A pinned coordinate sits at lower; its ends can differ only in
+        # the sign of a zero, which the clip into the box must not pick.
+        upper = np.where(movable, upper, lower)
+    return lower, upper, movable
+
+
+def row_problems(a, lower, upper):
+    """One BoxQP per row i of the square float matrices ``lower`` and
+    ``upper``, each on A = ``a`` with row i as its box: the dual sweep's
+    problems on one block.  The box is checked once for the block, not once
+    per row.  A's diagonal must not change while the problems are in use,
+    as the dual sweep keeps it: its pivot tolerance, read here, bounds that
+    of every face (see ``linalg.solve_pd``)."""
+    n = a.shape[0]
+    if a.shape != (n, n) or lower.shape != (n, n) or upper.shape != (n, n):
+        raise ValueError("dimension mismatch between A and the box")
+    lower, upper, movable = _checked_box(lower, upper)
+    bound = linalg._pivot_tol(a)
+    problems = []
+    for i in range(n):
+        problem = object.__new__(BoxQP)  # frozen: the fields go into its __dict__
+        vars(problem).update(a=a, lower=lower[i], upper=upper[i], movable=movable[i],
+                             _pivot_bound=bound)
+        problems.append(problem)
+    return problems
 
 
 def face_at(y, lower, upper):
@@ -105,7 +138,7 @@ def _solve_face(problem, values, fixed):
     a_cf = a.take(fixed, axis=0)
     acc = a_cf.take(fixed, axis=1)
     try:
-        z = linalg.solve_pd(acc, y_c)
+        z = linalg.solve_pd(acc, y_c, problem._pivot_bound)
     except NotPositiveDefiniteError:
         # Ridge fail-over for (near-)singular principal blocks, at 1e-10
         # times the mean diagonal entry of A.
@@ -136,8 +169,9 @@ def solve_boxqp(problem, state=None, tol=QP_TOL, max_iter=None, point=None):
     """
     lower, upper, movable = problem.lower, problem.upper, problem.movable
     n = lower.size
-    max_iter = 50 * (n + 5) if max_iter is None else max_iter
-    if max_iter < 1:  # the iterate comes from a face solve
+    if max_iter is None:
+        max_iter = 50 * (n + 5)
+    elif max_iter < 1:  # the iterate comes from a face solve
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if state is None:
         state = face_at(0.0, lower, upper)

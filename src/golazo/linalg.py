@@ -52,6 +52,8 @@ def check_square_symmetric(a):
         raise ValueError(f"expected a nonempty matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries (NaN or Inf)")
+    if np.array_equal(a, a.T):
+        return a.copy()  # the bits sym gives, C-ordered as its output is
     if not np.allclose(a, a.T, atol=SYM_TOL, rtol=0.0):
         raise ValueError("matrix is not symmetric")
     return sym(a)
@@ -66,19 +68,31 @@ def positive_diagonal(a):
     return diag
 
 
+def _pivot_tol(a):
+    """PIVOT_RTOL * max |a_ii|: the tolerance of ``a``'s pivot test.  On a
+    list, which beats numpy on a row QP's faces of a few coordinates; max
+    skips a NaN a_ii, as none can replace the first entry 1e-300."""
+    return PIVOT_RTOL * max([1.0e-300, *map(abs, a.diagonal().tolist())])
+
+
+def _pivots_pass(pivots, tol):
+    """Every entry p of the list ``pivots`` has p * p > tol.  True when the
+    smallest is positive and passes, as p * p rounds monotonically for
+    p > 0, and none is NaN: min skips a NaN that is not first, but the sum
+    does not."""
+    low = min(pivots) if pivots else 1.0
+    total = sum(pivots)
+    return low > 0.0 and low * low > tol and total == total
+
+
 def _first_bad_pivot(a, factor, count=None):
     """Index of the first pivot p among the first ``count`` (default: all) of
     ``factor``, the lower Cholesky factor of ``a``, with not p * p > PIVOT_RTOL
-    * max |a_ii|, or None.  On lists, which beat numpy on a row QP's faces of a
-    few coordinates.  A NaN a_ii, which max skips, makes its pivot NaN: it fails."""
-    tol = PIVOT_RTOL * max([1.0e-300, *map(abs, a.diagonal().tolist())])
+    * max |a_ii|, or None.  A NaN a_ii makes its pivot NaN: it fails.  Only a
+    failure walks the pivots."""
+    tol = _pivot_tol(a)
     pivots = factor.diagonal().tolist()[:count]
-    # All pass when the smallest is positive and passes, as p * p rounds
-    # monotonically for p > 0, and none is NaN: min skips a NaN that is not
-    # first, but the sum does not.  Only a failure walks the pivots.
-    low = min(pivots) if pivots else 1.0
-    total = sum(pivots)
-    if low > 0.0 and low * low > tol and total == total:
+    if _pivots_pass(pivots, tol):
         return None
     for i, p in enumerate(pivots):
         if not p * p > tol:
@@ -111,6 +125,15 @@ def is_positive_definite(a):
         return False
 
 
+@functools.lru_cache(maxsize=8)
+def _strict_lower(n):
+    """Read-only n x n boolean mask of the strict lower triangle, made once
+    per size: the certificate inverts a d x d matrix on every sweep."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def invert_pd(a):
     """Inverse of a positive definite matrix by ``dpotri`` on the factor of
     ``cholesky_logdet``; its lower triangle is mirrored: exactly symmetric,
@@ -120,22 +143,27 @@ def invert_pd(a):
     if info:
         raise NotPositiveDefiniteError(pivot_index=info - 1)
     inv = inv.T  # dpotri returns Fortran order: this C-ordered view has the upper triangle
-    np.copyto(inv, inv.T, where=np.tri(len(inv), k=-1, dtype=bool))
+    np.copyto(inv, inv.T, where=_strict_lower(len(inv)))
     inv += 0.0  # -0.0 + 0.0 is +0.0: a cross-component zero must not print as -0
     return inv
 
 
-def solve_pd(a, b):
-    """Solve a @ x = b for positive definite a.
+def solve_pd(a, b, pivot_bound=None):
+    """Solve a @ x = b for a positive definite float array a.
 
     One LAPACK ``dposv`` call (``dpotrf`` then ``dpotrs``), so x has the same
     bits as ``cholesky_logdet`` followed by ``dpotrs``; no log-determinant is
     formed.  The pivots pass the test of ``cholesky_logdet`` or it is called
     on ``a`` to raise NotPositiveDefiniteError with the failing pivot.
+
+    ``pivot_bound``, when given, must be at least ``a``'s own tolerance
+    PIVOT_RTOL * max |a_ii|, as that of any matrix whose diagonal holds a's
+    is: pivots that all pass it pass a's test, so a's own is formed only
+    when one does not.  The decision is the same either way.
     """
-    a = np.asarray(a, dtype=float)
     factor, x, info = dposv(a, b, lower=True)
-    if info or _first_bad_pivot(a, factor) is not None:
+    passed = pivot_bound is not None and _pivots_pass(factor.diagonal().tolist(), pivot_bound)
+    if info or not passed and _first_bad_pivot(a, factor) is not None:
         cholesky_logdet(a)  # raises: dpotrf gives it the same factor
     return x
 

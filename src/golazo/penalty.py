@@ -21,6 +21,9 @@ class PenaltyBounds:
 
     lower: np.ndarray
     upper: np.ndarray
+    # Every entry finite: set only by ``clip_to_finite``, whose arrays are
+    # read-only, so it cannot go stale.
+    _finite = False
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)
@@ -39,6 +42,13 @@ class PenaltyBounds:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
+    @classmethod
+    def _unchecked(cls, lower, upper):
+        """Bounds on float arrays that meet every check above by construction."""
+        bounds = object.__new__(cls)  # frozen: the fields go into its __dict__
+        vars(bounds).update(lower=lower, upper=upper)
+        return bounds
+
     @property
     def dim(self):
         return self.lower.shape[0]
@@ -49,7 +59,8 @@ class PenaltyBounds:
             raise InvalidBoundsError(f"scale factor must be finite, got {rho}")
         if rho <= 0:
             raise InvalidBoundsError("scale factor must be positive")
-        return PenaltyBounds(rho * self.lower, rho * self.upper)  # rho * +-inf stays +-inf
+        # rho * +-inf stays +-inf, and a positive rho keeps signs, zeros and symmetry.
+        return PenaltyBounds._unchecked(rho * self.lower, rho * self.upper)
 
 
 def golazo_norm(k, bounds):
@@ -59,7 +70,11 @@ def golazo_norm(k, bounds):
         raise InvalidBoundsError("K and bounds have mismatched dimensions")
     with np.errstate(invalid="ignore"):
         terms = np.maximum(bounds.lower * k, bounds.upper * k)
-    terms = np.where(k == 0.0, 0.0, terms)  # 0 * inf = 0
+    # Finite bounds have no 0 * inf to guard.  A zero K_ij may then give a
+    # term of -0 for +0, which no sum tells apart: the diagonal's +0 keeps
+    # an all-zero sum at +0.
+    if not bounds._finite:
+        terms = np.where(k == 0.0, 0.0, terms)  # 0 * inf = 0
     np.fill_diagonal(terms, 0.0)
     return float(np.sum(terms))
 
@@ -79,7 +94,15 @@ def clip_to_finite(bounds, s):
     lower = np.minimum(np.maximum(bounds.lower, -s - root), 0.0)
     np.fill_diagonal(upper, 0.0)
     np.fill_diagonal(lower, 0.0)
-    return PenaltyBounds(_symmetrize_exact(lower), _symmetrize_exact(upper))
+    lower, upper = _symmetrize_exact(lower), _symmetrize_exact(upper)
+    lower.flags.writeable = upper.flags.writeable = False
+    # Finite unless S has a NaN, which the checks report, or sqrt(S_ii S_jj)
+    # overflows.  Finite clipped bounds meet the checks by construction.
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        return PenaltyBounds(lower, upper)
+    clipped = PenaltyBounds._unchecked(lower, upper)
+    object.__setattr__(clipped, "_finite", True)
+    return clipped
 
 
 def _symmetrize_exact(a):

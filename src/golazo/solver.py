@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .boxqp import BoxQP, face_at, solve_boxqp
+from .boxqp import face_at, row_problems, solve_boxqp
 from .errors import (
     DegenerateCorrelationError,
     InvalidBoundsError,
@@ -203,16 +203,18 @@ def _components(s, clipped):
     link = (s + clipped.lower > 0.0) | (s + clipped.upper < 0.0)
     np.fill_diagonal(link, False)
     d = s.shape[0]
-    label = np.full(d, -1)
-    for j in range(d):
-        if label[j] >= 0:
+    # Each row's smallest fellow member; searched only from rows with a
+    # link, so a row alone is its own in one pass.
+    root = np.arange(d)
+    for j in np.flatnonzero(link.any(axis=1)).tolist():
+        if root[j] < j:
             continue
         comp = front = np.arange(d) == j
         while front.any():
             front = link[front].any(axis=0) & ~comp
             comp = comp | front
-        label[comp] = label.max() + 1
-    return label
+        root[comp] = j
+    return np.unique(root, return_inverse=True)[1]
 
 
 def _certified(s, k, sigma, clipped, gap, gap_tol):
@@ -263,25 +265,24 @@ def fit(s, bounds, config=None, screen=True, start=None):
     # A block diagonal of principal submatrices of a feasible PD start is
     # still feasible and PD.
     sigma = np.where(label[:, None] == label, _default_start(s, bounds, start), 0.0)
-    comps = [np.flatnonzero(label == c) for c in range(label.max() + 1)]
+    sizes = np.bincount(label)
 
     # One full-width box QP and one face per row of each block, built once.
     blocks = []
-    for members in comps:
-        if members.size > 1:
-            ix = np.ix_(members, members)
-            a, lower, upper = sigma[ix], s[ix] + clipped.lower[ix], s[ix] + clipped.upper[ix]
-            np.fill_diagonal(lower, -np.inf)
-            np.fill_diagonal(upper, np.inf)
-            # A blended start can sit an ulp outside the box: each entry on
-            # an end of its face takes that end's bits, so every row QP can
-            # read its pinned values from its row.
-            face = face_at(a, lower, upper)
-            np.copyto(a, lower, where=face < 0)
-            np.copyto(a, upper, where=face > 0)
-            sigma[ix] = a
-            blocks.append((ix, a, face,
-                           [BoxQP(a, lower[j], upper[j]) for j in range(members.size)]))
+    for c in np.flatnonzero(sizes > 1).tolist():
+        members = np.flatnonzero(label == c)
+        ix = np.ix_(members, members)
+        a, lower, upper = sigma[ix], s[ix] + clipped.lower[ix], s[ix] + clipped.upper[ix]
+        np.fill_diagonal(lower, -np.inf)
+        np.fill_diagonal(upper, np.inf)
+        # A blended start can sit an ulp outside the box: each entry on
+        # an end of its face takes that end's bits, so every row QP can
+        # read its pinned values from its row.
+        face = face_at(a, lower, upper)
+        np.copyto(a, lower, where=face < 0)
+        np.copyto(a, upper, where=face > 0)
+        sigma[ix] = a
+        blocks.append((ix, a, face, row_problems(a, lower, upper)))
 
     gap_trace = []
     sweeps = 0
@@ -308,7 +309,7 @@ def fit(s, bounds, config=None, screen=True, start=None):
         dual_gap=gap,
         sweeps=sweeps,
         gap_trace=gap_trace,
-        isolated_rows=tuple(int(m[0]) for m in comps if m.size == 1),
+        isolated_rows=tuple(np.flatnonzero(sizes[label] == 1).tolist()),
     )
     if not certified:
         raise MaxSweepsExceededError(result)

@@ -161,6 +161,33 @@ def test_nan_box_end_rejected():
             BoxQP(np.eye(3), lower, upper)
 
 
+def test_row_problems_are_the_rows_boxqps():
+    # One check of the block's box gives each row the arrays BoxQP builds
+    # for it, bit for bit, a pinned coordinate's -0.0 end included.
+    rng = np.random.default_rng(3)
+    a = random_pd(rng, 5)
+    lower = -rng.uniform(0.0, 1.0, (5, 5))
+    upper = rng.uniform(0.0, 1.0, (5, 5))
+    lower[1, 3], upper[1, 3] = 0.0, -0.0
+    lower[2, 0] = upper[2, 0] = np.inf
+    problems = boxqp.row_problems(a, lower, upper)
+    assert len(problems) == 5
+    for i, got in enumerate(problems):
+        ref = BoxQP(a, lower[i], upper[i])
+        assert got.a is a and ref._pivot_bound is None
+        assert got._pivot_bound == linalg._pivot_tol(a)
+        for name in ("lower", "upper", "movable"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def test_row_problems_check_the_box():
+    box = np.zeros((2, 2))
+    for lower, upper, match in ((box + 1.0, box, "empty box"), (box + np.nan, box, "NaN"),
+                                (box, box + np.nan, "NaN"), (box, np.zeros((2, 3)), "dimension")):
+        with pytest.raises(ValueError, match=match):
+            boxqp.row_problems(np.eye(2), lower, upper)
+
+
 def test_state_must_be_an_int8_vector_of_the_box_size():
     problem = qp(np.eye(3), [-1.0] * 3, [1.0] * 3)
     for state in (np.zeros(1, np.int8), np.zeros(2, np.int8), np.zeros(4, np.int8),

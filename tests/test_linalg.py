@@ -213,6 +213,60 @@ def test_first_bad_pivot_matches_the_walk(pivots, diagonal, count):
     assert linalg._first_bad_pivot(a, factor, count) == walked_first_bad_pivot(a, factor, count)
 
 
+_DIAGONAL = st.one_of(st.floats(1e-8, 1e8), st.sampled_from([np.nan, 0.0, -1.0, -1e8, 5e-324]))
+_NEAR_TOLERANCE = st.one_of(_PIVOTS, st.floats(1e-10, 1e5), st.floats(-1e-3, 0.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_NEAR_TOLERANCE, min_size=1, max_size=8), st.lists(_DIAGONAL, min_size=1, max_size=8),
+       st.lists(_DIAGONAL, max_size=8), st.one_of(st.none(), st.integers(0, 8)))
+@example([1e-5, 1.0], [1.0], [1e8], None)  # the block's bound fails, the face's own passes
+@example([1e-7, 1.0], [1.0], [1e8], 1)     # both fail
+@example([1e-5, np.nan], [1.0], [1.0], 1)  # a NaN pivot past ``count``
+def test_block_bound_reaches_the_walks_decision(pivots, face, rest, count):
+    # solve_pd passes a face whose pivots all pass its block's bound, and
+    # else walks them at the face's own tolerance.  The block holds the
+    # face's diagonal, so that is the walk's decision on every input: NaN,
+    # zero, negative and tiny pivots and a_ii, a_ii from 1e-8 to 1e8, counts.
+    n = max(len(pivots), len(face))
+    factor = np.diag((pivots + [1.0] * n)[:n])
+    a = np.diag((face + [1.0] * n)[:n])
+    bound = linalg._pivot_tol(np.diag([*a.diagonal().tolist(), *rest]))
+    walked = linalg._first_bad_pivot(a, factor, count) is None
+    assert walked == (walked_first_bad_pivot(a, factor, count) is None)
+    if linalg._pivots_pass(factor.diagonal().tolist()[:count], bound):
+        assert walked
+
+
+def test_solve_pd_falls_back_to_the_face_tolerance(monkeypatch):
+    # A face of a block with a_ii = 1e8: its pivot 1e-5 fails the block's
+    # bound 1e-4 but passes its own 1e-12, so the walk runs and the face
+    # solves; 3e-7 fails both and raises at that pivot.
+    walks = []
+    original = linalg._first_bad_pivot
+
+    def counting(a, factor, count=None):
+        walks.append(a.shape[0])
+        return original(a, factor, count)
+
+    monkeypatch.setattr(linalg, "_first_bad_pivot", counting)
+    bound = linalg._pivot_tol(np.diag([1.0, 1e8]))
+    b = np.array([1.0, 2.0])
+    a = np.diag([1.0, 1e-10])
+    assert np.array_equal(linalg.solve_pd(a, b, bound), linalg.solve_pd(a, b))
+    assert walks == [2, 2]
+    assert linalg.solve_pd(np.eye(2), b, bound).tolist() == b.tolist() and walks == [2, 2]
+    with pytest.raises(NotPositiveDefiniteError) as got:
+        linalg.solve_pd(np.diag([1.0, 9e-14]), b, bound)
+    assert got.value.pivot_index == 1
+
+
+def test_strict_lower_mask_is_shared_and_read_only():
+    assert linalg._strict_lower(4) is linalg._strict_lower(4)
+    assert np.array_equal(linalg._strict_lower(4), np.tri(4, k=-1, dtype=bool))
+    assert not linalg._strict_lower(4).flags.writeable
+
+
 @pytest.mark.parametrize("a, pivot", [
     (np.array([[1.0, 2.0], [2.0, 1.0]]), 1),        # LAPACK fails at pivot 1
     (np.diag([1.0, 1e-13, 1.0]), 1),                # positive, below the relative tolerance

@@ -178,6 +178,44 @@ class TestClipToFinite:
         assert np.array_equal(once.upper, twice.upper)
 
 
+class TestNormOnClippedBounds:
+    """``golazo_norm`` skips the 0 * inf guard on bounds that
+    ``clip_to_finite`` made and found finite."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 1.0),
+           kind=st.sampled_from(["glasso", "mtp2", "asymmetric", "positive"]))
+    def test_same_bits_as_the_guarded_sum(self, seed, zeros, kind):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 12))
+        s = random_correlation(rng, d)
+        bounds = {"glasso": penalty.glasso_bounds(0.1, d), "mtp2": penalty.mtp2_bounds(d),
+                  "asymmetric": penalty.asymmetric_bounds(0.3, 0.05, d),
+                  "positive": penalty.positive_glasso_bounds(0.2, d)}[kind]
+        clipped = penalty.clip_to_finite(bounds, s)
+        assert clipped._finite
+        k = rng.standard_normal((d, d))
+        k = np.where(rng.random((d, d)) < zeros, 0.0, k + k.T)
+        k[rng.random((d, d)) < 0.1] *= -0.0  # -0.0 where zeroed, a sign flip elsewhere
+        guarded = penalty.PenaltyBounds(clipped.lower.copy(), clipped.upper.copy())
+        assert not guarded._finite
+        got = penalty.golazo_norm(k, clipped)
+        assert np.array(got).tobytes() == np.array(penalty.golazo_norm(k, guarded)).tobytes()
+
+    def test_clipped_arrays_are_read_only(self):
+        clipped = penalty.clip_to_finite(penalty.glasso_bounds(0.1, 3), np.eye(3))
+        with pytest.raises(ValueError):
+            clipped.lower[0, 1] = np.inf
+
+    def test_overflowing_scale_is_not_finite(self):
+        # sqrt(S_ii S_jj) overflows: the clipped U is +inf, so the guard stays.
+        s = np.diag([1e300, 1e300])
+        with np.errstate(over="ignore"):
+            clipped = penalty.clip_to_finite(penalty.mtp2_bounds(2), s)
+        assert not clipped._finite and np.isinf(clipped.upper[0, 1])
+        assert penalty.golazo_norm(np.eye(2), clipped) == 0.0
+
+
 class TestPresets:
     def test_glasso(self):
         b = penalty.glasso_bounds(0.3, 3)

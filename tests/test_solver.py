@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golazo as gz
-from golazo import boxqp, linalg, solver
+from golazo import boxqp, estimators, linalg, solver
 from golazo.boxqp import FREE
 from golazo.errors import (
     DegenerateCorrelationError,
@@ -809,6 +809,104 @@ class TestCarriedFaces:
             assert got.khat.tobytes() == ref.khat.tobytes()
             assert got.sigma_hat.tobytes() == ref.sigma_hat.tobytes()
         assert min(got.sweeps for got in pointed[-3:]) > 1
+
+
+class TestPivotBound:
+    """Each face solve of a row QP tests its pivots first against one bound
+    per block, PIVOT_RTOL * max |A_ii| over the block as ``fit`` builds it
+    (``boxqp.row_problems``).  It bounds every face's own tolerance only
+    while the block's diagonal stays S's, which ``fit`` must keep."""
+
+    D = 40
+
+    def fits(self, s, screen):
+        d = s.shape[0]
+        graph = gz.GraphSpec(d, [(i, i + 1) for i in range(d - 1)] + [(0, d - 1), (3, 17)])
+        for bounds in (gz.glasso_bounds(0.1, d), gz.asymmetric_bounds(0.2, 0.05, d),
+                       gz.positive_glasso_bounds(0.1, d), gz.mtp2_bounds(d),
+                       gz.ggm_bounds(graph), gz.dual_positivity_bounds(graph)):
+            try:
+                yield gz.fit(s, bounds, screen=screen)
+            except NoFeasibleStartError:
+                yield None
+
+    @pytest.mark.parametrize("screen", [True, False], ids=["screen", "no-screen"])
+    def test_fit_keeps_the_diagonal_of_s(self, screen):
+        # Every preset on a full-rank S, and every one with a start on an S
+        # of rank 10 (a blend: the graph-constrained two have none), bit for bit.
+        rng = np.random.default_rng(7)
+        full = chain_er_correlation(rng, self.D, 80)
+        x = rng.standard_normal((10, self.D))
+        deficient = x.T @ x / 10 + 0.0
+        done = 0
+        for s in (full, deficient):
+            for res in self.fits(s, screen):
+                if res is not None:
+                    assert res.sigma_hat.diagonal().tobytes() == s.diagonal().tobytes()
+                    done += 1
+        assert done == 10
+
+    def test_warm_path_keeps_the_diagonal_of_s(self):
+        s = block_chain_correlation(np.random.default_rng(0), 5, 20, 200)
+        start = None
+        for rho in np.geomspace(0.6, 0.1, 8):
+            res = gz.fit(s, gz.glasso_bounds(rho, 100), start=start)
+            assert res.sigma_hat.diagonal().tobytes() == s.diagonal().tobytes()
+            start = res.sigma_hat
+
+    @pytest.mark.parametrize("case", ["chain-er-glasso", "warm-path", "mtp2", "mde"])
+    def test_bound_changes_no_bit(self, monkeypatch, case):
+        # K, Sigma, the gap trace and the sweeps of every fit have the bytes
+        # of a run whose face solves always form the face's own tolerance.
+        if case == "chain-er-glasso":
+            s = chain_er_correlation(np.random.default_rng(0), 150, 300)
+            run = lambda: [gz.fit(s, gz.glasso_bounds(0.1, 150))]  # noqa: E731
+        elif case == "warm-path":
+            s = block_chain_correlation(np.random.default_rng(0), 5, 20, 200)
+
+            def run():
+                results, start = [], None
+                for rho in np.geomspace(0.6, 0.1, 8):
+                    results.append(gz.fit(s, gz.glasso_bounds(rho, 100), start=start))
+                    start = results[-1].sigma_hat
+                return results
+        else:
+            s = chain_er_correlation(np.random.default_rng(40), self.D, 80)
+            graph = gz.GraphSpec.from_support(gz.fit(s, gz.glasso_bounds(0.1, self.D)).khat)
+            if case == "mtp2":
+                run = lambda: [gz.fit(s, gz.mtp2_bounds(self.D))]  # noqa: E731
+            else:
+                # mde's two fits: the graph-constrained MLE and the dual step.
+                fits = []
+
+                def recording(*args, **kwargs):
+                    fits.append(solver.fit(*args, **kwargs))
+                    return fits[-1]
+
+                def run():
+                    fits.clear()
+                    gz.mde(s, graph)
+                    return list(fits)
+
+                monkeypatch.setattr(estimators, "fit", recording)
+
+        def digest(results):
+            return [(r.khat.tobytes(), r.sigma_hat.tobytes(), np.array(r.gap_trace).tobytes(),
+                     r.sweeps) for r in results]
+
+        original = linalg.solve_pd
+        bounded = []
+
+        def counting(a, b, pivot_bound=None):
+            bounded.append(pivot_bound is not None)
+            return original(a, b, pivot_bound)
+
+        monkeypatch.setattr(linalg, "solve_pd", counting)
+        expected = digest(run())
+        assert len(bounded) > 100 and all(bounded[:100])
+        monkeypatch.setattr(linalg, "solve_pd", lambda a, b, pivot_bound=None: original(a, b))
+        assert digest(run()) == expected
+        assert len(expected) == {"warm-path": 8, "mde": 2}.get(case, 1)
 
 
 class TestCertificateProperties:
