@@ -247,12 +247,11 @@ def cmd_path(args):
     per_point = []
     for i, rho in enumerate(config.grid):
         entry = {"rho": rho}
-        if path_result.fits[i] is None:
+        if i in path_result.failures:
             entry["error"] = path_result.failures[i]
         else:
-            entry.update(ebic=path_result.ebic_scores[i],
-                         edgeCount=path_result.fits[i].edge_count,
-                         dualGap=path_result.fits[i].dual_gap)
+            entry.update(ebic=path_result.ebic_scores[i], edgeCount=path_result.edge_counts[i],
+                         dualGap=path_result.dual_gaps[i])
         per_point.append(entry)
     _write_json(outdir / "path.json", {
         "grid": list(config.grid),

@@ -84,9 +84,13 @@ def clip_to_finite(bounds, s):
 
     Every dually feasible Sigma has |Sigma_ij| < sqrt(S_ii S_jj), so U_ij can
     be replaced by min(U_ij, sqrt(S_ii S_jj) - S_ij) and L_ij by
-    max(L_ij, -S_ij - sqrt(S_ii S_jj)).
+    max(L_ij, -S_ij - sqrt(S_ii S_jj)).  Exactly symmetric S and bounds give
+    exactly symmetric clipped bounds, as products commute; any other S is
+    symmetrised or rejected by ``linalg.check_square_symmetric``.
     """
     s = np.asarray(s, dtype=float)
+    if s.ndim != 2 or not np.array_equal(s, s.T):  # false at a NaN, too
+        s = linalg.check_square_symmetric(s)
     diag = linalg.positive_diagonal(s)
     root = np.sqrt(np.outer(diag, diag))
     # Kept on their side of 0, which rounding crosses where |S_ij| = root.
@@ -94,19 +98,14 @@ def clip_to_finite(bounds, s):
     lower = np.minimum(np.maximum(bounds.lower, -s - root), 0.0)
     np.fill_diagonal(upper, 0.0)
     np.fill_diagonal(lower, 0.0)
-    lower, upper = _symmetrize_exact(lower), _symmetrize_exact(upper)
     lower.flags.writeable = upper.flags.writeable = False
-    # Finite unless S has a NaN, which the checks report, or sqrt(S_ii S_jj)
-    # overflows.  Finite clipped bounds meet the checks by construction.
+    # Finite unless S has an infinite entry or sqrt(S_ii S_jj) overflows.
+    # Finite clipped bounds meet the checks by construction.
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         return PenaltyBounds(lower, upper)
     clipped = PenaltyBounds._unchecked(lower, upper)
     object.__setattr__(clipped, "_finite", True)
     return clipped
-
-
-def _symmetrize_exact(a):
-    return np.triu(a) + np.triu(a, 1).T
 
 
 def _off_diagonal_fill(d, lower_value, upper_value):

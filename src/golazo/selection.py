@@ -35,14 +35,12 @@ class EbicConfig:
 
 @dataclass(frozen=True, eq=False)
 class PathResult:
-    fits: list            # FitResult or None per grid point
-    ebic_scores: list     # float or None per grid point
+    selected_fit: object  # FitResult of the EBIC minimizer
     selected_index: int
+    ebic_scores: list     # float or None per grid point
+    edge_counts: list     # int or None per grid point
+    dual_gaps: list       # float or None per grid point
     failures: dict        # grid index -> error message
-
-    @property
-    def selected_fit(self):
-        return self.fits[self.selected_index]
 
 
 def ebic(s, fit_result, n, gamma):
@@ -55,7 +53,9 @@ def ebic(s, fit_result, n, gamma):
 
 def fit_path(s, base_bounds, config, solver_config=None):
     """Fit one problem per grid point (rho * L, rho * U) and pick the EBIC
-    minimizer.  Per-point failures are recorded and skipped.
+    minimizer.  Per-point failures are recorded and skipped.  Each point is
+    scored as its fit ends, and only its scalars are kept: the walk holds
+    the best fit so far and the last ``sigma_hat``, not one fit per point.
 
     The grid is walked from its largest scale down, and each fit starts from
     the ``sigma_hat`` of the last fit that succeeded, blended into the new
@@ -65,23 +65,24 @@ def fit_path(s, base_bounds, config, solver_config=None):
     """
     solver_config = solver_config or SolverConfig()
     s = np.asarray(s, dtype=float)
-    fits = [None] * len(config.grid)
+    scores, edge_counts, dual_gaps = ([None] * len(config.grid) for _ in range(3))
     failures = {}
-    start = None
+    best = start = None
     for i in reversed(range(len(config.grid))):
         try:
-            fits[i] = fit(s, base_bounds.scaled(config.grid[i]), config=solver_config,
-                          start=start)
+            result = fit(s, base_bounds.scaled(config.grid[i]), config=solver_config,
+                         start=start)
         except GolazoError as exc:
             failures[i] = f"{type(exc).__name__}: {exc}"
-        else:
-            start = fits[i].sigma_hat
+            continue
+        scores[i] = ebic(s, result, config.n, config.gamma)
+        edge_counts[i], dual_gaps[i] = result.edge_count, result.dual_gap
+        # <= keeps ties at the smallest index, as the walk runs downward.
+        if best is None or scores[i] <= scores[best]:
+            best, best_fit = i, result
+        start, result = result.sigma_hat, None  # the next fit runs without this K
     failures = dict(sorted(failures.items()))
-
-    scores = [None if f is None else ebic(s, f, config.n, config.gamma) for f in fits]
-    valid = [i for i, sc in enumerate(scores) if sc is not None]
-    if not valid:
+    if best is None:
         raise AllFitsFailedError(failures)
-    selected = min(valid, key=lambda i: (scores[i], i))
-    return PathResult(fits=fits, ebic_scores=scores, selected_index=selected,
-                      failures=failures)
+    return PathResult(selected_fit=best_fit, selected_index=best, ebic_scores=scores,
+                      edge_counts=edge_counts, dual_gaps=dual_gaps, failures=failures)

@@ -135,7 +135,8 @@ PUBLIC_ATTRIBUTES = {
     "GraphSpec": ["adjacency", "chain", "complement", "d", "edges", "from_support",
                   "sorted_edges"],
     "MdeResult": ["conditions_report", "kcheck", "khat", "sigma_check", "sigma_hat"],
-    "PathResult": ["ebic_scores", "failures", "fits", "selected_fit", "selected_index"],
+    "PathResult": ["dual_gaps", "ebic_scores", "edge_counts", "failures", "selected_fit",
+                   "selected_index"],
     "PenaltyBounds": ["dim", "lower", "scaled", "upper"],
     "SolverConfig": ["dual_gap_tol", "max_sweeps"],
 }

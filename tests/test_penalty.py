@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golazo import penalty
+from golazo import linalg, penalty
 from golazo.errors import InvalidBoundsError
 from golazo.estimators import GraphSpec
 
@@ -176,6 +176,49 @@ class TestClipToFinite:
         twice = penalty.clip_to_finite(once, s)
         assert np.array_equal(once.lower, twice.lower)
         assert np.array_equal(once.upper, twice.upper)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["glasso", "mtp2", "asymmetric", "positive"]))
+    def test_bits_of_the_plain_formula(self, seed, kind):
+        # On an exactly symmetric S the clip is the formula itself, entry by
+        # entry, and exactly symmetric, -0.0 included.
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 60))
+        x = rng.standard_normal((d + 3, d)) * rng.uniform(0.1, 10.0, d)
+        s = x.T @ x / (d + 3)
+        s = (s + s.T) / 2
+        rho = float(rng.uniform(0.0, 2.0)) * float(np.median(np.diag(s)))
+        bounds = {"glasso": penalty.glasso_bounds(rho, d), "mtp2": penalty.mtp2_bounds(d),
+                  "asymmetric": penalty.asymmetric_bounds(rho, rho / 3, d),
+                  "positive": penalty.positive_glasso_bounds(rho, d)}[kind]
+        clipped = penalty.clip_to_finite(bounds, s)
+        root = np.sqrt(np.outer(np.diag(s), np.diag(s)))
+        upper = np.maximum(np.minimum(bounds.upper, root - s), 0.0)
+        lower = np.minimum(np.maximum(bounds.lower, -s - root), 0.0)
+        np.fill_diagonal(upper, 0.0)
+        np.fill_diagonal(lower, 0.0)
+        for got, want in ((clipped.lower, lower), (clipped.upper, upper)):
+            assert got.tobytes() == want.tobytes() == got.T.tobytes()
+
+    def test_s_not_exactly_symmetric_is_symmetrised_or_rejected(self):
+        s = random_correlation(np.random.default_rng(3), 6)
+        bounds = penalty.mtp2_bounds(6)
+        nudged = s.copy()
+        nudged[0, 1] += 1e-12
+        clipped = penalty.clip_to_finite(bounds, nudged)
+        expected = penalty.clip_to_finite(bounds, linalg.sym(nudged))
+        assert clipped.upper[0, 1] != penalty.clip_to_finite(bounds, s).upper[0, 1]
+        for got, want in ((clipped.lower, expected.lower), (clipped.upper, expected.upper)):
+            assert got.tobytes() == want.tobytes() == got.T.tobytes()
+        nudged[0, 1] += 0.1
+        with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+            penalty.clip_to_finite(bounds, nudged)
+        s[0, 1] = s[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            penalty.clip_to_finite(bounds, s)
+        with pytest.raises(ValueError, match="square"):
+            penalty.clip_to_finite(bounds, np.ones(6))
 
 
 class TestNormOnClippedBounds:

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 import types
 
 import numpy as np
@@ -95,13 +97,32 @@ class TestFitPath:
         s = random_correlation(rng, 5)
         cfg = gz.EbicConfig(n=200, grid=[0.05, 0.2, 0.8])
         res = gz.fit_path(s, gz.glasso_bounds(1.0, 5), cfg)
-        assert len(res.fits) == 3
-        assert res.selected_fit is res.fits[res.selected_index]
+        assert len(res.ebic_scores) == len(res.edge_counts) == len(res.dual_gaps) == 3
+        best = res.selected_fit
+        assert res.ebic_scores[res.selected_index] == gz.ebic(s, best, 200, cfg.gamma)
+        assert res.edge_counts[res.selected_index] == best.edge_count
+        assert res.dual_gaps[res.selected_index] == best.dual_gap
         valid_scores = [x for x in res.ebic_scores if x is not None]
         assert res.ebic_scores[res.selected_index] == min(valid_scores)
         # Edge counts are non-increasing along an increasing penalty grid.
-        counts = [f.edge_count for f in res.fits]
+        counts = res.edge_counts
         assert all(b <= a for a, b in zip(counts, counts[1:]))
+
+    def test_tie_goes_to_the_smallest_index(self, monkeypatch):
+        # The walk meets index 2 first; every score is equal, so index 0 wins.
+        fits = []
+
+        def spy(*args, **kwargs):
+            fits.append(gz.fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(selection, "fit", spy)
+        monkeypatch.setattr(selection, "ebic", lambda *args: 1.0)
+        s = random_correlation(np.random.default_rng(1), 5)
+        res = fit_path(s, gz.glasso_bounds(1.0, 5), gz.EbicConfig(n=200, grid=[0.05, 0.2, 0.8]))
+        assert res.ebic_scores == [1.0, 1.0, 1.0]
+        assert res.selected_index == 0
+        assert res.selected_fit is fits[-1]
 
     def test_per_point_failure_recorded(self):
         # Singular S: the pure-equality scaled bounds never admit a start,
@@ -128,14 +149,27 @@ class TestWarmStartedPath:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_cold_fits(self, case):
+    def test_matches_cold_fits(self, case, monkeypatch):
         s, n, grid = self.CASES[case]()
         cfg = gz.EbicConfig(n=n, grid=grid)
         bounds = gz.glasso_bounds(1.0, s.shape[0])
+        warm = []  # in walk order, largest scale first
+
+        def spy(*args, **kwargs):
+            warm.append(gz.fit(*args, **kwargs))
+            return warm[-1]
+
+        monkeypatch.setattr(selection, "fit", spy)
         path = fit_path(s, bounds, cfg)
+        warm.reverse()
         cold = [gz.fit(s, bounds.scaled(rho)) for rho in cfg.grid]
-        assert [f.edges() for f in path.fits] == [f.edges() for f in cold]
-        assert max(np.max(np.abs(w.khat - c.khat)) for w, c in zip(path.fits, cold)) <= 1e-7
+        assert [f.edges() for f in warm] == [f.edges() for f in cold]
+        assert max(np.max(np.abs(w.khat - c.khat)) for w, c in zip(warm, cold)) <= 1e-7
+        # Each point's scalars are those of its own fit.
+        assert path.ebic_scores == [gz.ebic(s, w, n, cfg.gamma) for w in warm]
+        assert path.edge_counts == [c.edge_count for c in cold]
+        assert path.dual_gaps == [w.dual_gap for w in warm]
+        assert path.selected_fit is warm[path.selected_index]
         scores = [gz.ebic(s, c, n, cfg.gamma) for c in cold]
         assert path.selected_index == min(range(len(cold)), key=lambda i: (scores[i], i))
         assert path.failures == {}
@@ -144,21 +178,61 @@ class TestWarmStartedPath:
         # Grid points 1 and 2 raise; the walk meets them as 3, 2, 1, 0.
         s = random_correlation(np.random.default_rng(7), 6)
         grid = (0.05, 0.1, 0.2, 0.4)
-        calls = []
+        calls, fits = [], {}
 
         def spy(s, bounds, config=None, start=None):
             rho = float(bounds.upper[0, 1])
             calls.append((rho, start))
             if rho in (grid[1], grid[2]):
                 raise NoFeasibleStartError(f"no start at {rho}")
-            return gz.fit(s, bounds, config=config, start=start)
+            fits[rho] = gz.fit(s, bounds, config=config, start=start)
+            return fits[rho]
 
         monkeypatch.setattr(selection, "fit", spy)
         path = fit_path(s, gz.glasso_bounds(1.0, 6), gz.EbicConfig(n=100, grid=grid))
         assert [rho for rho, _ in calls] == list(grid[::-1])
         assert list(path.failures) == [1, 2]
         assert path.failures[1] == f"NoFeasibleStartError: no start at {grid[1]}"
-        assert path.fits[1] is None and path.fits[2] is None
-        assert path.ebic_scores[1] is None and path.ebic_scores[2] is None
+        for per_point in (path.ebic_scores, path.edge_counts, path.dual_gaps):
+            assert per_point[1] is None and per_point[2] is None
+            assert None not in (per_point[0], per_point[3])
         assert calls[0][1] is None
-        assert all(start is path.fits[3].sigma_hat for _, start in calls[1:])
+        assert all(start is fits[grid[3]].sigma_hat for _, start in calls[1:])
+
+
+class TestPathMemory:
+    """Each grid point is scored as its fit ends, so the path holds the best
+    fit so far, not one K and Sigma per point: one fit is left after it
+    returns, and its peak does not grow with the grid."""
+
+    @staticmethod
+    def traced(s, grid):
+        """Bytes held after ``fit_path`` returns, and its peak."""
+        bounds = gz.glasso_bounds(1.0, s.shape[0])
+        fit_path(s, bounds, gz.EbicConfig(n=200, grid=grid[-1:]))  # first-call state
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            path = fit_path(s, bounds, gz.EbicConfig(n=200, grid=grid))
+            gc.collect()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.failures == {} and len(path.ebic_scores) == len(grid)
+        return held - base, peak - base
+
+    @pytest.fixture(scope="class")
+    def sizes(self):
+        """Bytes of d^2 doubles, and (held, peak) on a 4- and a 16-point grid, d = 100."""
+        s = block_chain_correlation(np.random.default_rng(1000), 5, 20, 200)
+        return (8 * s.shape[0] ** 2, self.traced(s, default_grid(0.1, 0.6, 4)),
+                self.traced(s, default_grid(0.1, 0.6, 16)))
+
+    def test_one_fit_is_held(self, sizes):
+        d2, (held4, _), (held16, _) = sizes
+        assert held4 <= 2.5 * d2 and held16 <= 2.5 * d2
+
+    def test_peak_does_not_grow_with_the_grid(self, sizes):
+        _, (_, peak4), (_, peak16) = sizes
+        assert peak16 <= 1.2 * peak4

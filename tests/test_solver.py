@@ -19,6 +19,7 @@ from golazo.errors import (
     MaxSweepsExceededError,
     NoFeasibleStartError,
     NonpositiveDiagonalError,
+    NotPositiveDefiniteError,
 )
 from golazo.selection import default_grid
 
@@ -907,6 +908,39 @@ class TestPivotBound:
         monkeypatch.setattr(linalg, "solve_pd", lambda a, b, pivot_bound=None: original(a, b))
         assert digest(run()) == expected
         assert len(expected) == {"warm-path": 8, "mde": 2}.get(case, 1)
+
+    def test_ridge_retry_forms_its_own_tolerance(self, monkeypatch):
+        # One bounded face solve inside a fit fails: the retry solves A_CC
+        # plus the ridge with no bound, as the block's bound does not cover
+        # the ridged diagonal, and the fit still certifies with the same edges.
+        s = chain_er_correlation(np.random.default_rng(0), self.D, 80)
+        bounds = gz.glasso_bounds(0.1, self.D)
+        expected = gz.fit(s, bounds)
+        original_face, original_solve = boxqp._solve_face, linalg.solve_pd
+        diagonals, raised, retried = [], [], []
+
+        def face(problem, values, fixed):
+            diagonals.append(problem.a.diagonal().copy())
+            return original_face(problem, values, fixed)
+
+        def solve(a, b, pivot_bound=None):
+            if raised and not retried:
+                retried.append((a.copy(), pivot_bound))
+            elif not raised and pivot_bound is not None and a.shape[0] > 1:
+                raised.append((a.copy(), diagonals[-1]))
+                raise NotPositiveDefiniteError(0)
+            return original_solve(a, b, pivot_bound)
+
+        monkeypatch.setattr(boxqp, "_solve_face", face)
+        monkeypatch.setattr(linalg, "solve_pd", solve)
+        res = gz.fit(s, bounds)
+        [(acc, diag)], [(ridged, pivot_bound)] = raised, retried
+        ridge = 1e-10 * float(diag.sum()) / diag.size
+        assert pivot_bound is None
+        assert np.array_equal(ridged, acc + ridge * np.eye(acc.shape[0]))
+        assert res.dual_gap <= gz.SolverConfig().dual_gap_tol
+        assert np.max(gz.kkt_residuals(s, res, bounds)) <= solver.KKT_TOL
+        assert res.edges() == expected.edges()
 
 
 class TestCertificateProperties:
