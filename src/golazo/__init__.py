@@ -15,7 +15,6 @@ from .penalty import (
     mtp2_bounds,
     positive_glasso_bounds,
 )
-from .boxqp import BoxQP, solve_boxqp
 from .solver import (
     EDGE_THRESHOLD,
     FitResult,

@@ -19,20 +19,22 @@ coordinate whose multiplier has the wrong sign.  When the count of such
 infeasible coordinates has not fallen for ``_BACKUP_ROUNDS`` rounds, only
 the largest infeasible index is exchanged (Murty's rule) until it falls
 again; with that backup rule the method terminates finitely.  A face with
-no infeasible coordinate is the optimum.  From a cold start this takes a few
-face solves where a one-bound-per-step active-set method takes about as many
-as there are active bounds.  The method is defined by a face, not a point,
+no infeasible coordinate is the optimum.  From a face far from the optimum
+this takes a few face solves where a one-bound-per-step active-set method
+takes about as many as there are active bounds.  The method is defined by a face, not a point,
 so a solve starts from a face, which the dual sweep carries between sweeps.
 
 A face solve pins each fixed coordinate at a value read from a vector, not
 gathered from the bounds: at first from a point on the starting face (the
-row of the iterate, in the dual sweep), or else from the ends the face
-names; from then on from the last face solution clipped into the box.  A
-coordinate that stays fixed already sits on its end, and one that was just
-fixed crossed exactly the end it is now pinned to, so the clip holds every
-pinned value bit for bit.
+row of the iterate, in the dual sweep), from then on from the last face
+solution clipped into the box.  A coordinate that stays fixed already sits
+on its end, and one that was just fixed crossed exactly the end it is now
+pinned to, so the clip holds every pinned value bit for bit.
+
+This is the dual sweep's row step: ``solver.fit`` builds the problems with
+``row_problems`` and calls ``solve_boxqp`` once per row.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,73 +52,50 @@ _BACKUP_ROUNDS = 3
 # KKT tolerance of a solve.
 QP_TOL = 1e-10
 
-_INT8 = np.dtype(np.int8)
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)  # not frozen: a frozen __init__ takes twice as long
 class BoxQP:
-    """The QP on A = a, which is symmetric and is read in place."""
+    """The QP on A = a, which is symmetric and is read in place, with the
+    box [lower, upper]; built by ``row_problems``, one per row and fit, and
+    never changed."""
 
     a: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    # lower != upper: the coordinates pivoting may release.  Set once here,
-    # since the solver builds each row's problem once per fit.
-    movable: np.ndarray = field(init=False, repr=False)
-
-    # A bound at or above the pivot tolerance of every face, for
-    # ``linalg.solve_pd``; None: each face forms its own.  Only ``row_problems``
-    # sets one, as it alone is told that A's diagonal stays fixed.
-    _pivot_bound = None
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        lower = np.asarray(self.lower, dtype=float).ravel()
-        upper = np.asarray(self.upper, dtype=float).ravel()
-        n = lower.size
-        if a.shape != (n, n) or upper.size != n:
-            raise ValueError("dimension mismatch between A and the box")
-        lower, upper, movable = _checked_box(lower, upper)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "movable", movable)
+    # lower != upper: the coordinates pivoting may release.
+    movable: np.ndarray
+    # At or above the pivot tolerance of every face, for ``linalg.solve_pd``,
+    # as long as A's diagonal does not change.
+    pivot_bound: float
+    # Most pivoting rounds (face solves) of one solve.
+    max_rounds: int
 
 
-def _checked_box(lower, upper):
-    """(lower, upper, lower != upper) for float arrays of one shape, with
-    upper = lower where they are equal; ValueError at a NaN or empty box."""
+def row_problems(a, lower, upper):
+    """One BoxQP per row i of the k x n float matrices ``lower`` and
+    ``upper``, each on the n x n matrix A = ``a`` with row i as its box: the
+    dual sweep's problems on one block (k = n), or one QP (k = 1).  The box
+    is checked once for all rows: ValueError at a NaN end, an empty box
+    (some l_i > u_i) or mismatched shapes.  Where the ends are equal, upper
+    is set to lower, as they can differ only in the sign of a zero, which
+    the clip into the box must not pick.  A's diagonal must not change
+    while the problems are in use, as the dual sweep keeps it: its pivot
+    tolerance, read here, bounds that of every face (see
+    ``linalg.solve_pd``).  Each solve is capped at 50 (n + 5) rounds."""
+    n = a.shape[0]
+    if a.shape != (n, n) or lower.ndim != 2 or lower.shape[1] != n or upper.shape != lower.shape:
+        raise ValueError("dimension mismatch between A and the box")
     if np.count_nonzero(lower <= upper) < lower.size:  # false at a NaN end, too
         if np.isnan(lower).any() or np.isnan(upper).any():
             raise ValueError("NaN box end")
         raise ValueError("empty box: some l_i > u_i")
     movable = lower != upper
     if np.count_nonzero(movable) < movable.size:
-        # A pinned coordinate sits at lower; its ends can differ only in
-        # the sign of a zero, which the clip into the box must not pick.
         upper = np.where(movable, upper, lower)
-    return lower, upper, movable
-
-
-def row_problems(a, lower, upper):
-    """One BoxQP per row i of the square float matrices ``lower`` and
-    ``upper``, each on A = ``a`` with row i as its box: the dual sweep's
-    problems on one block.  The box is checked once for the block, not once
-    per row.  A's diagonal must not change while the problems are in use,
-    as the dual sweep keeps it: its pivot tolerance, read here, bounds that
-    of every face (see ``linalg.solve_pd``)."""
-    n = a.shape[0]
-    if a.shape != (n, n) or lower.shape != (n, n) or upper.shape != (n, n):
-        raise ValueError("dimension mismatch between A and the box")
-    lower, upper, movable = _checked_box(lower, upper)
     bound = linalg._pivot_tol(a)
-    problems = []
-    for i in range(n):
-        problem = object.__new__(BoxQP)  # frozen: the fields go into its __dict__
-        vars(problem).update(a=a, lower=lower[i], upper=upper[i], movable=movable[i],
-                             _pivot_bound=bound)
-        problems.append(problem)
-    return problems
+    rounds = 50 * (n + 5)
+    return [BoxQP(a, lower[i], upper[i], movable[i], bound, rounds)
+            for i in range(lower.shape[0])]
 
 
 def face_at(y, lower, upper):
@@ -138,7 +117,7 @@ def _solve_face(problem, values, fixed):
     a_cf = a.take(fixed, axis=0)
     acc = a_cf.take(fixed, axis=1)
     try:
-        z = linalg.solve_pd(acc, y_c, problem._pivot_bound)
+        z = linalg.solve_pd(acc, y_c, problem.pivot_bound)
     except NotPositiveDefiniteError:
         # Ridge fail-over for (near-)singular principal blocks, at 1e-10
         # times the mean diagonal entry of A.
@@ -150,45 +129,36 @@ def _solve_face(problem, values, fixed):
     return y, z
 
 
-def solve_boxqp(problem, state=None, tol=QP_TOL, max_iter=None, point=None):
-    """Solve the box QP to the stated KKT tolerance from the face ``state``:
-    int8, AT_LOWER, FREE or AT_UPPER per coordinate, naming finite ends only
-    and AT_LOWER where lower == upper; it is updated in place to the optimal
-    face.  None is the face of 0 clipped into the box.  A must be symmetric.
+def solve_boxqp(problem, state, point):
+    """Solve the box QP to the KKT tolerance QP_TOL from the face ``state``:
+    an int8 vector of the box's size, AT_LOWER, FREE or AT_UPPER per
+    coordinate, naming finite ends only and AT_LOWER where lower == upper;
+    it is updated in place to the optimal face.  A must be symmetric.
 
-    ``point``, when given, is an array on that face: each entry where
-    ``state`` is AT_LOWER or AT_UPPER must equal that end bit for bit (lower
-    where lower == upper); its free entries are not read.  It is read, never
-    written, and not checked: a point off the face pins the face solves at
-    its values instead.  None reads the ends from the bounds.
+    ``point`` is an array on that face: each entry where ``state`` is
+    AT_LOWER or AT_UPPER equals that end bit for bit (lower where lower ==
+    upper); its free entries are not read.  It is read, never written, and
+    not checked: a point off the face pins the face solves at its values
+    instead.
 
     Returns the optimal vector.  The KKT conditions at the solution are, with
-    g = 2 A^{-1} y:  g_i >= -tol at an active lower bound, g_i <= tol at an
-    active upper bound, |g_i| <= tol on free coordinates.  Each pivoting
-    round is one face solve; ``max_iter`` caps their number.
+    g = 2 A^{-1} y:  g_i >= -QP_TOL at an active lower bound, g_i <= QP_TOL
+    at an active upper bound, |g_i| <= QP_TOL on free coordinates.  Each
+    pivoting round is one face solve; after ``problem.max_rounds`` of them
+    MaxIterationsExceededError carries the last face solution clipped into
+    the box.
     """
     lower, upper, movable = problem.lower, problem.upper, problem.movable
-    n = lower.size
-    if max_iter is None:
-        max_iter = 50 * (n + 5)
-    elif max_iter < 1:  # the iterate comes from a face solve
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if state is None:
-        state = face_at(0.0, lower, upper)
-    elif getattr(state, "dtype", None) is not _INT8 or state.shape != (n,):
-        raise ValueError(f"state must be an int8 vector of the box's size {n}, got "
-                         f"{getattr(state, 'dtype', type(state))} of size {np.size(state)}")
-    values = np.where(state > 0, upper, lower) if point is None else point
-
-    best, stalled = n + 1, 0
-    for _ in range(max_iter):
+    values = point
+    best, stalled = lower.size + 1, 0
+    for _ in range(problem.max_rounds):
         fixed = state.nonzero()[0]
         y, z = _solve_face(problem, values, fixed)
         # Every fixed coordinate sits on its end, so y differs from its clip
         # into the box only where a free one left it; a fixed coordinate is
         # released when its multiplier 2 z has the wrong sign.
         values = np.maximum(np.minimum(y, upper), lower)
-        release = z * state[fixed] > tol / 2
+        release = z * state[fixed] > QP_TOL / 2
         count = np.count_nonzero(values != y) + np.count_nonzero(release)
         if count:
             # Counted again: a pinned coordinate is never released, and a

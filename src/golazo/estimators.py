@@ -100,6 +100,7 @@ def gaussian_neg_loglik(s, k):
 
 def is_locally_associated(sigma, graph, tol=0.0):
     """PD with nonnegative covariance on every edge of the graph."""
+    _check_graph_size("Sigma", sigma, graph)
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma[np.triu(graph.adjacency)] < -tol):
         return False
@@ -108,6 +109,7 @@ def is_locally_associated(sigma, graph, tol=0.0):
 
 def is_markov(k, graph, tol=0.0):
     """Precision matrix vanishes off the graph's edges."""
+    _check_graph_size("K", k, graph)
     k = np.asarray(k, dtype=float)
     return not np.any(np.abs(k[np.triu(~graph.adjacency, 1)]) > tol)
 

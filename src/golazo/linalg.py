@@ -69,9 +69,10 @@ def positive_diagonal(a):
 
 
 def _pivot_tol(a):
-    """PIVOT_RTOL * max |a_ii|: the tolerance of ``a``'s pivot test.  On a
-    list, which beats numpy on a row QP's faces of a few coordinates; max
-    skips a NaN a_ii, as none can replace the first entry 1e-300."""
+    """PIVOT_RTOL * max |a_ii|: a bound on the tolerance of each of ``a``'s
+    pivots (see ``_first_bad_pivot``).  On a list, which beats numpy on a
+    row QP's faces of a few coordinates; max skips a NaN a_ii, as none can
+    replace the first entry 1e-300."""
     return PIVOT_RTOL * max([1.0e-300, *map(abs, a.diagonal().tolist())])
 
 
@@ -86,16 +87,18 @@ def _pivots_pass(pivots, tol):
 
 
 def _first_bad_pivot(a, factor, count=None):
-    """Index of the first pivot p among the first ``count`` (default: all) of
-    ``factor``, the lower Cholesky factor of ``a``, with not p * p > PIVOT_RTOL
-    * max |a_ii|, or None.  A NaN a_ii makes its pivot NaN: it fails.  Only a
-    failure walks the pivots."""
-    tol = _pivot_tol(a)
+    """Index of the first pivot p_i among the first ``count`` (default: all)
+    of ``factor``, the lower Cholesky factor of ``a``, with not p_i * p_i >
+    PIVOT_RTOL * a_ii, or None: the test on ``a`` scaled to unit diagonal, so
+    scaling a row and column by a power of two leaves every decision as it
+    is.  A NaN a_ii makes its pivot NaN: it fails.  Pivots that all pass
+    ``_pivot_tol(a)``, which is at least each PIVOT_RTOL * a_ii, pass; only
+    a factor that does not is walked."""
     pivots = factor.diagonal().tolist()[:count]
-    if _pivots_pass(pivots, tol):
+    if _pivots_pass(pivots, _pivot_tol(a)):
         return None
-    for i, p in enumerate(pivots):
-        if not p * p > tol:
+    for i, (p, a_ii) in enumerate(zip(pivots, a.diagonal().tolist())):
+        if not p * p > PIVOT_RTOL * a_ii:
             return i
     return None
 
@@ -156,10 +159,10 @@ def solve_pd(a, b, pivot_bound=None):
     formed.  The pivots pass the test of ``cholesky_logdet`` or it is called
     on ``a`` to raise NotPositiveDefiniteError with the failing pivot.
 
-    ``pivot_bound``, when given, must be at least ``a``'s own tolerance
-    PIVOT_RTOL * max |a_ii|, as that of any matrix whose diagonal holds a's
-    is: pivots that all pass it pass a's test, so a's own is formed only
-    when one does not.  The decision is the same either way.
+    ``pivot_bound``, when given, must be at least PIVOT_RTOL * max |a_ii|, as
+    that of any matrix whose diagonal holds a's is: pivots that all pass it
+    pass a's test, so the test is walked only when one does not.  The
+    decision is the same either way.
     """
     factor, x, info = dposv(a, b, lower=True)
     passed = pivot_bound is not None and _pivots_pass(factor.diagonal().tolist(), pivot_bound)

@@ -295,7 +295,7 @@ def fit(s, bounds, config=None, screen=True, start=None):
             break
         for ix, a, face, problems in blocks:
             for j, problem in enumerate(problems):
-                y = solve_boxqp(problem, state=face[j], point=a[j])
+                y = solve_boxqp(problem, face[j], a[j])
                 y[j] = a[j, j]
                 a[j] = y
                 a[:, j] = y

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golazo import boxqp, linalg
-from golazo.boxqp import AT_LOWER, AT_UPPER, FREE, BoxQP, solve_boxqp
+from golazo.boxqp import AT_LOWER, FREE, row_problems, solve_boxqp
 from golazo.errors import MaxIterationsExceededError, NotPositiveDefiniteError
 
 from oracles import (
@@ -17,33 +19,55 @@ from oracles import (
 )
 
 
+def problem_of(a, lower, upper):
+    """The one problem ``row_problems`` builds on A = a for the box
+    [lower, upper], given as one row."""
+    box = [np.atleast_2d(np.asarray(end, dtype=float)) for end in (lower, upper)]
+    return row_problems(np.asarray(a, dtype=float), *box)[0]
+
+
 def qp(w, lower, upper):
-    """The box QP  min y'Wy  on [lower, upper]; BoxQP takes A = W^{-1}."""
-    return BoxQP(np.linalg.inv(w), lower, upper)
+    """The box QP  min y'Wy  on [lower, upper]; the problem takes A = W^{-1}."""
+    return problem_of(np.linalg.inv(w), lower, upper)
+
+
+def on_face(problem, state, y0=None):
+    """A point of the box on the face ``state``: its ends bit for bit where
+    the face holds a coordinate, and elsewhere y0 (None for the zero vector)
+    moved into the box as ``reference_boxqp`` moves its seed."""
+    return np.where(state > 0, problem.upper,
+                    np.where(state < 0, problem.lower, feasible_seed(problem, y0)))
+
+
+def solve(problem, y0=None):
+    """solve_boxqp from the face of y0 (None for the zero vector) and the
+    point on it that ``on_face`` gives."""
+    state = face_of(problem, y0)
+    return solve_boxqp(problem, state, on_face(problem, state, y0))
 
 
 def test_unconstrained_minimum_is_zero():
     w = np.array([[2.0, 0.5], [0.5, 1.0]])
-    y = solve_boxqp(qp(w, [-np.inf, -np.inf], [np.inf, np.inf]))
+    y = solve(qp(w, [-np.inf, -np.inf], [np.inf, np.inf]))
     assert np.allclose(y, 0.0, atol=1e-12)
 
 
 def test_zero_inside_box():
     w = np.eye(3)
-    y = solve_boxqp(qp(w, [-1.0] * 3, [1.0] * 3))
+    y = solve(qp(w, [-1.0] * 3, [1.0] * 3))
     assert np.allclose(y, 0.0, atol=1e-12)
 
 
 def test_active_lower_bound():
     # Separable: each coordinate is pushed to the bound nearest zero.
     w = np.eye(2)
-    y = solve_boxqp(qp(w, [0.5, -1.0], [2.0, 1.0]))
+    y = solve(qp(w, [0.5, -1.0], [2.0, 1.0]))
     assert np.allclose(y, [0.5, 0.0], atol=1e-12)
 
 
 def test_equality_pinned_coordinates():
     w = np.array([[1.0, 0.4], [0.4, 1.0]])
-    y = solve_boxqp(qp(w, [0.3, -1.0], [0.3, 1.0]))
+    y = solve(qp(w, [0.3, -1.0], [0.3, 1.0]))
     # y0 pinned at 0.3; y1 minimizes (0.3, y1)' W (0.3, y1) => y1 = -0.4*0.3.
     assert y[0] == 0.3
     assert y[1] == pytest.approx(-0.12, abs=1e-12)
@@ -62,7 +86,7 @@ def test_pinned_coordinate_is_never_released(monkeypatch):
 
     monkeypatch.setattr(boxqp, "_solve_face", counting)
     w = np.array([[1.0, 0.4], [0.4, 1.0]])
-    y = solve_boxqp(qp(w, [-0.3, -1.0], [-0.3, 1.0]))
+    y = solve(qp(w, [-0.3, -1.0], [-0.3, 1.0]))
     assert y[0] == -0.3
     assert y[1] == pytest.approx(0.12, abs=1e-12)
     assert len(calls) == 1
@@ -78,7 +102,7 @@ def test_active_coordinates_are_exact():
         values = rng.random(3) + 0.5
         lower = np.r_[values, [-np.inf] * 3]
         upper = np.r_[values + 1.0, [np.inf] * 3]
-        y = solve_boxqp(qp(w, lower, upper))
+        y = solve(qp(w, lower, upper))
         near = np.abs(y - lower) < 1e-9
         assert np.array_equal(y[near], lower[near])
         active += int(np.count_nonzero(near))
@@ -88,7 +112,7 @@ def test_active_coordinates_are_exact():
 def test_coupled_2x2_hand_solution():
     w = np.array([[1.0, -0.9], [-0.9, 1.0]])
     # Minimizing y'Wy with y0 >= 1 pulls y1 up to 0.9.
-    y = solve_boxqp(qp(w, [1.0, -np.inf], [np.inf, np.inf]))
+    y = solve(qp(w, [1.0, -np.inf], [np.inf, np.inf]))
     assert y[0] == pytest.approx(1.0, abs=1e-12)
     assert y[1] == pytest.approx(0.9, abs=1e-10)
 
@@ -105,7 +129,7 @@ def test_kkt_certificate_random():
             shift = rng.standard_normal(n) * 0.5
             lower = lower + shift
             upper = upper + shift
-        y = solve_boxqp(qp(w, lower, upper), tol=1e-10)
+        y = solve(qp(w, lower, upper))
         assert np.all(y >= lower - 1e-12) and np.all(y <= upper + 1e-12)
         g = 2.0 * (w @ y)
         for i in range(n):
@@ -125,7 +149,7 @@ def test_matches_projected_gradient_oracle():
         center = rng.standard_normal(n) * 0.4
         lower = center - rng.random(n)
         upper = center + rng.random(n)
-        y = solve_boxqp(qp(w, lower, upper), tol=1e-12)
+        y = solve(qp(w, lower, upper))
         ref = projected_gradient_boxqp(w, lower, upper, iters=30_000)
         assert float(y @ w @ y) <= float(ref @ w @ ref) + 1e-9
         assert np.max(np.abs(y - ref)) < 1e-5
@@ -137,47 +161,54 @@ def test_warm_start_gives_same_answer():
     lower = -rng.random(5)
     upper = rng.random(5)
     problem = qp(w, lower, upper)
-    cold = solve_boxqp(problem)
-    warm = solve_boxqp(problem, state=face_of(problem, upper))
+    cold = solve(problem)
+    warm = solve(problem, upper)
     assert np.max(np.abs(cold - warm)) < 1e-9
 
 
 def test_empty_box_rejected():
-    with pytest.raises(ValueError):
-        BoxQP(np.eye(2), [1.0, 0.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="empty box"):
+        problem_of(np.eye(2), [1.0, 0.0], [0.0, 1.0])
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        BoxQP(np.eye(3), [0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        BoxQP(np.ones((2, 3)), [0.0, 0.0], [1.0, 1.0, 1.0])
+    for a, lower, upper in ((np.eye(3), [0.0, 0.0], [1.0, 1.0]),
+                            (np.ones((2, 3)), [0.0, 0.0], [1.0, 1.0]),
+                            (np.eye(2), [0.0, 0.0], [1.0, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="dimension"):
+            problem_of(a, lower, upper)
+    with pytest.raises(ValueError, match="dimension"):
+        row_problems(np.eye(2), np.zeros(2), np.ones(2))  # one row, but not as a matrix
 
 
 def test_nan_box_end_rejected():
     for lower, upper in (([np.nan, -1.0, -1.0], [1.0, 1.0, 1.0]),
                          ([-1.0, -1.0, -1.0], [1.0, np.nan, 1.0])):
         with pytest.raises(ValueError, match="NaN"):
-            BoxQP(np.eye(3), lower, upper)
+            problem_of(np.eye(3), lower, upper)
 
 
-def test_row_problems_are_the_rows_boxqps():
-    # One check of the block's box gives each row the arrays BoxQP builds
-    # for it, bit for bit, a pinned coordinate's -0.0 end included.
+def test_row_problems_are_the_single_row_problems():
+    # One check of the block's box gives each row the arrays it gets as a
+    # box of its own, bit for bit, a pinned coordinate's -0.0 end included;
+    # every problem reads the same A, and has the block's pivot bound and
+    # the round cap 50 (n + 5).
     rng = np.random.default_rng(3)
     a = random_pd(rng, 5)
     lower = -rng.uniform(0.0, 1.0, (5, 5))
     upper = rng.uniform(0.0, 1.0, (5, 5))
     lower[1, 3], upper[1, 3] = 0.0, -0.0
     lower[2, 0] = upper[2, 0] = np.inf
-    problems = boxqp.row_problems(a, lower, upper)
+    problems = row_problems(a, lower, upper)
     assert len(problems) == 5
     for i, got in enumerate(problems):
-        ref = BoxQP(a, lower[i], upper[i])
-        assert got.a is a and ref._pivot_bound is None
-        assert got._pivot_bound == linalg._pivot_tol(a)
+        ref = row_problems(a, lower[i:i + 1], upper[i:i + 1])[0]
+        assert got.a is a and ref.a is a
+        assert got.pivot_bound == ref.pivot_bound == linalg._pivot_tol(a)
+        assert got.max_rounds == ref.max_rounds == 500
         for name in ("lower", "upper", "movable"):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+    assert problems[1].upper[3:4].tobytes() == lower[1, 3:4].tobytes()  # +0.0, not -0.0
 
 
 def test_row_problems_check_the_box():
@@ -185,19 +216,7 @@ def test_row_problems_check_the_box():
     for lower, upper, match in ((box + 1.0, box, "empty box"), (box + np.nan, box, "NaN"),
                                 (box, box + np.nan, "NaN"), (box, np.zeros((2, 3)), "dimension")):
         with pytest.raises(ValueError, match=match):
-            boxqp.row_problems(np.eye(2), lower, upper)
-
-
-def test_state_must_be_an_int8_vector_of_the_box_size():
-    problem = qp(np.eye(3), [-1.0] * 3, [1.0] * 3)
-    for state in (np.zeros(1, np.int8), np.zeros(2, np.int8), np.zeros(4, np.int8),
-                  np.zeros((3, 1), np.int8), np.zeros(3), np.zeros(3, bool), [0, 0, 0]):
-        with pytest.raises(ValueError, match=f"box's size 3, got .* of size {np.size(state)}$"):
-            solve_boxqp(problem, state=state)
-    # A valid state is updated in place to the optimal face.
-    state = np.full(3, AT_UPPER, dtype=np.int8)
-    assert np.array_equal(solve_boxqp(problem, state=state), np.zeros(3))
-    assert np.array_equal(state, np.full(3, FREE))
+            row_problems(np.eye(2), lower, upper)
 
 
 def test_nan_face_value_is_neither_below_nor_above(monkeypatch):
@@ -214,9 +233,9 @@ def test_nan_face_value_is_neither_below_nor_above(monkeypatch):
 
     monkeypatch.setattr(boxqp, "_solve_face", counting)
     a = np.array([[1.0, 0.0, np.inf], [0.0, 1.0, -np.inf], [np.inf, -np.inf, 1.0]])
-    problem = BoxQP(a, [1.0, 1.0, -1.0], [1.0, 1.0, 1.0])
+    problem = problem_of(a, [1.0, 1.0, -1.0], [1.0, 1.0, 1.0])
     with np.errstate(invalid="ignore"):
-        y = solve_boxqp(problem)
+        y = solve(problem)
         assert y[:2].tolist() == [1.0, 1.0] and np.isnan(y[2]) and len(calls) == 1
         assert bit_identical(problem)
 
@@ -226,11 +245,11 @@ def test_pinned_coordinate_takes_the_lower_end_bit_for_bit():
     # lower, -0.0, in every face solve, however the clip into the box
     # breaks the tie; coordinate 2 leaves the box on the first face.
     w = np.array([[1.0, 0.3, 0.5], [0.3, 1.0, -0.9], [0.5, -0.9, 2.0]])
-    problem = BoxQP(np.linalg.inv(w), [-0.0, 0.2, -0.01], [0.0, 1.0, 0.01])
+    problem = qp(w, [-0.0, 0.2, -0.01], [0.0, 1.0, 0.01])
     assert np.signbit(problem.upper[0]) and problem.upper[2] == 0.01
     for y0 in (None, [0.0, 0.2, 0.0]):
         state = face_of(problem, y0)
-        y = solve_boxqp(problem, state=state)
+        y = solve_boxqp(problem, state, on_face(problem, state, y0))
         assert np.signbit(y[0]) and y[1] == 0.2 and state[2] != FREE
         assert bit_identical(problem, y0=y0)
 
@@ -283,13 +302,11 @@ def test_full_width_matches_copied_block(monkeypatch):
         y0 = [None, np.where(np.isfinite(lower), lower, 0.0),
               np.where(np.isfinite(upper), upper, 0.0)][trial % 3]
         calls.clear()
-        problem = BoxQP(big[np.ix_(keep, keep)], lower, upper)
-        copied = solve_boxqp(problem, state=face_of(problem, y0))
+        copied = solve(problem_of(big[np.ix_(keep, keep)], lower, upper), y0)
         copied_faces = len(calls)
         wide_lower, wide_upper, insert = full_width(lower, upper, j, big[j, j])
         calls.clear()
-        problem = BoxQP(big, wide_lower, wide_upper)
-        wide = solve_boxqp(problem, state=face_of(problem, insert(y0)))
+        wide = solve(problem_of(big, wide_lower, wide_upper), insert(y0))
         assert len(calls) == copied_faces
         assert np.max(np.abs(copied - wide[keep]), initial=0.0) <= 1e-12
         assert np.array_equal(wide[keep][pin], lower[pin])
@@ -321,10 +338,10 @@ def test_ridge_fallback_on_singular_active_block(monkeypatch):
 
     monkeypatch.setattr(linalg, "cholesky_logdet", counting)
     results = []
-    for problem, y0, take in ((BoxQP(base, lower, upper), lower, np.arange(3)),
-                              (BoxQP(big, wide_lower, wide_upper), insert(lower), keep)):
+    for problem, y0, take in ((problem_of(base, lower, upper), lower, np.arange(3)),
+                              (problem_of(big, wide_lower, wide_upper), insert(lower), keep)):
         failures.clear()
-        y = solve_boxqp(problem, state=face_of(problem, y0))[take]
+        y = solve(problem, y0)[take]
         assert failures == [2]
         assert np.all(y >= lower) and np.all(y <= upper)
         assert np.array_equal(y[:2], lower[:2])
@@ -352,8 +369,7 @@ def test_matches_active_set_oracle(seed):
     lower[pin] = upper[pin] = np.where(np.isfinite(lower[pin]), lower[pin], 0.3)
     y0 = [None, np.where(np.isfinite(lower), lower, 0.0),
           np.where(np.isfinite(upper), upper, 0.0)][int(rng.integers(3))]
-    problem = BoxQP(big[np.ix_(idx, idx)], lower, upper)
-    y = solve_boxqp(problem, state=face_of(problem, y0))
+    y = solve(problem_of(big[np.ix_(idx, idx)], lower, upper), y0)
     ref, _ = active_set_boxqp(big[np.ix_(idx, idx)], lower, upper, y0=y0)
     assert np.max(np.abs(y - ref)) <= 1e-12
     assert np.array_equal(y[pin], lower[pin])
@@ -373,7 +389,7 @@ def test_murty_single_exchange_when_the_count_stalls(monkeypatch):
     s = np.corrcoef(rng.standard_normal((16, 8)) @ mix, rowvar=False)
     rho = rng.choice([0.05, 0.1, 0.3])
     lower, upper = np.r_[-np.inf, s[0, 1:] - rho], np.r_[np.inf, s[0, 1:] + rho]
-    problem = BoxQP(s, lower, upper)
+    problem = problem_of(s, lower, upper)
     state = face_of(problem, s[0])
     faces = []
     original = boxqp._solve_face
@@ -389,7 +405,7 @@ def test_murty_single_exchange_when_the_count_stalls(monkeypatch):
         return target, z
 
     monkeypatch.setattr(boxqp, "_solve_face", recording)
-    y = solve_boxqp(problem, state=state)
+    y = solve_boxqp(problem, state, s[0])
     assert len(faces) <= 10
     single = 0
     for (state, target, fixed, z), (after, *_) in zip(faces, faces[1:]):
@@ -405,43 +421,33 @@ def test_murty_single_exchange_when_the_count_stalls(monkeypatch):
     assert np.max(np.abs(ref - y[1:])) <= 1e-12
 
 
-def test_pivot_rounds_count_against_max_iter():
+def test_pivot_rounds_count_against_max_rounds():
     # From the lower ends, the optimum needs a second face solve.
     problem = qp(np.array([[1.0, -0.9], [-0.9, 1.0]]), [1.0, -2.0], [np.inf, 2.0])
     with pytest.raises(MaxIterationsExceededError):
-        solve_boxqp(problem, state=face_of(problem, [1.0, -2.0]), max_iter=1)
-    y = solve_boxqp(problem, state=face_of(problem, [1.0, -2.0]), max_iter=2)
+        solve(dataclasses.replace(problem, max_rounds=1), [1.0, -2.0])
+    y = solve(dataclasses.replace(problem, max_rounds=2), [1.0, -2.0])
     assert y == pytest.approx([1.0, 0.9], abs=1e-12)
-    with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
-        solve_boxqp(problem, max_iter=0)
 
 
 def same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def bit_identical(problem, y0=None, **kwargs):
-    """solve_boxqp from the face of y0, without ``point`` and with a point of
-    the box on that face, and the first-written pivoting code from y0 and
-    from that point agree bit for bit: in the vector, in the last iterate
-    when all reach ``max_iter``, and in the final face."""
+def bit_identical(problem, y0=None):
+    """solve_boxqp from the face of y0 and the point of the box on it that
+    ``on_face`` gives, and the first-written pivoting code from that point,
+    agree bit for bit: in the vector, or in the last iterate when both reach
+    the problem's round cap.  The point's free entries are not read."""
     state = face_of(problem, y0)
-    # The seed as the reference moves it into the box, on the face's ends
-    # bit for bit; its free entries are not read.
-    point = np.where(state > 0, problem.upper,
-                     np.where(state < 0, problem.lower, feasible_seed(problem, y0)))
-    runs = ((state, None, y0), (state.copy(), point, point))
-    results = []
-    for face, given, seed in runs:
-        try:
-            ref = reference_boxqp(problem, y0=seed, **kwargs)
-        except MaxIterationsExceededError as exc:
-            with pytest.raises(MaxIterationsExceededError) as got:
-                solve_boxqp(problem, state=face, point=given, **kwargs)
-            results.append(same_bits(got.value.iterate, exc.iterate))
-        else:
-            results.append(same_bits(solve_boxqp(problem, state=face, point=given, **kwargs), ref))
-    return all(results) and np.array_equal(runs[0][0], runs[1][0])
+    point = on_face(problem, state, y0)
+    try:
+        ref = reference_boxqp(problem, y0=point, max_iter=problem.max_rounds)
+    except MaxIterationsExceededError as exc:
+        with pytest.raises(MaxIterationsExceededError) as got:
+            solve_boxqp(problem, state, point)
+        return same_bits(got.value.iterate, exc.iterate)
+    return same_bits(solve_boxqp(problem, state, point), ref)
 
 
 @settings(max_examples=300, deadline=None)
@@ -450,8 +456,8 @@ def test_bits_match_the_reference_pivoting(seed):
     # Principal blocks of a larger matrix, half of them in full-width form
     # with a free coordinate, with infinite ends, pinned coordinates, cold
     # and warm starts, seeds on and off the box, and tight boxes that hold
-    # many coordinates at a bound; each solved from its face alone and
-    # from a point on it.
+    # many coordinates at a bound; each solved from its face and a point
+    # on it.
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 40))
     n = int(rng.integers(1, m + 1))
@@ -471,7 +477,7 @@ def test_bits_match_the_reference_pivoting(seed):
     if rng.random() < 0.5:
         j = int(rng.integers(n))
         lower[j], upper[j] = -np.inf, np.inf
-    assert bit_identical(BoxQP(big[np.ix_(idx, idx)], lower, upper), y0=y0)
+    assert bit_identical(problem_of(big[np.ix_(idx, idx)], lower, upper), y0=y0)
 
 
 def test_bits_match_the_reference_on_a_ridged_face():
@@ -484,8 +490,8 @@ def test_bits_match_the_reference_on_a_ridged_face():
     upper = np.array([1.0, 1.0, np.inf])
     wide_lower, wide_upper, insert = full_width(lower, upper, 2, 1.0)
     for y0 in (lower, None, [1.0, 0.5, 3.0]):
-        assert bit_identical(BoxQP(base, lower, upper), y0=y0)
-        assert bit_identical(BoxQP(big, wide_lower, wide_upper), y0=insert(y0))
+        assert bit_identical(problem_of(base, lower, upper), y0=y0)
+        assert bit_identical(problem_of(big, wide_lower, wide_upper), y0=insert(y0))
 
 
 def first_glasso_row(rng, d):
@@ -496,7 +502,7 @@ def first_glasso_row(rng, d):
     s = np.corrcoef(rng.standard_normal((2 * d, d)) @ mix, rowvar=False)
     rho = rng.choice([0.05, 0.1, 0.3])
     lower, upper, _ = full_width(s[0, 1:] - rho, s[0, 1:] + rho, 0)
-    return BoxQP(s, lower, upper), s[0]
+    return problem_of(s, lower, upper), s[0]
 
 
 @pytest.mark.parametrize("seed", [86, 24, 83, 89])
@@ -510,5 +516,5 @@ def test_bits_match_the_reference_through_murty_rounds(seed):
     problem, y0 = first_glasso_row(rng, 8 if seed == 86 else int(rng.integers(6, 16)))
     assert bit_identical(problem, y0=y0)
     # Stopped after each round: the same iterate comes back in the error.
-    for max_iter in range(1, 11):
-        assert bit_identical(problem, y0=y0, max_iter=max_iter)
+    for rounds in range(1, 11):
+        assert bit_identical(dataclasses.replace(problem, max_rounds=rounds), y0=y0)

@@ -148,6 +148,20 @@ class TestFit:
         assert (out / "Khat.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+    @pytest.mark.parametrize("factor", [1e7, 1e-7])
+    @pytest.mark.parametrize("preset", [["mtp2"], ["glasso", "--rho", "0.1"]], ids=["mtp2", "glasso"])
+    def test_one_variable_on_another_scale_fits(self, tmp_path, factor, preset):
+        # Full-rank data whose first column is 1e7 (or 1e-7) times the
+        # others: each Cholesky pivot is tested against its own variance, so
+        # S is positive definite and the fit succeeds.
+        x = np.random.default_rng(0).standard_normal((40, 4))
+        x[:, 0] *= factor
+        path = tmp_path / "X.csv"
+        np.savetxt(path, x, delimiter=",", fmt="%.17g")
+        assert run(["fit", "--input", path, "--input-kind", "data", "--out", tmp_path / "out",
+                    "--preset", *preset]) == 0
+
+
 class TestExitCodes:
     def test_usage_missing_rho(self, cov_csv, tmp_path):
         path, _ = cov_csv

@@ -204,6 +204,17 @@ class TestMembership:
         assert not gz.is_markov(k, g)
         assert gz.is_markov(k, g, tol=0.1)
 
+    @pytest.mark.parametrize("check, matrix, graph, name", [
+        ("is_markov", np.eye(4), gz.GraphSpec.chain(3), "K"),
+        ("is_locally_associated", np.eye(3), gz.GraphSpec(4), "Sigma"),
+    ])
+    def test_wrongly_sized_graph_is_named(self, check, matrix, graph, name):
+        # Both sizes are named, not a boolean index that does not match.
+        d = matrix.shape[0]
+        with pytest.raises(ValueError, match=rf"^the graph has {graph.d} vertices but {name} "
+                                             rf"has shape \({d}, {d}\)$"):
+            getattr(gz, check)(matrix, graph)
+
 
 class TestGgmMle:
     def test_matches_moment_conditions(self):

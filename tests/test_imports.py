@@ -80,7 +80,7 @@ def test_modules_use_every_name_they_import():
 
 
 PUBLIC_NAMES = [
-    "BoxQP", "EDGE_THRESHOLD", "EbicConfig", "FitResult", "GraphSpec",
+    "EDGE_THRESHOLD", "EbicConfig", "FitResult", "GraphSpec",
     "MdeResult", "PathResult", "PenaltyBounds", "SolverConfig", "asymmetric_bounds",
     "boxqp", "cholesky_logdet", "clip_to_finite", "data",
     "dual_mle_edge_positivity", "dual_positivity_bounds", "duality_gap", "ebic",
@@ -89,7 +89,7 @@ PUBLIC_NAMES = [
     "is_m_matrix", "is_markov", "kendall_tau_matrix", "kkt_residuals", "linalg", "mde",
     "mtp2_bounds", "nearest_correlation", "penalty", "positive_glasso_bounds",
     "sample_covariance", "sample_locally_associated", "selection",
-    "skeptic_correlation", "solve_boxqp", "solver", "to_correlation",
+    "skeptic_correlation", "solver", "to_correlation",
 ]
 
 
@@ -122,13 +122,11 @@ PUBLIC_PARAMETERS = {
     "sample_covariance": ["x"],
     "sample_locally_associated": ["graph", "seed"],
     "skeptic_correlation": ["x"],
-    "solve_boxqp": ["problem", "state", "tol", "max_iter", "point"],
     "to_correlation": ["s"],
 }
 
 # Public fields, methods and properties of every exported class, sorted.
 PUBLIC_ATTRIBUTES = {
-    "BoxQP": ["a", "lower", "movable", "upper"],
     "EbicConfig": ["gamma", "grid", "n"],
     "FitResult": ["dual_gap", "edge_count", "edges", "gap_trace", "isolated_rows", "khat",
                   "sigma_hat", "sign_pattern", "sweeps"],

@@ -41,12 +41,57 @@ def test_cholesky_rejects_indefinite():
     assert exc.value.pivot_index == 1
 
 
+# Pivot 1 is positive, about 2e-13, but below PIVOT_RTOL times its a_ii = 1.
+NEAR_SINGULAR = np.array([[1.0, 1.0 - 1e-13, 0.0], [1.0 - 1e-13, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
 def test_cholesky_pivot_index_at_relative_tolerance():
-    # The second pivot is positive but below PIVOT_RTOL * max diagonal.
-    a = np.diag([1.0, 1e-13, 1.0])
+    # Each pivot is tested against its own diagonal entry: a tiny a_ii with
+    # a pivot of its size passes beside a large one, and a pivot far below
+    # its a_ii fails.
+    _, logdet = linalg.cholesky_logdet(np.diag([1.0, 1e-13, 1.0]))
+    assert logdet == pytest.approx(np.log(1e-13), rel=1e-15)
     with pytest.raises(NotPositiveDefiniteError) as exc:
-        linalg.cholesky_logdet(a)
+        linalg.cholesky_logdet(NEAR_SINGULAR)
     assert exc.value.pivot_index == 1
+
+
+def _cases_near_the_tolerance(rng):
+    """PD matrices and ones with a pivot at or just past PIVOT_RTOL * a_ii."""
+    for _ in range(40):
+        d = int(rng.integers(2, 7))
+        v = rng.standard_normal((d, d + 1))
+        yield v @ v.T
+        # A column made (nearly) a multiple of the one before it.
+        j = int(rng.integers(1, d))
+        w = v.copy()
+        w[j] = w[j - 1] * rng.uniform(0.5, 2.0) + v[j] * float(rng.choice([0.0, 1e-7, 1e-6, 1e-5]))
+        yield w @ w.T
+    yield NEAR_SINGULAR
+    yield np.diag([1.0, 1e-13, 1.0])
+
+
+def test_pivot_decisions_do_not_change_with_a_power_of_two_scale():
+    # D A D with D a diagonal of powers of two has the factor D L, bit for
+    # bit, so it passes or fails at the same pivot as A: a unit-scale pivot
+    # beside an a_ii of 2^60 is tested against its own a_ii.
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for a in _cases_near_the_tolerance(rng):
+        scale = np.ldexp(1.0, rng.integers(-30, 31, a.shape[0]))
+        try:
+            linalg.cholesky_logdet(a)
+            expected = None
+        except NotPositiveDefiniteError as exc:
+            expected = exc.pivot_index
+        try:
+            linalg.cholesky_logdet(scale[:, None] * a * scale)
+            got = None
+        except NotPositiveDefiniteError as exc:
+            got = exc.pivot_index
+        assert got == expected
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 def test_check_square_symmetric_rejects_non_finite():
@@ -189,12 +234,23 @@ def test_solve_pd_matches_factor_then_solve_bit_for_bit(monkeypatch):
 
 
 def walked_first_bad_pivot(a, factor, count=None):
-    """``linalg._first_bad_pivot`` as first written: one pivot at a time."""
-    tol = linalg.PIVOT_RTOL * max([1.0e-300, *map(abs, a.diagonal().tolist())])
+    """``linalg._first_bad_pivot`` one pivot at a time, each p_i against
+    PIVOT_RTOL * a_ii."""
     for i, p in enumerate(factor.diagonal().tolist()[:count]):
-        if not p * p > tol:
+        if not p * p > linalg.PIVOT_RTOL * a[i, i]:
             return i
     return None
+
+
+def diagonal_pair(pivots, diagonal):
+    """A diagonal factor with these pivots and a with this diagonal, both
+    padded with 1.0 to one size; a NaN a_ii makes its pivot NaN, as it does
+    in ``dpotrf``."""
+    n = max(len(pivots), len(diagonal))
+    a = np.diag((diagonal + [1.0] * n)[:n])
+    pivots = np.array((pivots + [1.0] * n)[:n])
+    pivots[np.isnan(a.diagonal())] = np.nan
+    return np.diag(pivots), a
 
 
 _PIVOTS = st.sampled_from([1.0, 0.5, 2.0, 1e-6, 1e-7, 0.0, -0.0, -1.0, -1e-7, np.inf,
@@ -207,9 +263,7 @@ _PIVOTS = st.sampled_from([1.0, 0.5, 2.0, 1e-6, 1e-7, 0.0, -0.0, -1.0, -1e-7, np
 def test_first_bad_pivot_matches_the_walk(pivots, diagonal, count):
     # The one-pass test over the pivot list gives the index the walk gives:
     # NaN, zero, negative, tiny and infinite pivots, a NaN a_ii, and counts.
-    n = max(len(pivots), len(diagonal))
-    factor = np.diag((pivots + [1.0] * n)[:n])
-    a = np.diag((diagonal + [1.0] * n)[:n])
+    factor, a = diagonal_pair(pivots, diagonal)
     assert linalg._first_bad_pivot(a, factor, count) == walked_first_bad_pivot(a, factor, count)
 
 
@@ -222,15 +276,14 @@ _NEAR_TOLERANCE = st.one_of(_PIVOTS, st.floats(1e-10, 1e5), st.floats(-1e-3, 0.0
        st.lists(_DIAGONAL, max_size=8), st.one_of(st.none(), st.integers(0, 8)))
 @example([1e-5, 1.0], [1.0], [1e8], None)  # the block's bound fails, the face's own passes
 @example([1e-7, 1.0], [1.0], [1e8], 1)     # both fail
+@example([1.0, 1e-5], [1e8, 1.0], [], None)  # fails at the face's largest a_ii, passes its own
 @example([1e-5, np.nan], [1.0], [1.0], 1)  # a NaN pivot past ``count``
 def test_block_bound_reaches_the_walks_decision(pivots, face, rest, count):
     # solve_pd passes a face whose pivots all pass its block's bound, and
     # else walks them at the face's own tolerance.  The block holds the
     # face's diagonal, so that is the walk's decision on every input: NaN,
     # zero, negative and tiny pivots and a_ii, a_ii from 1e-8 to 1e8, counts.
-    n = max(len(pivots), len(face))
-    factor = np.diag((pivots + [1.0] * n)[:n])
-    a = np.diag((face + [1.0] * n)[:n])
+    factor, a = diagonal_pair(pivots, face)
     bound = linalg._pivot_tol(np.diag([*a.diagonal().tolist(), *rest]))
     walked = linalg._first_bad_pivot(a, factor, count) is None
     assert walked == (walked_first_bad_pivot(a, factor, count) is None)
@@ -240,8 +293,9 @@ def test_block_bound_reaches_the_walks_decision(pivots, face, rest, count):
 
 def test_solve_pd_falls_back_to_the_face_tolerance(monkeypatch):
     # A face of a block with a_ii = 1e8: its pivot 1e-5 fails the block's
-    # bound 1e-4 but passes its own 1e-12, so the walk runs and the face
-    # solves; 3e-7 fails both and raises at that pivot.
+    # bound 1e-4 but passes its own test, so the walk runs and the face
+    # solves; a pivot of about 4.5e-7 on a_ii = 1 fails both and raises at
+    # that pivot.
     walks = []
     original = linalg._first_bad_pivot
 
@@ -257,7 +311,7 @@ def test_solve_pd_falls_back_to_the_face_tolerance(monkeypatch):
     assert walks == [2, 2]
     assert linalg.solve_pd(np.eye(2), b, bound).tolist() == b.tolist() and walks == [2, 2]
     with pytest.raises(NotPositiveDefiniteError) as got:
-        linalg.solve_pd(np.diag([1.0, 9e-14]), b, bound)
+        linalg.solve_pd(NEAR_SINGULAR[:2, :2], b, bound)
     assert got.value.pivot_index == 1
 
 
@@ -269,7 +323,7 @@ def test_strict_lower_mask_is_shared_and_read_only():
 
 @pytest.mark.parametrize("a, pivot", [
     (np.array([[1.0, 2.0], [2.0, 1.0]]), 1),        # LAPACK fails at pivot 1
-    (np.diag([1.0, 1e-13, 1.0]), 1),                # positive, below the relative tolerance
+    (NEAR_SINGULAR, 1),                             # positive, below the relative tolerance
     (np.diag([-1.0, 1.0]), 0),
     (np.array([[1.0, 0.5], [0.5, np.nan]]), 1),     # max skips the NaN; LAPACK stops at it
     (np.zeros((2, 2)), 0),

@@ -188,6 +188,20 @@ class TestStartingPoints:
         assert np.all(diff <= clipped.upper + 1e-12)
         assert np.array_equal(np.diag(sigma0), np.diag(s))
 
+    @pytest.mark.parametrize("variances", [(1.0, 1.0), (1e4, 1.0), (1.0, 1e-6)],
+                             ids=["equal", "first-larger", "second-smaller"])
+    def test_degenerate_pair_is_the_cholesky_rule_on_its_block(self, variances):
+        # The closed-form test of ``_default_start`` and the Cholesky pivot
+        # test agree on a pair's 2 x 2 block, also when its variances differ:
+        # the correlation 1 - k * 1e-12 fails the pivot test at k = 0.1 and
+        # passes it at k = 2 and 10.
+        a, c = variances
+        for k, degenerate in ((0.1, True), (2.0, False), (10.0, False)):
+            s = np.array([[a, 0.0], [0.0, c]])
+            s[0, 1] = s[1, 0] = np.sqrt(a * c) * (1.0 - k * 1e-12)
+            assert loop_degenerate_pair(s) == ((0, 1) if degenerate else None)
+            assert linalg.is_positive_definite(s) is not degenerate
+
     def test_pd_input_returns_itself(self):
         rng = np.random.default_rng(8)
         s = random_pd(rng, 4, 0.2)
@@ -616,9 +630,9 @@ class TestAtScale:
         seen = []
         original = solver.solve_boxqp
 
-        def recording(problem, state=None, tol=1e-10, max_iter=None, point=None):
+        def recording(problem, state, point):
             seen.append((problem.a, problem.lower, problem.upper))
-            return original(problem, state=state, tol=tol, max_iter=max_iter, point=point)
+            return original(problem, state, point)
 
         monkeypatch.setattr(solver, "solve_boxqp", recording)
         s = block_chain_correlation(np.random.default_rng(60), 3, 20, 120)
@@ -669,16 +683,16 @@ class TestAtScale:
         pivoted_calls = len(calls)
         oracle_calls = []
 
-        def active_set(problem, state=None, tol=1e-10, max_iter=None, point=None):
+        def active_set(problem, state, point):
             # Seeded on the face it gets, with the row's own entries (the one
             # coordinate with an infinite box is the row) on the free
             # coordinates; the final face goes back into ``state``.  The
-            # pinned values are the ends, which ``point`` holds when given.
+            # pinned values are the ends, which ``point`` holds.
             lower, upper = problem.lower, problem.upper
             j = np.flatnonzero(np.isinf(lower) & np.isinf(upper)).item()
             y0 = np.where(state == FREE, problem.a[j], np.where(state > 0, upper, lower))
-            y, faces = active_set_boxqp(problem.a, lower, upper, tol=tol, y0=y0,
-                                        max_iter=max_iter)
+            y, faces = active_set_boxqp(problem.a, lower, upper, tol=boxqp.QP_TOL, y0=y0,
+                                        max_iter=problem.max_rounds)
             oracle_calls.append(faces)
             state[:] = face_of(problem, y)
             return y
@@ -713,17 +727,16 @@ class TestCarriedFaces:
         original = solver.solve_boxqp
         fixed = []
 
-        def checking(problem, state=None, tol=1e-10, max_iter=None, point=None):
+        def checking(problem, state, point):
             # Row j is the one coordinate with an infinite box.
             j = np.flatnonzero(np.isinf(problem.lower) & np.isinf(problem.upper)).item()
             assert np.array_equal(state, face_of(problem, problem.a[j]))
             fixed.append(np.count_nonzero(state))
-            assert point is not None
             assert np.shares_memory(point, problem.a) and np.array_equal(point, problem.a[j])
             on = state != FREE
             ends = np.where(state > 0, problem.upper, problem.lower)
             assert np.array_equal(point[on].view(np.int64), ends[on].view(np.int64))
-            return original(problem, state=state, tol=tol, max_iter=max_iter, point=point)
+            return original(problem, state, point)
 
         monkeypatch.setattr(solver, "solve_boxqp", checking)
         if case == "chain-er-glasso":
@@ -778,9 +791,10 @@ class TestCarriedFaces:
     @pytest.mark.parametrize("case", ["chain-er-glasso", "mtp2", "warm-path"])
     def test_point_keeps_the_bits_and_the_sweeps(self, monkeypatch, case):
         # Each row's pinned values read from its row of the block give the
-        # K and Sigma bits and the sweep count of a run whose row hook drops
-        # ``point``.  On the warm-started path the first sweep reads the
-        # start, whose entries on an end of their face were set to it.
+        # K and Sigma bits and the sweep count of a run whose row hook
+        # passes the ends the face names instead.  On the warm-started path
+        # the first sweep reads the start, whose entries on an end of their
+        # face were set to it.
         if case == "chain-er-glasso":
             s = chain_er_correlation(np.random.default_rng(150), 150, 300)
             fits = [gz.glasso_bounds(0.1, 150)]
@@ -801,10 +815,10 @@ class TestCarriedFaces:
         pointed = walk()
         original = solver.solve_boxqp
 
-        def dropping(problem, state=None, tol=1e-10, max_iter=None, point=None):
-            return original(problem, state=state, tol=tol, max_iter=max_iter)
+        def from_ends(problem, state, point):
+            return original(problem, state, np.where(state > 0, problem.upper, problem.lower))
 
-        monkeypatch.setattr(solver, "solve_boxqp", dropping)
+        monkeypatch.setattr(solver, "solve_boxqp", from_ends)
         for got, ref in zip(pointed, walk(), strict=True):
             assert got.sweeps == ref.sweeps
             assert got.khat.tobytes() == ref.khat.tobytes()
@@ -942,6 +956,19 @@ class TestPivotBound:
         assert np.max(gz.kkt_residuals(s, res, bounds)) <= solver.KKT_TOL
         assert res.edges() == expected.edges()
 
+    @pytest.mark.parametrize("power", [20, -20])
+    def test_mtp2_fit_follows_a_power_of_two_scale(self, power):
+        # Scaling variables by D, powers of two, scales S to D S D and the
+        # MTP2 optimum to D^-1 K D^-1 bit for bit, in as many sweeps: every
+        # pivot is tested against its own diagonal entry, not the largest.
+        s = chain_er_correlation(np.random.default_rng(0), 20, 40)
+        scale = np.ones(20)
+        scale[[0, 7]] = 2.0 ** power
+        plain = gz.fit(s, gz.mtp2_bounds(20))
+        scaled = gz.fit(scale[:, None] * s * scale, gz.mtp2_bounds(20))
+        assert scaled.sweeps == plain.sweeps > 1
+        assert np.array_equal(scaled.khat * scale[:, None] * scale, plain.khat)
+
 
 class TestCertificateProperties:
     """Recomputed certificates of random fits at d up to the benchmark's
@@ -1069,7 +1096,7 @@ def _result_type_instances():
         "MdeResult": lambda: gz.mde(s, gz.GraphSpec.chain(3)),
         "PathResult": lambda: gz.fit_path(s, gz.glasso_bounds(1.0, 3),
                                           gz.EbicConfig(n=50, grid=(0.1, 0.5))),
-        "BoxQP": lambda: gz.BoxQP(np.eye(2), [-1.0, -1.0], [1.0, 1.0]),
+        "BoxQP": lambda: boxqp.row_problems(np.eye(2), -np.ones((1, 2)), np.ones((1, 2)))[0],
     }
 
 
