@@ -6,7 +6,6 @@ import csv
 import os
 import threading
 import warnings
-from concurrent import futures
 
 import numpy as np
 
@@ -143,7 +142,8 @@ def _sign_gram(x):
         workers = min(_usable_cpus(), len(blocks) // _BLOCKS_PER_WORKER)
     if workers <= 1:
         return work()
-    # ``futures`` loads its thread pool module on first use, here.
+    # Loaded on first use, here: ``concurrent.futures`` also loads ``logging``.
+    from concurrent import futures
     with futures.ThreadPoolExecutor(workers - 1) as pool:
         helpers = [pool.submit(work) for _ in range(workers - 1)]
         gram = work()

@@ -7,15 +7,43 @@ that may break it in the last bits.
 import contextlib
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import threading
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dposv
+import scipy
 
 from .errors import NonpositiveDiagonalError, NotPositiveDefiniteError
+
+
+def _lapack():
+    """``dposv``, ``dpotrf`` and ``dpotri`` of scipy's f2py LAPACK wrappers,
+    the extension ``scipy.linalg._flapack`` that ``scipy.linalg.lapack``
+    re-exports, loaded without importing ``scipy.linalg``: that package
+    loads ``numpy.f2py`` and ``numpy.testing`` on the way, about half of
+    ``import golazo``.  ``import scipy`` above runs the wheel's own start-up
+    first.  The extension is registered under its own name, so a later
+    ``import scipy.linalg`` reuses it, and one already loaded is reused
+    here: either way these are the functions ``scipy.linalg.lapack`` has."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        directory = str(Path(scipy.__file__).parent / "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(name, [directory])
+        if spec is None:
+            raise ImportError(f"scipy's LAPACK extension _flapack is not in {directory}",
+                              name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.dposv, module.dpotrf, module.dpotri
+
+
+dposv, dpotrf, dpotri = _lapack()
 
 # Relative pivot tolerance for declaring a Cholesky pivot positive.
 PIVOT_RTOL = 1e-12
@@ -110,7 +138,7 @@ def cholesky_logdet(a):
     matrix is not positive definite at the relative pivot tolerance.
     """
     a = np.asarray(a, dtype=float)
-    factor, info = scipy.linalg.lapack.dpotrf(a, lower=True)
+    factor, info = dpotrf(a, lower=True)
     # On failure LAPACK reports the first nonpositive pivot as info (1-based)
     # and leaves the pivots before it computed.
     bad = _first_bad_pivot(a, factor, info - 1 if info > 0 else None)
@@ -142,7 +170,7 @@ def invert_pd(a):
     ``cholesky_logdet``; its lower triangle is mirrored: exactly symmetric,
     C-ordered, with no negative zero."""
     factor, _ = cholesky_logdet(a)
-    inv, info = scipy.linalg.lapack.dpotri(factor, lower=True)
+    inv, info = dpotri(factor, lower=True)
     if info:
         raise NotPositiveDefiniteError(pivot_index=info - 1)
     inv = inv.T  # dpotri returns Fortran order: this C-ordered view has the upper triangle

@@ -145,6 +145,7 @@ def _blend(s, target, bounds):
     keeps every off-diagonal step t (T - S)_ij inside [L_ij, U_ij]; None
     when that blend is not positive definite.  At t = 0 it is S."""
     step = target - s
+    np.fill_diagonal(step, 0.0)  # the diagonal is S's, whatever T's is
     up = step > 0.0
     down = step < 0.0
     t = min(1.0,

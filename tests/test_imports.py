@@ -9,18 +9,60 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 RUNTIME = {"numpy", "scipy"}
 
 
 def test_import_loads_no_heavy_modules():
-    heavy = ("networkx", "scipy.sparse", "scipy.stats")
+    # scipy.linalg loads numpy.f2py and numpy.testing; golazo binds its
+    # LAPACK routines from scipy's extension without it.
+    heavy = ("networkx", "scipy.sparse", "scipy.stats", "scipy.linalg", "numpy.f2py",
+             "numpy.testing", "concurrent.futures")
     probe = f"import sys, golazo; print([m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+_LAPACK_PROBE = """
+import numpy as np
+{first}
+{second}
+for name in ("dposv", "dpotrf", "dpotri"):
+    assert getattr(golazo.linalg, name) is getattr(scipy.linalg.lapack, name), name
+a = np.array([[4.0, 1.0], [1.0, 3.0]])
+x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), np.array([1.0, 2.0]))
+assert np.allclose(a @ x, [1.0, 2.0], rtol=0.0, atol=1e-14), x
+"""
+
+
+@pytest.mark.parametrize("first, second", [("import golazo", "import scipy.linalg"),
+                                           ("import scipy.linalg", "import golazo")],
+                         ids=["golazo-first", "scipy-linalg-first"])
+def test_lapack_routines_are_scipys_in_either_import_order(first, second):
+    # golazo loads scipy's LAPACK extension itself and registers it, so a
+    # later scipy.linalg reuses it; a scipy.linalg loaded first lends it.
+    probe = _LAPACK_PROBE.format(first=first, second=second)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_missing_lapack_extension_names_its_directory(tmp_path):
+    # There is no second path: a scipy without the extension fails the import.
+    probe = ("import scipy, sys; scipy.__file__ = sys.argv[1]\n"
+             "try:\n    import golazo\nexcept ImportError as exc:\n    print(exc)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "__init__.py")],
+                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    missing = tmp_path / "linalg"
+    assert done.stdout.strip() == f"scipy's LAPACK extension _flapack is not in {missing}"
 
 
 def test_import_looks_up_no_blas_library():

@@ -218,6 +218,22 @@ class TestStartingPoints:
         assert warm.sweeps == 0
         assert warm.sigma_hat.tobytes() == res.sigma_hat.tobytes()
 
+    def test_start_diagonal_does_not_bound_the_blend(self):
+        # The blend keeps S's diagonal, so a start's diagonal an ulp off
+        # must not cut t to 0 (a cold start) through the diagonal's box [0, 0].
+        s = chain_er_correlation(np.random.default_rng(0), 30, 60)
+        b = gz.glasso_bounds(0.1, 30)
+        res = gz.fit(s, b)
+        start = res.sigma_hat.copy()
+        start[3, 3] = np.nextafter(start[3, 3], np.inf)
+        assert loop_blend_weight(s, start, b) > 0.99
+        blend = solver._blend(s, start, b)
+        assert blend.tobytes() == solver._blend(s, res.sigma_hat, b).tobytes()
+        assert not np.array_equal(blend, s)
+        warm, exact = gz.fit(s, b, start=start), gz.fit(s, b, start=res.sigma_hat)
+        assert warm.sweeps == exact.sweeps == 0 < res.sweeps
+        assert warm.sigma_hat.tobytes() == exact.sigma_hat.tobytes()
+
     def test_infeasible_start_is_blended_into_the_box(self):
         # A sparser fit's optimum steps past the denser box on its active
         # pairs: S moves toward it by the largest feasible t, here rho / 0.4.
